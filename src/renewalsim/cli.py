@@ -222,20 +222,28 @@ def main(argv=None) -> int:
         description="Age-renewal simulator for measure-valued initial data",
     )
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
+    # also accepted after the subcommand; SUPPRESS keeps a leading --quiet
+    quiet = argparse.ArgumentParser(add_help=False)
+    quiet.add_argument("--quiet", action="store_true", default=argparse.SUPPRESS,
+                       help="suppress progress output")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="simulate a scenario and write artifacts")
+    run_p = sub.add_parser("run", parents=[quiet],
+                           help="simulate a scenario and write artifacts")
     run_p.add_argument("--scenario", required=True)
     run_p.add_argument("--out", default=None, help="override the scenario output dir")
 
-    spec_p = sub.add_parser("spectral", help="print eigendata for a scenario")
+    spec_p = sub.add_parser("spectral", parents=[quiet],
+                            help="print eigendata for a scenario")
     spec_p.add_argument("--scenario", required=True)
 
-    dist_p = sub.add_parser("distance", help="flat distance between two snapshots")
+    dist_p = sub.add_parser("distance", parents=[quiet],
+                            help="flat distance between two snapshots")
     dist_p.add_argument("file_a")
     dist_p.add_argument("file_b")
 
-    ver_p = sub.add_parser("verify", help="run the invariant suite")
+    ver_p = sub.add_parser("verify", parents=[quiet],
+                           help="run the invariant suite")
     ver_p.add_argument("--scenario", required=True)
 
     args = parser.parse_args(argv)

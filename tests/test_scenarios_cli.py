@@ -177,6 +177,15 @@ class TestCli:
         assert set(fit) == {"eta_name", "sigma_hat", "y0_hat", "r_squared",
                             "m0", "sample_count"}
 
+    def test_quiet_after_subcommand(self, tmp_path, capsys):
+        # the form documented in the README
+        path = self.write(tmp_path, GOLDEN)
+        assert main(["run", "--scenario", path, "--out", str(tmp_path / "o"),
+                     "--quiet"]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(["run", "--scenario", path, "--out", str(tmp_path / "o")]) == 0
+        assert "wrote births.csv" in capsys.readouterr().out
+
     def test_verify_stationary_scenario_passes(self, tmp_path, capsys):
         path = self.write(tmp_path, STATIONARY)
         code = main(["verify", "--scenario", path])

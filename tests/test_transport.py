@@ -6,10 +6,85 @@ import pytest
 import renewalsim as rs
 from renewalsim import HybridMeasure
 from renewalsim.errors import TransportError
+from renewalsim.transport import _LOCAL
 
 
 def ones(x):
     return np.ones_like(np.asarray(x, dtype=float))
+
+
+def _segment_weights(k, inner, kv, b_jump):
+    """Quadrature weights for one convolution step, split at b's jumps.
+
+    ``inner`` holds the x-indices of the jumps strictly inside (0, k).
+    Returns the per-node weight array over 0..k (sided means at jump nodes
+    fold into the weights) plus the scalar correction carrying the
+    difference between the one-sided values and the stored means.
+    """
+    edges = [0] + inner + [k]
+    w = np.zeros(k + 1)
+    extra = 0.0
+    for p, q in zip(edges[:-1], edges[1:]):
+        seg = q - p
+        if seg >= 3:
+            w[p] += 5.0 / 12.0
+            w[p + 1] += 13.0 / 12.0
+            w[p + 2:q - 1] += 1.0
+            w[q - 1] += 13.0 / 12.0
+            w[q] += 5.0 / 12.0
+            wp, wq = 5.0 / 12.0, 5.0 / 12.0
+        elif seg == 2:
+            w[p] += 1.0 / 3.0
+            w[p + 1] += 4.0 / 3.0
+            w[q] += 1.0 / 3.0
+            wp, wq = 1.0 / 3.0, 1.0 / 3.0
+        else:
+            w[p] += 0.5
+            w[q] += 0.5
+            wp, wq = 0.5, 0.5
+        # right edge of the segment sees b from above its jump time (+d/2),
+        # left edge from below (-d/2); the mean flows through w itself
+        if q < k and (k - q) in b_jump:
+            extra += wq * kv[q] * 0.5 * b_jump[k - q]
+        if p > 0 and (k - p) in b_jump:
+            extra -= wp * kv[p] * 0.5 * b_jump[k - p]
+    return w, extra
+
+
+def direct_births(traj):
+    """O(K^2) reference: every step re-weights the whole history.
+
+    Builds each step's segment-split Gregory weights explicitly and sums
+    the full history directly, with the same start steps, one-sided jump
+    values and negativity clamp as ``birth_series``.
+    """
+    n0, B, lam, dt = traj.initial, traj.birth_law, traj.spectral.lambda0, traj.dt
+    K = traj.births.size - 1
+    times = np.arange(K + 1) * dt
+    kv = B.quad_values(times) * np.exp(-lam * times)
+    g = B.birth_forcing(n0, times) * np.exp(-lam * times)
+    b_jump = dict(traj.birth_jumps)
+
+    def settle(val):
+        return max(val, 0.0) if n0.nonnegative else val
+
+    b = np.zeros(K + 1)
+    b[0] = g[0]
+    b[1] = settle((g[1] + 0.5 * dt * kv[1] * b[0]) / (1.0 - 0.5 * dt * kv[0]))
+    b[2] = settle((g[2] + dt / 3.0 * (4.0 * kv[1] * b[1] + kv[2] * b[0]))
+                  / (1.0 - dt / 3.0 * kv[0]))
+    for k in range(3, K + 1):
+        inner = sorted(k - j for j in b_jump if 0 < k - j < k)
+        w, extra = _segment_weights(k, inner, kv, b_jump)
+        s = float(np.dot(w[1:] * kv[1:k + 1], b[k - 1::-1][:k])) + extra
+        b[k] = settle((g[k] + dt * s) / (1.0 - dt * w[0] * kv[0]))
+    return b
+
+
+def assert_matches_direct(traj):
+    ref = direct_births(traj)
+    err = np.abs(traj.births - ref).max()
+    assert err <= 1e-12 * np.abs(ref).max(), f"max deviation {err:.3e}"
 
 
 class TestBirthSeries:
@@ -58,6 +133,83 @@ class TestBirthSeries:
         n0 = HybridMeasure.zero(0.04, 0.001)
         with pytest.raises(TransportError, match="implicit boundary weight"):
             rs.birth_series(n0, B, sp, 0.001, 0.01)
+
+
+class TestDirectOracle:
+    """The Toeplitz/FFT step against the direct segment-split sum."""
+
+    @staticmethod
+    def density(x):
+        return np.exp(-x) * (1.0 + 0.5 * np.sin(5.0 * x))
+
+    def indicator_run(self, ind_spectral, atoms, T, dt=0.001):
+        B, sp = ind_spectral
+        n0 = HybridMeasure.from_function(self.density, 12.0, dt, atoms=atoms,
+                                         nonnegative=True)
+        return rs.birth_series(n0, B, sp, dt, T)
+
+    def test_density_only_constant_law(self, const_spectral):
+        B, sp = const_spectral
+        n0 = HybridMeasure.from_function(self.density, 40.0, 0.002, nonnegative=True)
+        traj = rs.birth_series(n0, B, sp, 0.002, 4.0)
+        assert traj.birth_jumps == ()
+        assert_matches_direct(traj)
+
+    def test_density_only_indicator_law(self, ind_spectral):
+        traj = self.indicator_run(ind_spectral, (), 2.0)
+        assert traj.birth_jumps == ()
+        assert_matches_direct(traj)
+
+    def test_three_atoms(self, ind_spectral):
+        traj = self.indicator_run(ind_spectral, ((0.2, 0.3), (0.5, 0.2), (0.9, 0.1)), 2.0)
+        assert [j for j, _ in traj.birth_jumps] == [100, 500, 800]
+        assert_matches_direct(traj)
+
+    @pytest.mark.parametrize("gap", [1, 2])
+    def test_jumps_steps_apart(self, ind_spectral, gap):
+        traj = self.indicator_run(ind_spectral, ((0.5, 0.3), (0.5 - gap * 0.001, 0.2)), 1.0)
+        assert [j for j, _ in traj.birth_jumps] == [500, 500 + gap]
+        assert_matches_direct(traj)
+
+    def test_jumps_at_first_steps_and_horizon(self, ind_spectral):
+        T, dt = 0.8, 0.001
+        atoms = ((1.0 - dt, 0.3), (1.0 - 2 * dt, 0.2), (1.0 - T, 0.1))
+        traj = self.indicator_run(ind_spectral, atoms, T, dt)
+        assert [j for j, _ in traj.birth_jumps] == [1, 2, 800]
+        assert_matches_direct(traj)
+
+    def test_coincident_jumps_merge(self):
+        # one atom enters [0.25, 1] as the other leaves it
+        B = rs.BirthLaw.indicator(2.0, 0.25, 1.0)
+        n0 = HybridMeasure.from_function(self.density, 12.0, 0.001,
+                                         atoms=((0.1, 0.3), (0.85, 0.2)),
+                                         nonnegative=True)
+        traj = rs.birth_series(n0, B, rs.solve_spectral(B), 0.001, 1.0)
+        assert [j for j, _ in traj.birth_jumps] == [150, 900]
+        assert_matches_direct(traj)
+
+    def test_signed_datum(self, ind_spectral):
+        B, sp = ind_spectral
+        n0 = HybridMeasure.from_function(lambda x: np.sin(6.0 * x) * np.exp(-x), 12.0,
+                                         0.001, atoms=((0.3, -1.5), (0.6, 0.2)))
+        traj = rs.birth_series(n0, B, sp, 0.001, 1.5)
+        assert traj.births.min() < 0.0
+        assert_matches_direct(traj)
+
+    @pytest.mark.parametrize("offset", [-1, 1])
+    def test_horizon_at_fft_block_boundary(self, ind_spectral, offset):
+        K = 16 * _LOCAL + offset
+        traj = self.indicator_run(ind_spectral, ((0.4, 0.3),), K * 0.001)
+        assert traj.births.size == K + 1
+        assert_matches_direct(traj)
+
+    def test_long_horizon_dirac_stays_flat(self, const_spectral):
+        # K = 80000: roundoff in the FFT history must not accumulate
+        B, sp = const_spectral
+        n0 = HybridMeasure.point_mass(0.5, 40.0, 0.005)
+        traj = rs.birth_series(n0, B, sp, 0.0005, 40.0)
+        assert traj.births.size == 80001
+        assert np.abs(traj.births - 1.0).max() <= 1e-6
 
 
 class TestEvolve:
