@@ -70,7 +70,8 @@ def cmd_run(sc: Scenario, out_dir: str, quiet: bool) -> int:
     m0 = integrate(traj.initial, spectral.phi)
     n_zero = spectral.N(0.0)
     times = _sample_times(sc)
-    names = ["t", "D_phi", "D_one", "m_k", "conserved_phi_mass"]
+    weights = {"phi": spectral.phi, "one": None}
+    names = ["t", *(f"D_{eta}" for eta in sc.eta_choices), "m_k", "conserved_phi_mass"]
     names += [f"gre_{H.name}" for H in integrands]
     names += [f"J_{H.name}" for H in integrands]
 
@@ -81,15 +82,16 @@ def cmd_run(sc: Scenario, out_dir: str, quiet: bool) -> int:
             snap = evolve(traj, t)
             eq = stationary_measure(spectral, snap.x_max, snap.h, mass=m0)
             diff = linear_combination(1.0, snap, -1.0, eq)
-            d_phi = weighted_variation(diff, spectral.phi, (t,))
-            d_one = weighted_variation(diff, None, (t,))
+            # D_phi feeds decayfit.json whether or not it is a requested column
+            dist = {eta: weighted_variation(diff, weights[eta], (t,))
+                    for eta in dict.fromkeys(("phi", *sc.eta_choices))}
             m_k = integrate(snap, sc.birth_law.quad_values) / n_zero
             conserved = integrate(snap, spectral.phi) + tail_phi_mass(traj, t)
-            row = [t, d_phi, d_one, m_k, conserved]
+            row = [t, *(dist[eta] for eta in sc.eta_choices), m_k, conserved]
             row += [gre_functional(snap, spectral, H) for H in integrands]
             row += [dissipation_J(snap, sc.birth_law, spectral, H) for H in integrands]
             fh.write(",".join(_F(v) for v in row) + "\n")
-            d_phi_series.append((t, d_phi))
+            d_phi_series.append((t, dist["phi"]))
 
     lo = 0.2 * sc.horizon
     window = [(t, d) for t, d in d_phi_series if t >= lo]

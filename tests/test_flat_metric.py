@@ -3,9 +3,44 @@ import pytest
 
 import renewalsim as rs
 from renewalsim import HybridMeasure
-from renewalsim.measures import _chain_max
+from renewalsim.measures import _chain_max, _support_points
 
 linprog = pytest.importorskip("scipy.optimize").linprog
+
+
+def reference_chain_max(locs: np.ndarray, w: np.ndarray) -> float:
+    """Maximize sum(w_i f_i) over |f_i| <= 1, |f_{i+1} - f_i| <= gap_i.
+
+    Forward sweep of the exact dynamic program on the concave piecewise
+    linear value function V_k(y) = best total with f_k = y: slide the top
+    apart by the gap (max-filter), clamp the domain back to [-1, 1], then
+    tilt by the next weight.  The answer is the final peak value.
+
+    The value function is rebuilt as breakpoint and value arrays at every
+    point; kept as the oracle for the slope-trick sweep in ``_chain_max``.
+    """
+    xs = np.array([-1.0, 1.0])
+    vs = w[0] * xs
+    for k in range(1, locs.size):
+        g = locs[k] - locs[k - 1]
+        top = vs.max()
+        flat = np.flatnonzero(vs == top)
+        pl, pr = flat[0], flat[-1]
+        xs = np.concatenate([xs[:pl + 1] - g, xs[pr:] + g])
+        vs = np.concatenate([vs[:pl + 1], vs[pr:]])
+        vl = np.interp(-1.0, xs, vs)
+        vr = np.interp(1.0, xs, vs)
+        keep = (xs > -1.0) & (xs < 1.0)
+        xs = np.concatenate([[-1.0], xs[keep], [1.0]])
+        vs = np.concatenate([[vl], vs[keep], [vr]])
+        vs = vs + w[k] * xs
+    return float(vs.max())
+
+
+def assert_matches_reference(locs, w):
+    got = _chain_max(locs, w)
+    want = reference_chain_max(locs, w)
+    assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (got, want)
 
 
 def lp_oracle(locs, w):
@@ -78,7 +113,6 @@ def test_agrees_with_lp_oracle_on_density_instances():
     for _ in range(10):
         mu = HybridMeasure(0.5, rng.normal(size=9))
         nu = HybridMeasure(0.5, rng.normal(size=9), ((1.7, rng.normal()),))
-        from renewalsim.measures import _support_points
         l1, w1 = _support_points(mu)
         l2, w2 = _support_points(nu)
         locs = np.concatenate([l1, l2])
@@ -123,3 +157,63 @@ def test_point_budget_cap():
 
 def test_chain_max_single_point():
     assert _chain_max(np.array([1.0]), np.array([-3.0])) == 3.0
+
+
+def reference_instances():
+    """Seeded (locs, weights) pairs covering the sweep's branches."""
+    rng = np.random.default_rng(41)
+    for _ in range(20):  # single points, including a zero weight
+        yield rng.uniform(0.0, 5.0, 1), rng.choice([0.0, rng.normal()], 1)
+    for _ in range(60):  # smooth traffic with some zero weights
+        n = int(rng.integers(2, 40))
+        w = rng.normal(size=n) * (rng.uniform(size=n) < 0.7)
+        yield np.cumsum(rng.uniform(0.01, 0.5, n)), w
+    for _ in range(60):  # integer weights on a lattice: exact zero slopes, flat peaks
+        n = int(rng.integers(2, 40))
+        yield np.cumsum(rng.integers(1, 4, n)) * 0.25, rng.integers(-3, 4, n).astype(float)
+    for _ in range(40):  # gaps of 2 and more: the clamp clears whole sides
+        n = int(rng.integers(2, 20))
+        yield np.cumsum(rng.choice([0.3, 2.0, 3.5], n)), rng.normal(size=n)
+    for _ in range(20):  # dense steps: long walks of the peak
+        n = int(rng.integers(50, 300))
+        yield np.cumsum(rng.uniform(1e-3, 2e-2, n)), rng.normal(size=n)
+
+
+def test_chain_max_agrees_with_reference():
+    count = 0
+    for locs, w in reference_instances():
+        assert_matches_reference(locs, w)
+        count += 1
+    assert count >= 200
+
+
+def test_chain_max_agrees_with_reference_on_white_noise():
+    rng = np.random.default_rng(43)
+    assert_matches_reference(np.sort(rng.uniform(0.0, 10.0, 4000)), rng.normal(size=4000))
+
+
+def test_chain_max_is_mirror_symmetric():
+    for locs, w in reference_instances():
+        assert _chain_max(locs, -w) == _chain_max(locs, w)
+
+
+def test_snapshot_distance_symmetric_bounded_and_exact(ind_spectral):
+    B, sp = ind_spectral
+    dt = 0.005
+    n0 = HybridMeasure.from_function(lambda x: np.exp(-x) * (1.0 + 0.5 * np.sin(5.0 * x)),
+                                     6.0, dt, atoms=((0.25, 0.4), (0.5, 0.3)),
+                                     nonnegative=True)
+    traj = rs.birth_series(n0, B, sp, dt, 2.0)
+    assert traj.birth_jumps
+    a, b = rs.evolve(traj, 0.9), rs.evolve(traj, 2.0)
+    d_ab, d_ba = rs.flat_distance(a, b), rs.flat_distance(b, a)
+    assert abs(d_ab - d_ba) <= 1e-12 * max(1.0, d_ab)
+
+    la, wa = _support_points(a)
+    lb, wb = _support_points(b)
+    locs, inv = np.unique(np.concatenate([la, lb]), return_inverse=True)
+    diff = np.bincount(inv, weights=np.concatenate([wa, -wb]))
+    assert abs(diff.sum()) * (1 - 1e-9) <= d_ab <= np.abs(diff).sum() * (1 + 1e-9)
+    keep = diff != 0.0
+    want = reference_chain_max(locs[keep], diff[keep])
+    assert abs(d_ab - want) <= 1e-12 * max(1.0, want)

@@ -177,6 +177,17 @@ class TestCli:
         assert set(fit) == {"eta_name", "sigma_hat", "y0_hat", "r_squared",
                             "m0", "sample_count"}
 
+    def test_run_writes_only_requested_eta_columns(self, tmp_path, capsys):
+        path = self.write(tmp_path, GOLDEN.replace("eta = phi one", "eta = one"))
+        out = tmp_path / "o"
+        assert main(["--quiet", "run", "--scenario", path, "--out", str(out)]) == 0
+        header = (out / "diagnostics.csv").read_text().splitlines()[0].split(",")
+        assert header[:4] == ["t", "D_one", "m_k", "conserved_phi_mass"]
+        assert "D_phi" not in header
+        # the decay fit still uses the dual-weighted distance
+        fit = json.loads((out / "decayfit.json").read_text())
+        assert fit["eta_name"] == "phi" and fit["sample_count"] > 0
+
     def test_quiet_after_subcommand(self, tmp_path, capsys):
         # the form documented in the README
         path = self.write(tmp_path, GOLDEN)
