@@ -36,6 +36,7 @@ __all__ = [
     "linear_combination",
     "flat_distance",
     "ac_cumulative",
+    "ac_first_moment",
     "write_snapshot",
     "read_snapshot",
 ]
@@ -407,6 +408,13 @@ def linear_combination(a: float, mu: HybridMeasure, b: float, nu: HybridMeasure)
     return HybridMeasure(g, dens, tuple(atoms), tuple(jumps), nonnegative=nonneg)
 
 
+def _cell_offsets(mu: HybridMeasure, ys):
+    """Grid cell index and offset into it of every y, clipped to [0, x_max]."""
+    yc = np.clip(ys, 0.0, mu.x_max)
+    idx = np.minimum((yc / mu.h).astype(int), mu.node_count - 2)
+    return idx, yc - idx * mu.h
+
+
 def ac_cumulative(mu: HybridMeasure, ys) -> np.ndarray:
     """Exact integral of the piecewise-linear density over [0, y] for each y.
 
@@ -416,12 +424,29 @@ def ac_cumulative(mu: HybridMeasure, ys) -> np.ndarray:
     panel_mass = (L + R) * (mu.h / 2.0)
     cum = np.concatenate([[0.0], np.cumsum(panel_mass)])
     scalar = np.ndim(ys) == 0
-    ys = np.atleast_1d(np.asarray(ys, dtype=float))
-    yc = np.clip(ys, 0.0, mu.x_max)
-    idx = np.minimum((yc / mu.h).astype(int), mu.node_count - 2)
-    s = yc - idx * mu.h
+    idx, s = _cell_offsets(mu, np.atleast_1d(np.asarray(ys, dtype=float)))
     vline = L[idx] + (R[idx] - L[idx]) * s / mu.h
     out = cum[idx] + s * (L[idx] + vline) / 2.0
+    return float(out[0]) if scalar else out
+
+
+def ac_first_moment(mu: HybridMeasure, ys) -> np.ndarray:
+    """Exact integral of x times the density over [0, y] for each y.
+
+    The first-moment companion of ``ac_cumulative``: on each grid cell
+    ``[a, a + h]`` with one-sided values ``l``, ``r`` and slope
+    ``d = (r - l) / h`` the moment up to offset ``s`` is the cubic
+    ``a (l s + d s^2 / 2) + l s^2 / 2 + d s^3 / 3``.
+    """
+    L, R = _panel_sides(mu)
+    h = mu.h
+    cell = mu.nodes[:-1] * (L + R) * (h / 2.0) + (L + 2.0 * R) * (h * h / 6.0)
+    cum = np.concatenate([[0.0], np.cumsum(cell)])
+    scalar = np.ndim(ys) == 0
+    idx, s = _cell_offsets(mu, np.atleast_1d(np.asarray(ys, dtype=float)))
+    lv = L[idx]
+    d = (R[idx] - lv) / h
+    out = cum[idx] + s * (idx * h * (lv + 0.5 * d * s) + s * (0.5 * lv + d * s / 3.0))
     return float(out[0]) if scalar else out
 
 

@@ -7,7 +7,8 @@ and the dual weight ``phi`` with the normalization ``integral N phi dx = 1``.
 Three birth-law families are supported.  ``constant`` and ``indicator`` laws
 use closed forms throughout (the infinite tail of a constant law is handled
 analytically, never by quadrature); ``table`` laws are piecewise linear with
-finite support and use exact per-panel exponential integrals.
+finite support and use exact per-panel exponential integrals.  The birth
+forcing of both finite-support families is one exact panel-moment formula.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import SpectralError
-from .measures import HybridMeasure, ac_cumulative
+from .measures import HybridMeasure, ac_cumulative, ac_first_moment
 from .quadrature import composite_simpson
 
 __all__ = [
@@ -247,17 +248,24 @@ class BirthLaw:
 
     # -- birth forcing against a measure ----------------------------------
 
-    def measure_integral(self, mu: HybridMeasure, shift: float = 0.0) -> float:
-        """Integral of B(x + shift) against the measure, exactly per family."""
-        return float(self.birth_forcing(mu, np.array([shift]))[0])
+    def _linear_pieces(self):
+        """Panel edges and coefficients with ``B(y) = c0 + c1 y`` on each panel."""
+        if self.kind == "indicator":
+            return np.array([self.lo, self.hi]), np.array([self.beta]), np.zeros(1)
+        xs, vals = np.array(self.xs), np.array(self.vals)
+        c1 = np.diff(vals) / np.diff(xs)
+        return xs, vals[:-1] - c1 * xs[:-1], c1
 
     def birth_forcing(self, mu: HybridMeasure, shifts) -> np.ndarray:
-        """Integral of B(x + s) d mu(x) for every shift s, vectorized.
+        """Integral of B(x + s) d mu(x) for every shift s, exact and vectorized.
 
-        Constant and indicator families use exact interval masses of the
-        piecewise-linear density (atoms at an indicator edge count with the
-        mean one-sided value, matching the trapezoid jump convention);
-        table laws fall back to grid quadrature.
+        Constant laws use the total mass.  Indicator and table laws are
+        piecewise linear: on a panel ``[p, q]`` with ``B(y) = c0 + c1 y`` the
+        density contributes ``(c0 + c1 s) (M0(q - s) - M0(p - s)) + c1 (M1(q - s)
+        - M1(p - s))`` with the exact cumulative mass ``M0`` and first moment
+        ``M1`` of the piecewise-linear density.  Atoms are weighted with
+        ``quad_values``, so an atom on a rate discontinuity counts with the
+        mean one-sided value, matching the trapezoid jump convention.
         """
         shifts = np.asarray(shifts, dtype=float)
         locs = np.array([a[0] for a in mu.atoms])
@@ -265,26 +273,14 @@ class BirthLaw:
         if self.kind == "constant":
             ac = ac_cumulative(mu, mu.x_max)
             return np.full_like(shifts, self.beta * (ac + wts.sum()))
-        if self.kind == "indicator":
-            hi_mass = ac_cumulative(mu, self.hi - shifts)
-            lo_mass = ac_cumulative(mu, self.lo - shifts)
-            out = self.beta * (hi_mass - lo_mass)
-            if locs.size:
-                pos = locs[None, :] + shifts[:, None]
-                w = np.where((pos > self.lo) & (pos < self.hi), 1.0, 0.0)
-                for edge in (self.lo, self.hi):
-                    if edge > 0.0:
-                        w = np.where(np.abs(pos - edge) <= _SNAP * max(1.0, edge), 0.5, w)
-                out = out + self.beta * (w * wts[None, :]).sum(axis=1)
-            return out
-        nodes = mu.nodes
-        out = np.empty_like(shifts)
-        for i, s in enumerate(shifts):
-            bx = self.quad_values(nodes + s)
-            val = float(np.trapezoid(bx * mu.density, dx=mu.h))
-            if locs.size:
-                val += float(np.dot(self.quad_values(locs + s), wts))
-            out[i] = val
+        edges, c0, c1 = self._linear_pieces()
+        ys = edges[:, None] - shifts
+        m0 = np.diff(ac_cumulative(mu, ys), axis=0)
+        m1 = np.diff(ac_first_moment(mu, ys), axis=0)
+        c0, c1 = c0[:, None], c1[:, None]
+        out = ((c0 + c1 * shifts) * m0 + c1 * m1).sum(axis=0)
+        if locs.size:
+            out = out + self.quad_values(locs[None, :] + shifts[:, None]) @ wts
         return out
 
 

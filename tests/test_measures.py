@@ -281,3 +281,28 @@ class TestAcCumulative:
         out = rs.measures.ac_cumulative(mu, 0.6)
         assert isinstance(out, float)
         assert out == pytest.approx(0.6)
+
+
+class TestAcFirstMoment:
+    def test_linear_density_exact(self):
+        # the interpolant of x is x itself, so M1(y) = y^3 / 3 with no grid error
+        mu = HybridMeasure.from_function(lambda x: np.asarray(x, float), 2.0, 0.01)
+        ys = np.array([-0.5, 0.0, 0.013, 0.3, 1.0, 1.777, 2.0, 3.0])
+        yc = np.clip(ys, 0.0, 2.0)
+        np.testing.assert_allclose(rs.measures.ac_first_moment(mu, ys), yc ** 3 / 3,
+                                   rtol=1e-13, atol=1e-15)
+
+    def test_jump_record_uses_one_sided_values(self):
+        # density 1 on [0, 1), 3 on (1, 2]: the node value 2 at x = 1 is the mean
+        dens = np.where(np.arange(9) * 0.25 < 1.0, 1.0, 3.0)
+        mu = HybridMeasure(0.25, dens, jumps=((1.0, 1.0, 3.0),))
+        ys = np.array([0.5, 1.0, 1.5, 2.0])
+        exact = np.where(ys <= 1.0, ys ** 2 / 2, 0.5 + 1.5 * (ys ** 2 - 1.0))
+        np.testing.assert_allclose(rs.measures.ac_first_moment(mu, ys), exact,
+                                   rtol=1e-14)
+
+    def test_scalar_input_returns_float(self):
+        mu = HybridMeasure.from_function(lambda x: ones(x), 1.0, 0.25)
+        out = rs.measures.ac_first_moment(mu, 0.6)
+        assert isinstance(out, float)
+        assert out == pytest.approx(0.18)

@@ -59,6 +59,33 @@ sample_dt = 0.1
 directory = out
 """
 
+TABLE_LAW = """
+[birth_law]
+kind = table
+x = 0 0.5 1 1.5
+values = 1 3 2 0
+
+[initial_measure]
+density = gaussian-bump
+center = 0.7
+width = 0.2
+mass = 1.0
+atoms = 0.9:0.3
+
+[numerics]
+h = 0.002
+dt = 0.002
+T = 4.0
+x_max = 6.0
+
+[diagnostics]
+snapshot_times = 4.0
+sample_dt = 0.5
+
+[outputs]
+directory = out
+"""
+
 
 class TestParsing:
     def test_golden_scenario(self):
@@ -196,6 +223,17 @@ class TestCli:
         assert capsys.readouterr().out == ""
         assert main(["run", "--scenario", path, "--out", str(tmp_path / "o")]) == 0
         assert "wrote births.csv" in capsys.readouterr().out
+
+    def test_table_law_births_reach_dual_mass_limit(self, tmp_path, capsys):
+        # b(T) -> m0 * lambda0 with m0 the conserved dual mass
+        path = self.write(tmp_path, TABLE_LAW)
+        out = tmp_path / "o"
+        assert main(["--quiet", "run", "--scenario", path, "--out", str(out)]) == 0
+        b_T = float((out / "births.csv").read_text().splitlines()[-1].split(",")[1])
+        diags = (out / "diagnostics.csv").read_text().splitlines()
+        m0 = float(diags[1].split(",")[diags[0].split(",").index("conserved_phi_mass")])
+        ref = m0 * rs.solve_lambda0(parse_scenario(TABLE_LAW).birth_law)
+        assert abs(b_T - ref) <= 1e-4 * abs(ref)
 
     def test_verify_stationary_scenario_passes(self, tmp_path, capsys):
         path = self.write(tmp_path, STATIONARY)

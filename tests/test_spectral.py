@@ -154,3 +154,132 @@ class TestMeasureConsistency:
         _, sp = const_spectral
         n0 = rs.stationary_measure(sp, 40.0, 2e-4)
         assert abs(rs.integrate(n0, sp.phi) - 1.0) <= 1e-8
+
+
+# -- exact birth forcing against a merged-breakpoint Simpson oracle ----------
+
+
+def law_pieces(B):
+    """``(p, q, B(p+), B(q-))`` for every linear panel of the rate."""
+    if B.kind == "indicator":
+        return [(B.lo, B.hi, B.beta, B.beta)]
+    return list(zip(B.xs[:-1], B.xs[1:], B.vals[:-1], B.vals[1:]))
+
+
+def rate_at_atom(pieces, y):
+    """Mean of the one-sided limits of B at y; at age 0 the value B(0+)."""
+
+    def limit(z, right):
+        for p, q, vp, vq in pieces:
+            if (p <= z < q) if right else (p < z <= q):
+                return vp + (vq - vp) * (z - p) / (q - p)
+        return 0.0
+
+    for p, q, _, _ in pieces:
+        for e in (p, q):
+            if abs(y - e) <= 1e-9 * max(1.0, e):
+                y = e
+    if y == 0.0:
+        return limit(0.0, True)
+    return 0.5 * (limit(y, False) + limit(y, True))
+
+
+def simpson_forcing(B, mu, s):
+    """Integral of B(x + s) d mu(x) by Simpson's rule on merged breakpoints.
+
+    The grid nodes are merged with the shifted panel edges; between two
+    consecutive cut points the rate and the density are both linear, so the
+    integrand is quadratic and Simpson's rule is exact.
+    """
+    pieces = law_pieces(B)
+    h, n = mu.h, mu.node_count
+    left, right = np.array(mu.density[:-1]), np.array(mu.density[1:])
+    for x, lo, hi in mu.jumps:
+        i = int(round(x / h))
+        if i < n - 1:
+            left[i] = hi
+        if i > 0:
+            right[i - 1] = lo
+    edges = [e - s for p, q, _, _ in pieces for e in (p, q)]
+    cuts = np.unique(np.concatenate([mu.nodes, [e for e in edges if 0.0 < e < mu.x_max]]))
+    u, v = cuts[:-1], cuts[1:]
+    mid = 0.5 * (u + v)
+    cell = np.minimum((mid // h).astype(int), n - 2)
+    slope = (right[cell] - left[cell]) / h
+    f = np.zeros((3, mid.size))
+    for row, x in enumerate((u, mid, v)):
+        dens = left[cell] + slope * (x - cell * h)
+        for p, q, vp, vq in pieces:
+            inside = (p <= mid + s) & (mid + s < q)
+            rate = vp + (vq - vp) * (x + s - p) / (q - p)
+            f[row, inside] = (rate * dens)[inside]
+    total = float(np.sum((v - u) / 6.0 * (f[0] + 4.0 * f[1] + f[2])))
+    return total + sum(wt * rate_at_atom(pieces, loc + s) for loc, wt in mu.atoms)
+
+
+def forcing_shifts(B, mu, s_max):
+    """Grid shifts, random shifts, and shifts that put every panel edge just
+    before and just after every atom, the domain start and a grid node."""
+    h = mu.h
+    pts = [0.0, 7.3 * h] + [loc for loc, _ in mu.atoms]
+    near = [e - x + d for p, q, _, _ in law_pieces(B) for e in (p, q)
+            for x in pts for d in (-1e-3 * h, 0.0, 1e-3 * h)]
+    rng = np.random.default_rng(5)
+    shifts = np.concatenate([np.arange(0.0, s_max, 4 * h), rng.uniform(0.0, s_max, 40),
+                             [s for s in near if 0.0 <= s <= s_max]])
+    return np.unique(shifts)
+
+
+def jump_measure():
+    """A smooth density with atoms at 0, inside and on every edge of TABLE_JUMP."""
+    return rs.HybridMeasure.from_function(
+        lambda x: np.exp(-x) * (1.0 + 0.5 * np.sin(5.0 * x)), 3.0, 0.01,
+        atoms=((0.0, 0.2), (0.4, 0.3), (0.77, 0.25), (1.0, 0.1), (1.3, 0.15)),
+        nonnegative=True,
+    )
+
+
+TABLE_JUMP = ([0.0, 0.4, 1.0, 1.3], [1.0, 3.0, 2.0, 1.5])   # jumps 1.5 -> 0 at 1.3
+
+
+class TestExactForcing:
+    """``birth_forcing`` against the merged-breakpoint Simpson oracle."""
+
+    @staticmethod
+    def assert_matches_oracle(B, mu, s_max=1.6):
+        shifts = forcing_shifts(B, mu, s_max)
+        ref = np.array([simpson_forcing(B, mu, s) for s in shifts])
+        out = B.birth_forcing(mu, shifts)
+        err = np.abs(out - ref).max()
+        assert err <= 1e-12 * np.abs(ref).max(), f"max deviation {err:.3e}"
+        return out, shifts
+
+    def test_table_with_support_end_jump(self):
+        B = BirthLaw.table(*TABLE_JUMP)
+        out, shifts = self.assert_matches_oracle(B, jump_measure())
+        # past the support nothing is left to give birth
+        assert np.all(out[shifts > 1.3 + 1e-9] == 0.0)
+
+    def test_density_with_jump_records(self):
+        mu = jump_measure()
+        mu = rs.HybridMeasure(mu.h, mu.density, mu.atoms,
+                              jumps=((0.5, 0.2, 1.4), (1.2, 0.9, 0.1), (2.0, 0.0, 0.7)),
+                              nonnegative=True)
+        self.assert_matches_oracle(BirthLaw.table(*TABLE_JUMP), mu)
+
+    def test_smooth_table(self):
+        B = BirthLaw.table([0.0, 0.5, 1.0, 1.5], [1.0, 3.0, 2.0, 0.0])
+        self.assert_matches_oracle(B, jump_measure(), s_max=1.8)
+
+    def test_indicator_through_panel_formula(self):
+        B = BirthLaw.indicator(2.5, 0.3, 1.1)
+        mu = rs.HybridMeasure.from_function(
+            lambda x: 1.0 + x, 3.0, 0.01,
+            atoms=((0.0, 0.2), (0.3, 0.3), (0.55, 0.1), (1.1, 0.4)), nonnegative=True)
+        self.assert_matches_oracle(B, mu, s_max=1.4)
+
+    def test_indicator_from_age_zero_counts_newborn_atom(self):
+        B = BirthLaw.indicator(2.0, 0.0, 1.0)
+        mu = rs.HybridMeasure.point_mass(0.0, 3.0, 0.01, 0.5)
+        out, _ = self.assert_matches_oracle(B, mu, s_max=1.2)
+        assert out[0] == 1.0

@@ -97,10 +97,13 @@ class TestBirthSeries:
         traj, _ = dirac_benchmark
         assert np.abs(traj.births - 1.0).max() <= 1e-6
 
-    def test_initial_birth_matches_measure_integral(self, ind_spectral):
+    @pytest.mark.parametrize("atoms", [((0.4, 0.3),), ((0.0, 0.3),)],
+                             ids=["interior", "age0"])
+    def test_initial_birth_matches_measure_integral(self, ind_spectral, atoms):
+        # an atom at age 0 lies on the lower edge of the support [0, 1]
         B, sp = ind_spectral
         n0 = HybridMeasure.from_function(lambda x: np.exp(-x), 12.0, 0.001,
-                                         atoms=((0.4, 0.3),), nonnegative=True)
+                                         atoms=atoms, nonnegative=True)
         traj = rs.birth_series(n0, B, sp, 0.001, 1.0)
         assert traj.births[0] == pytest.approx(rs.integrate(n0, B.quad_values), abs=1e-7)
 
@@ -194,6 +197,15 @@ class TestDirectOracle:
                                          0.001, atoms=((0.3, -1.5), (0.6, 0.2)))
         traj = rs.birth_series(n0, B, sp, 0.001, 1.5)
         assert traj.births.min() < 0.0
+        assert_matches_direct(traj)
+
+    def test_table_law_with_support_end_jump(self):
+        # the rate drops from 1.5 to 0 at 1.3; the atom crosses it at t = 0.75
+        B = rs.BirthLaw.table([0.0, 0.4, 1.0, 1.3], [1.0, 3.0, 2.0, 1.5])
+        n0 = HybridMeasure.from_function(self.density, 12.0, 0.001,
+                                         atoms=((0.55, 0.3),), nonnegative=True)
+        traj = rs.birth_series(n0, B, rs.solve_spectral(B), 0.001, 1.5)
+        assert [j for j, _ in traj.birth_jumps] == [750]
         assert_matches_direct(traj)
 
     @pytest.mark.parametrize("offset", [-1, 1])
