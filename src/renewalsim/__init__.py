@@ -39,7 +39,6 @@ from .spectral import (
 from .transport import (
     Trajectory,
     birth_series,
-    conserved_phi_mass,
     evolve,
     tail_phi_mass,
     unrenormalize,
@@ -63,6 +62,7 @@ from .convergence import (
     fit_decay_rate,
     mk_sequence_check,
     reshetnyak_harness,
+    sample_diagnostics,
 )
 from .scenarios import Scenario, load_scenario, parse_scenario
 

@@ -9,9 +9,7 @@ distance  print the flat distance between two snapshot files
 verify    run the invariant suite for a scenario, exit nonzero on failure
 
 Exit codes: 0 ok, 1 config error, 2 numerical failure, 3 verification
-failure.  ``RENEWAL_THREADS`` caps the number of worker threads used by
-``verify`` (0, the default, means fully sequential); reports are always
-emitted in a fixed order regardless of threading.
+failure.
 """
 from __future__ import annotations
 
@@ -20,24 +18,22 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .convergence import fit_decay_rate, mk_sequence_check, reshetnyak_harness
-from .entropy import dissipation_J, gre_functional, verify_B_dominates_phi
-from .errors import RenewalError, ScenarioError
-from .measures import (
-    flat_distance,
-    integrate,
-    linear_combination,
-    read_snapshot,
-    weighted_variation,
-    write_snapshot,
+from .convergence import (
+    fit_decay_rate,
+    mk_sequence_check,
+    reshetnyak_harness,
+    sample_diagnostics,
 )
+from .entropy import verify_B_dominates_phi
+from .errors import RenewalError, ScenarioError
+# integrate stays importable from here: benchmark/tests patches it at this call site
+from .measures import flat_distance, integrate, read_snapshot, write_snapshot  # noqa: F401
 from .scenarios import Scenario, load_scenario
-from .spectral import solve_spectral, stationary_measure
-from .transport import birth_series, evolve, tail_phi_mass
+from .spectral import solve_spectral
+from .transport import birth_series, evolve
 
 _F = "{:.17g}".format
 
@@ -67,34 +63,21 @@ def cmd_run(sc: Scenario, out_dir: str, quiet: bool) -> int:
         write_snapshot(snap, os.path.join(out_dir, f"snapshot_{ts:g}.csv"))
 
     integrands = sc.integrands()
-    m0 = integrate(traj.initial, spectral.phi)
-    n_zero = spectral.N(0.0)
     times = _sample_times(sc)
     weights = {"phi": spectral.phi, "one": None}
-    names = ["t", *(f"D_{eta}" for eta in sc.eta_choices), "m_k", "conserved_phi_mass"]
-    names += [f"gre_{H.name}" for H in integrands]
-    names += [f"J_{H.name}" for H in integrands]
-
-    d_phi_series = []
+    # D_phi feeds decayfit.json whether or not it is a requested column
+    etas = {eta: weights[eta] for eta in dict.fromkeys(("phi", *sc.eta_choices))}
+    diag = sample_diagnostics(traj, times, integrands, etas)
+    m0 = diag["m0"]
+    names = [*(f"D_{eta}" for eta in sc.eta_choices), "m_k", "conserved_phi_mass"]
+    names += [f"{kind}_{H.name}" for kind in ("gre", "J") for H in integrands]
     with open(os.path.join(out_dir, "diagnostics.csv"), "w", encoding="ascii") as fh:
-        fh.write(",".join(names) + "\n")
-        for t in times:
-            snap = evolve(traj, t)
-            eq = stationary_measure(spectral, snap.x_max, snap.h, mass=m0)
-            diff = linear_combination(1.0, snap, -1.0, eq)
-            # D_phi feeds decayfit.json whether or not it is a requested column
-            dist = {eta: weighted_variation(diff, weights[eta], (t,))
-                    for eta in dict.fromkeys(("phi", *sc.eta_choices))}
-            m_k = integrate(snap, sc.birth_law.quad_values) / n_zero
-            conserved = integrate(snap, spectral.phi) + tail_phi_mass(traj, t)
-            row = [t, *(dist[eta] for eta in sc.eta_choices), m_k, conserved]
-            row += [gre_functional(snap, spectral, H) for H in integrands]
-            row += [dissipation_J(snap, sc.birth_law, spectral, H) for H in integrands]
-            fh.write(",".join(_F(v) for v in row) + "\n")
-            d_phi_series.append((t, dist["phi"]))
+        fh.write(",".join(["t", *names]) + "\n")
+        for i, t in enumerate(times):
+            fh.write(",".join(_F(v) for v in [t, *(diag[n][i] for n in names)]) + "\n")
 
     lo = 0.2 * sc.horizon
-    window = [(t, d) for t, d in d_phi_series if t >= lo]
+    window = [(t, d) for t, d in zip(times, diag["D_phi"]) if t >= lo]
     fit_payload = {
         "eta_name": "phi", "sigma_hat": None, "y0_hat": None,
         "r_squared": None, "m0": m0, "sample_count": 0,
@@ -141,35 +124,27 @@ def cmd_distance(path_a: str, path_b: str) -> int:
 def _verify_checks(sc: Scenario):
     spectral, traj = _simulate(sc)
     times = _sample_times(sc)
-    m0 = integrate(traj.initial, spectral.phi)
     integrands = sc.integrands()
+    diag = sample_diagnostics(traj, times, integrands, etas={})
 
     def conservation():
-        scale = max(abs(m0), 1e-30)
-        worst = max(
-            abs(integrate(evolve(traj, t), spectral.phi) + tail_phi_mass(traj, t) - m0)
-            for t in times
-        )
+        scale = max(abs(diag["m0"]), 1e-30)
+        worst = float(np.abs(diag["conserved_phi_mass"] - diag["m0"]).max())
         return worst / scale <= 1e-6, f"max relative drift {worst / scale:.3e}"
 
     def gre_monotone():
-        worst = -math.inf
-        snaps = [evolve(traj, t) for t in times]
-        for H in integrands:
-            vals = [gre_functional(s, spectral, H) for s in snaps]
-            worst = max(worst, max(b - a for a, b in zip(vals[:-1], vals[1:])))
+        worst = max(float(np.diff(diag[f"gre_{H.name}"]).max()) for H in integrands)
         return worst <= 1e-8, f"max sampled increase {worst:.3e}"
 
     def dissipation():
         min_j = math.inf
         cum_ok = True
         detail = []
-        snaps = [evolve(traj, t) for t in times]
         for H in integrands:
-            js = [dissipation_J(s, sc.birth_law, spectral, H) for s in snaps]
-            min_j = min(min_j, min(js))
+            js = diag[f"J_{H.name}"]
+            min_j = min(min_j, float(js.min()))
             total = float(np.trapezoid(js, dx=sc.sample_dt))
-            bound = gre_functional(traj.initial, spectral, H) + 1e-6
+            bound = diag[f"gre_{H.name}"][0] + 1e-6  # sample 0 is the datum
             cum_ok = cum_ok and total <= bound
             detail.append(f"{H.name}: int J = {total:.6g} <= {bound:.6g}")
         ok = min_j >= -1e-10 and cum_ok
@@ -189,8 +164,7 @@ def _verify_checks(sc: Scenario):
         return holds, f"C = {c:.6g}"
 
     def birth_integral():
-        rep = mk_sequence_check(traj, sc.birth_law, spectral,
-                                times[:: max(1, len(times) // 20)][1:] or times[1:])
+        rep = mk_sequence_check(traj, times[:: max(1, len(times) // 20)][1:] or times[1:])
         return rep.passed, f"final |m_k - m0| = {rep.final_deviation:.3e}"
 
     return [
@@ -204,15 +178,9 @@ def _verify_checks(sc: Scenario):
 
 
 def cmd_verify(sc: Scenario) -> int:
-    checks = _verify_checks(sc)
-    threads = int(os.environ.get("RENEWAL_THREADS", "0") or 0)
-    if threads > 0:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda c: c[1](), checks))
-    else:
-        results = [fn() for _, fn in checks]
+    results = [(name, *check()) for name, check in _verify_checks(sc)]
     failed = False
-    for (name, _), (ok, detail) in zip(checks, results):
+    for name, ok, detail in results:
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
         failed = failed or not ok
     return 3 if failed else 0

@@ -2,10 +2,12 @@
 
 The central quantity is the weighted variation distance between a snapshot
 and its equilibrium projection ``m0 N dx``, where m0 is the conserved
-dual-weighted mass of the initial datum.  A log-linear fit of that distance
-estimates the empirical decay rate; the mollification harness checks that
-smoothing the initial datum moves the entropy functional, the area
-functional and the flat distance coherently to zero.
+dual-weighted mass of the initial datum.  ``sample_diagnostics`` computes
+it together with every other per-sample quantity (birth integral, dual
+mass, entropy, dissipation) in one pass over the snapshots.  A log-linear
+fit of that distance estimates the empirical decay rate; the mollification
+harness checks that smoothing the initial datum moves the entropy
+functional, the area functional and the flat distance coherently to zero.
 """
 from __future__ import annotations
 
@@ -23,12 +25,13 @@ from .measures import (
     mollify,
     weighted_variation,
 )
-from .entropy import EntropyIntegrand, gre_functional
-from .spectral import BirthLaw, SpectralData, stationary_measure
-from .transport import Trajectory, evolve
+from .entropy import EntropyIntegrand, _GridEntropy, gre_functional
+from .spectral import SpectralData, stationary_measure
+from .transport import Trajectory, evolve, tail_phi_mass
 
 __all__ = [
     "DecayFit",
+    "sample_diagnostics",
     "distance_to_equilibrium",
     "fit_decay_rate",
     "MollificationReport",
@@ -52,20 +55,52 @@ class DecayFit:
     m0: float
 
 
-def distance_to_equilibrium(traj: Trajectory, t: float, eta=None) -> float:
-    """Weighted variation distance of the snapshot at t from m0 N dx.
+def sample_diagnostics(traj: Trajectory, times, integrands=(), etas=None) -> dict:
+    """Every per-sample diagnostic of a trajectory in one pass over ``times``.
 
-    ``eta`` defaults to the dual weight phi.  The difference measure is
-    built on the snapshot grid and split at x = t and at sign changes.
+    Returns ``m0``, the dual mass of the datum, and one array per column:
+    ``D_<name>`` for each ``name: weight`` in ``etas`` (default
+    ``{"phi": phi}``, None is the unit weight), the weighted variation of
+    the snapshot minus ``m0 N dx``; ``m_k``, the birth integral over N(0);
+    ``conserved_phi_mass``, the dual mass plus the leak past x_max; and
+    ``gre_<H>``, ``J_<H>`` per integrand.  Each snapshot is built once, the
+    equilibrium and entropy weights once per snapshot grid; every value is
+    bit-identical to the one-measure function applied to ``evolve(traj, t)``.
     """
-    spectral = traj.spectral
-    if eta is None:
-        eta = spectral.phi
+    spectral, B = traj.spectral, traj.birth_law
+    if etas is None:
+        etas = {"phi": spectral.phi}
     m0 = integrate(traj.initial, spectral.phi)
-    snap = evolve(traj, t)
-    eq = stationary_measure(spectral, snap.x_max, snap.h, mass=m0)
-    diff = linear_combination(1.0, snap, -1.0, eq)
-    return weighted_variation(diff, eta, breakpoints=(t,))
+    n_zero = spectral.N(0.0)
+    names = [f"D_{name}" for name in etas] + ["m_k", "conserved_phi_mass"]
+    names += [f"{kind}_{H.name}" for kind in ("gre", "J") for H in integrands]
+    out = {name: np.empty(len(times)) for name in names}
+    grids = {}
+    for i, t in enumerate(times):
+        snap = evolve(traj, t)
+        # every snapshot spans [0, x_max], so the spacing fixes the grid
+        if snap.h not in grids:
+            grids[snap.h] = (stationary_measure(spectral, snap.x_max, snap.h, mass=m0),
+                             _GridEntropy(snap, spectral, B) if integrands else None)
+        eq, entropy = grids[snap.h]
+        if etas:
+            diff = linear_combination(1.0, snap, -1.0, eq)
+            for name, eta in etas.items():
+                out[f"D_{name}"][i] = weighted_variation(diff, eta, (t,))
+        out["m_k"][i] = integrate(snap, B.quad_values) / n_zero
+        out["conserved_phi_mass"][i] = integrate(snap, spectral.phi) + tail_phi_mass(traj, t)
+        if integrands:
+            for H, g, j in zip(integrands, *entropy.values(snap, integrands)):
+                out[f"gre_{H.name}"][i] = g
+                out[f"J_{H.name}"][i] = j
+    out["m0"] = m0
+    return out
+
+
+def distance_to_equilibrium(traj: Trajectory, t: float, eta=None) -> float:
+    """Weighted variation distance (``eta`` defaults to phi) at t from m0 N dx."""
+    eta = traj.spectral.phi if eta is None else eta
+    return float(sample_diagnostics(traj, (t,), etas={"eta": eta})["D_eta"][0])
 
 
 def fit_decay_rate(samples, eta_name: str = "", m0: float = math.nan) -> DecayFit:
@@ -169,8 +204,7 @@ class BirthIntegralReport:
         return self.envelope_ok and self.final_ok
 
 
-def mk_sequence_check(traj: Trajectory, B: BirthLaw, spectral: SpectralData,
-                      times, slack: float = 1e-7, floor: float = 1e-6,
+def mk_sequence_check(traj: Trajectory, times, slack: float = 1e-7, floor: float = 1e-6,
                       final_tol: float = 1e-4) -> BirthIntegralReport:
     """Check that m_k = (integral B d snapshot)/N(0) settles at m0.
 
@@ -184,27 +218,16 @@ def mk_sequence_check(traj: Trajectory, B: BirthLaw, spectral: SpectralData,
     times = [float(t) for t in times]
     if any(b <= a for a, b in zip(times[:-1], times[1:])):
         raise RenewalError("check times must be strictly increasing")
-    m0 = integrate(traj.initial, spectral.phi)
-    n_zero = spectral.N(0.0)
-    mks = [integrate(evolve(traj, t), B.quad_values) / n_zero for t in times]
-
-    d0 = distance_to_equilibrium(traj, 0.0)
+    diag = sample_diagnostics(traj, [0.0, *times])
+    m0, mks, ds = diag["m0"], diag["m_k"][1:], diag["D_phi"]
     start = 0
-    if d0 > _FLOOR:
-        start = len(times) - 1
-        for i, t in enumerate(times):
-            if distance_to_equilibrium(traj, t) < 0.1 * d0:
-                start = i
-                break
-    devs = [max(abs(mk - m0), floor) for mk in mks]
-    envelope_ok = True
-    peak = devs[start] if devs else floor
-    for dev in devs[start + 1:]:
-        if dev > peak + slack:
-            envelope_ok = False
-        peak = max(peak, dev)
-    final_dev = abs(mks[-1] - m0) if mks else 0.0
+    if ds[0] > _FLOOR:
+        below = np.flatnonzero(ds[1:] < 0.1 * ds[0])
+        start = int(below[0]) if below.size else len(times) - 1
+    devs = np.maximum(np.abs(mks - m0), floor)[start:]
+    envelope_ok = bool(np.all(devs[1:] <= np.maximum.accumulate(devs)[:-1] + slack))
+    final_dev = float(abs(mks[-1] - m0)) if mks.size else 0.0
     return BirthIntegralReport(
-        tuple(times), tuple(mks), m0, start, envelope_ok, final_dev,
+        tuple(times), tuple(mks.tolist()), m0, start, envelope_ok, final_dev,
         final_dev <= final_tol,
     )

@@ -111,18 +111,69 @@ def builtin_integrand(name: str) -> EntropyIntegrand:
         raise EntropyError(f"unknown integrand {name!r}") from None
 
 
-def _sided_samples(mu: HybridMeasure):
-    """Node positions and one-sided density values, panel by panel.
+def _sample_points(mu: HybridMeasure):
+    """Both ends of every panel, left ends first, each with weight h/2.
 
-    Returns (xs, vals, weights) where each panel contributes its two ends
-    with weight h/2; jump nodes appear once per side with the proper limit.
+    The density values there are ``np.concatenate(_panel_sides(mu))``.
     """
     nodes = mu.nodes
-    L, R = _panel_sides(mu)
     xs = np.concatenate([nodes[:-1], nodes[1:]])
-    vals = np.concatenate([L, R])
-    w = np.full(xs.size, mu.h / 2.0)
-    return xs, vals, w
+    return xs, np.full(xs.size, mu.h / 2.0)
+
+
+class _GridEntropy:
+    """gre and dissipation of any measure on one grid.
+
+    Built once per grid: N at ``_sample_points``, the gre weight ``w phi N``
+    and, given a birth law, the unit-mass dissipation weight ``w B N / N(0)``.
+    """
+
+    def __init__(self, mu: HybridMeasure, spectral: SpectralData,
+                 B: BirthLaw | None = None):
+        if B is not None and spectral.residual_euler_lotka > 1e-8:
+            raise EntropyError("reference measure is not normalized: eigen residual too big")
+        self.spectral, self.B = spectral, B
+        xs, w = _sample_points(mu)
+        self.Nx = spectral.N(xs)
+        self.gre_w = w * spectral.phi(xs) * self.Nx
+        if B is not None:
+            j_w = w * B.quad_values(xs) * self.Nx / spectral.lambda0  # N(0) = lambda0
+            wsum = float(j_w.sum())
+            if not wsum > 0.0:
+                raise EntropyError("reference measure has no mass on this grid")
+            self.j_w = j_w / wsum
+
+    def values(self, mu: HybridMeasure, integrands):
+        """Lists of gre and (given a birth law) dissipation, one per integrand."""
+        spectral, B = self.spectral, self.B
+        with np.errstate(all="ignore"):
+            ratio = np.concatenate(_panel_sides(mu)) / self.Nx
+        if not np.all(np.isfinite(ratio)) or np.any(np.abs(ratio) > 1e300):
+            raise EntropyError("density/N overflows: domain too long for this rate")
+        phis = [spectral.phi(loc) for loc, _ in mu.atoms]
+        if B is not None:
+            psis = [float(B.quad_values(np.array([loc]))[0]) / spectral.lambda0
+                    for loc, _ in mu.atoms]
+        gre, dis = [], []
+        for H in integrands:
+            Hr = np.asarray(H.H(ratio), dtype=float)
+            total = float(np.sum(self.gre_w * Hr))
+            for p, (_, wt) in zip(phis, mu.atoms):
+                total += p * H.H_inf(math.copysign(1.0, wt)) * abs(wt)
+            gre.append(total)
+            if B is not None:
+                dis.append(_jensen_gap(self.j_w, ratio, Hr, psis, mu.atoms, H))
+        return gre, dis
+
+
+def _jensen_gap(weights, vals, Hvals, psis, atoms, H: EntropyIntegrand) -> float:
+    """Jensen gap of H; ``weights`` has unit mass, ``psis`` weight the atoms."""
+    arg = float(np.sum(weights * vals))
+    term2 = 0.0
+    for psi, (_, wt) in zip(psis, atoms):
+        term2 += psi * H.H_inf(math.copysign(1.0, wt)) * abs(wt)
+        arg += psi * wt
+    return float(np.sum(weights * Hvals)) + term2 - float(H.H(np.asarray(arg, dtype=float)))
 
 
 def gre_functional(mu: HybridMeasure, spectral: SpectralData,
@@ -132,17 +183,7 @@ def gre_functional(mu: HybridMeasure, spectral: SpectralData,
     AC part: integral of phi N H(density / N); singular part: each atom
     contributes phi(loc) |weight| times the recession value of its sign.
     """
-    xs, vals, w = _sided_samples(mu)
-    Nx = spectral.N(xs)
-    with np.errstate(all="ignore"):
-        ratio = vals / Nx
-    if not np.all(np.isfinite(ratio)) or np.any(np.abs(ratio) > 1e300):
-        raise EntropyError("density/N overflows: domain too long for this rate")
-    phix = spectral.phi(xs)
-    total = float(np.sum(w * phix * Nx * np.asarray(H.H(ratio), dtype=float)))
-    for loc, wt in mu.atoms:
-        total += spectral.phi(loc) * H.H_inf(math.copysign(1.0, wt)) * abs(wt)
-    return total
+    return _GridEntropy(mu, spectral).values(mu, (H,))[0][0]
 
 
 def dissipation_J(mu: HybridMeasure, B: BirthLaw, spectral: SpectralData,
@@ -153,27 +194,7 @@ def dissipation_J(mu: HybridMeasure, B: BirthLaw, spectral: SpectralData,
     the recession cost of the atoms weighted by B/N(0), minus H of the total
     birth integral B/N(0) against the measure.  Nonnegative for convex H.
     """
-    if spectral.residual_euler_lotka > 1e-8:
-        raise EntropyError("reference measure is not normalized: eigen residual too big")
-    lam = spectral.lambda0
-    n_zero = lam  # N(0)
-    xs, vals, w = _sided_samples(mu)
-    Nx = spectral.N(xs)
-    ratio = vals / Nx
-    weights = w * B.quad_values(xs) * Nx / n_zero
-    wsum = float(weights.sum())
-    if not wsum > 0.0:
-        raise EntropyError("reference measure has no mass on this grid")
-    weights = weights / wsum
-
-    term1 = float(np.sum(weights * np.asarray(H.H(ratio), dtype=float)))
-    arg = float(np.sum(weights * ratio))
-    term2 = 0.0
-    for loc, wt in mu.atoms:
-        psi = float(B.quad_values(np.array([loc]))[0]) / n_zero
-        term2 += psi * H.H_inf(math.copysign(1.0, wt)) * abs(wt)
-        arg += psi * wt
-    return term1 + term2 - float(H.H(np.asarray(arg, dtype=float)))
+    return _GridEntropy(mu, spectral, B).values(mu, (H,))[1][0]
 
 
 def jensen_defect(mu: HybridMeasure, psi, f: EntropyIntegrand) -> float:
@@ -184,23 +205,18 @@ def jensen_defect(mu: HybridMeasure, psi, f: EntropyIntegrand) -> float:
     psi and no atoms sit there (for strictly convex f), and identically
     zero for linear f.
     """
-    xs, vals, w = _sided_samples(mu)
+    xs, w = _sample_points(mu)
+    vals = np.concatenate(_panel_sides(mu))
     psix = np.asarray(psi(xs), dtype=float)
     if psix.min() < 0.0:
         raise EntropyError("jensen weight must be nonnegative")
     wsum = float(np.sum(w * psix))
     if abs(wsum - 1.0) > 1e-8:
         raise EntropyError("jensen weight is not normalized on this domain")
-    weights = w * psix / wsum
-
-    term1 = float(np.sum(weights * np.asarray(f.H(vals), dtype=float)))
-    arg = float(np.sum(weights * vals))
-    term2 = 0.0
-    for loc, wt in mu.atoms:
-        pl = float(np.asarray(psi(np.asarray([loc])), dtype=float)[0])
-        term2 += pl * f.H_inf(math.copysign(1.0, wt)) * abs(wt)
-        arg += pl * wt
-    return term1 + term2 - float(f.H(np.asarray(arg, dtype=float)))
+    psis = [float(np.asarray(psi(np.asarray([loc])), dtype=float)[0])
+            for loc, _ in mu.atoms]
+    return _jensen_gap(w * psix / wsum, vals, np.asarray(f.H(vals), dtype=float),
+                       psis, mu.atoms, f)
 
 
 def verify_B_dominates_phi(B: BirthLaw, spectral: SpectralData,

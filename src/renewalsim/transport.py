@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TransportError
-from .measures import HybridMeasure, ac_cumulative, integrate
+from .measures import HybridMeasure, ac_cumulative
 from .spectral import BirthLaw, SpectralData
 
 __all__ = [
@@ -44,7 +44,6 @@ __all__ = [
     "evolve",
     "unrenormalize",
     "tail_phi_mass",
-    "conserved_phi_mass",
 ]
 
 _SNAP = 1e-9
@@ -69,7 +68,6 @@ class Trajectory:
     dt: float
     horizon: float
     births: np.ndarray
-    tail_mass: float  # dual-weighted mass past x_max, accumulated to the horizon
     birth_jumps: tuple = ()  # (time index, jump size) where the trace jumps
 
     @property
@@ -199,10 +197,7 @@ def birth_series(n0: HybridMeasure, B: BirthLaw, spectral: SpectralData,
         bl[k] = settle((gl[k] + dt * s) / (1.0 - dt * (0.5 + a0) * kvl[0]))
 
     b.setflags(write=False)
-    traj = Trajectory(n0, spectral, B, dt, K * dt, b, 0.0,
-                      tuple(sorted(b_jump.items())))
-    object.__setattr__(traj, "tail_mass", tail_phi_mass(traj, K * dt))
-    return traj
+    return Trajectory(n0, spectral, B, dt, K * dt, b, tuple(sorted(b_jump.items())))
 
 
 def _right_limit_at_zero(mu: HybridMeasure) -> float:
@@ -314,9 +309,3 @@ def tail_phi_mass(traj: Trajectory, t: float) -> float:
     atom_out = sum(wt for loc, wt in n0.atoms if loc > v)
     phi_const = traj.spectral.phi(0.0)
     return math.exp(-traj.spectral.lambda0 * t) * phi_const * (ac_out + atom_out)
-
-
-def conserved_phi_mass(traj: Trajectory, t: float) -> float:
-    """Dual-weighted mass at time t, window content plus tracked leak."""
-    snap = evolve(traj, t)
-    return integrate(snap, traj.spectral.phi) + tail_phi_mass(traj, t)

@@ -29,53 +29,17 @@ def report(num, name, ok, detail=""):
 SAMPLE_TIMES = np.arange(201) * 0.05  # 201 samples over [0, 10]
 
 
-def _uniform_block(x_max, h, lo, hi, mass):
-    n = int(round(x_max / h)) + 1
-    xs = np.arange(n) * h
-    c = mass / (hi - lo)
-    dens = np.where((xs > lo) & (xs < hi), c, 0.0)
-    dens[np.abs(xs - lo) <= 1e-12] = c if lo == 0.0 else c / 2.0
-    dens[np.abs(xs - hi) <= 1e-12] = c / 2.0
-    return HybridMeasure(h, dens, nonnegative=True)
-
-
 @pytest.fixture(scope="module")
-def suite(const_spectral, ind_spectral):
+def suite(acceptance_trajectories):
     """Four scenarios x 201 samples: conserved mass, entropy and dissipation."""
-    Bc, spc = const_spectral
-    Bi, spi = ind_spectral
     integrands = [rs.builtin_integrand(n) for n in ("abs", "sqrt1p", "pospart")]
-
-    def exponential(x_max, h, mass):
-        return HybridMeasure.from_function(
-            lambda x: mass * np.exp(-x), x_max, h, nonnegative=True)
-
-    cases = [
-        ("constant/dirac", Bc, spc,
-         HybridMeasure.point_mass(0.5, 40.0, 0.001), 0.001),
-        ("constant/mixed", Bc, spc,
-         HybridMeasure(0.001, exponential(40.0, 0.001, 0.5).density,
-                       ((0.5, 0.6), (1.5, 0.4)), nonnegative=True), 0.001),
-        ("indicator/dirac", Bi, spi,
-         HybridMeasure.point_mass(0.25, 12.0, 0.00025), 0.00025),
-        ("indicator/uniform", Bi, spi,
-         _uniform_block(12.0, 0.00025, 0.0, 2.0, 1.0), 0.00025),
-    ]
     out = []
-    for name, B, sp, n0, dt in cases:
-        traj = rs.birth_series(n0, B, sp, dt, 10.0)
-        m0 = rs.integrate(n0, sp.phi)
-        conserved = np.empty(SAMPLE_TIMES.size)
-        gre = {H.name: np.empty(SAMPLE_TIMES.size) for H in integrands}
-        dis = {H.name: np.empty(SAMPLE_TIMES.size) for H in integrands}
-        for i, t in enumerate(SAMPLE_TIMES):
-            snap = rs.evolve(traj, t)
-            conserved[i] = rs.integrate(snap, sp.phi) + rs.tail_phi_mass(traj, t)
-            for H in integrands:
-                gre[H.name][i] = rs.gre_functional(snap, sp, H)
-                dis[H.name][i] = rs.dissipation_J(snap, B, sp, H)
-        out.append(dict(name=name, B=B, sp=sp, traj=traj, m0=m0,
-                        conserved=conserved, gre=gre, dis=dis,
+    for name, B, sp, traj in acceptance_trajectories:
+        diag = rs.sample_diagnostics(traj, SAMPLE_TIMES, integrands, etas={})
+        gre = {H.name: diag[f"gre_{H.name}"] for H in integrands}
+        dis = {H.name: diag[f"J_{H.name}"] for H in integrands}
+        out.append(dict(name=name, B=B, sp=sp, traj=traj, m0=diag["m0"],
+                        conserved=diag["conserved_phi_mass"], gre=gre, dis=dis,
                         integrands=integrands))
     return out
 

@@ -108,14 +108,14 @@ class TestBirthIntegralSequence:
         B, sp = const_spectral
         n0 = rs.stationary_measure(sp, 20.0, 2e-4)
         traj = rs.birth_series(n0, B, sp, 2e-4, 4.0)
-        rep = rs.mk_sequence_check(traj, B, sp, (1.0, 2.0, 3.0, 4.0))
+        rep = rs.mk_sequence_check(traj, (1.0, 2.0, 3.0, 4.0))
         assert rep.passed
         assert max(abs(m - rep.m0) for m in rep.m_values) <= 1e-8
 
     def test_dirac_scenario_converges(self, dirac_benchmark, const_spectral):
         B, sp = const_spectral
         traj, _ = dirac_benchmark
-        rep = rs.mk_sequence_check(traj, B, sp, tuple(np.arange(0.5, 10.5, 0.5)))
+        rep = rs.mk_sequence_check(traj, tuple(np.arange(0.5, 10.5, 0.5)))
         assert rep.passed
         assert rep.final_deviation <= 1e-4
 
@@ -123,6 +123,6 @@ class TestBirthIntegralSequence:
         B, sp = const_spectral
         n0 = HybridMeasure.zero(40.0, 0.01)
         traj = rs.birth_series(n0, B, sp, 0.01, 2.0)
-        rep = rs.mk_sequence_check(traj, B, sp, (1.0, 2.0))
+        rep = rs.mk_sequence_check(traj, (1.0, 2.0))
         assert rep.passed
         assert rep.m_values == (0.0, 0.0)

@@ -134,6 +134,15 @@ class TestDissipation:
                 assert rs.dissipation_J(mu, B, sp, H) >= -1e-10
 
 
+    def test_overflow_guard(self):
+        # the same density/N overflow that gre_functional rejects
+        B = rs.BirthLaw.constant(20.0)
+        sp = rs.solve_spectral(B)
+        mu = HybridMeasure.from_function(lambda x: ones(x), 40.0, 0.05)
+        with pytest.raises(EntropyError, match="overflow"):
+            rs.dissipation_J(mu, B, sp, rs.builtin_integrand("abs"))
+
+
 class TestJensenDefect:
     def psi(self, x):
         return np.full_like(np.asarray(x, dtype=float), 0.2)  # uniform on [0, 5]

@@ -10,6 +10,18 @@ from renewalsim.cli import main
 from renewalsim.errors import ScenarioError
 from renewalsim.scenarios import parse_scenario
 
+SCENARIO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
+# constant_dirac's 0.005 snapshot grid is coarser than dt = 0.001: the
+# sampled dual mass drifts by trapezoid error (ROADMAP item 1, dt grid)
+SHIPPED = [
+    pytest.param(name, marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="FAIL conservation: max relative drift 2.084e-06; "
+               "FAIL gre_monotonicity: max sampled increase 1.016e-07"))
+    if name == "constant_dirac.ini" else name
+    for name in sorted(os.listdir(SCENARIO_DIR)) if name.endswith(".ini")
+]
+
 GOLDEN = """
 # minimal constant-rate point-mass scenario
 [birth_law]
@@ -243,14 +255,11 @@ class TestCli:
         assert "FAIL" not in out
         assert "PASS conservation" in out
 
-    def test_verify_threaded_matches_sequential(self, tmp_path, capsys,
-                                                monkeypatch):
-        path = self.write(tmp_path, STATIONARY)
-        assert main(["verify", "--scenario", path]) == 0
-        seq = capsys.readouterr().out
-        monkeypatch.setenv("RENEWAL_THREADS", "3")
-        assert main(["verify", "--scenario", path]) == 0
-        assert capsys.readouterr().out == seq
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_verify_shipped_scenario(self, name, capsys):
+        code = main(["verify", "--scenario", os.path.join(SCENARIO_DIR, name)])
+        out = capsys.readouterr().out
+        assert code == 0 and "FAIL" not in out, out
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         path = self.write(tmp_path, GOLDEN.replace("dt = 0.002", "dt = 0.02"))
