@@ -5,7 +5,11 @@ b(t); nothing is ever regridded during evolution, so atoms stay atoms with
 exactly known weights.  Snapshots are materialized on demand: newborn mass
 appears as the density ``b(t - x) exp(-lam x)`` on (0, t), the initial
 datum is shifted by t and damped by ``exp(-lam t)``, and the seam at x = t
-is a grid node carrying both one-sided limits.
+is a grid node carrying both one-sided limits.  The ratio of a snapshot to
+the stable profile N is carried unchanged along characteristics, so the
+ratios of all snapshots on one grid stride are windows of one array indexed
+by birth time (``characteristic_labels``); the diagnostic sweep sums over
+those windows instead of building snapshots.
 
 The birth trace solves the renewal integral equation
 
@@ -42,6 +46,10 @@ __all__ = [
     "Trajectory",
     "birth_series",
     "evolve",
+    "snapshot_index",
+    "snapshot_atoms",
+    "CharacteristicLabels",
+    "characteristic_labels",
     "unrenormalize",
     "tail_phi_mass",
 ]
@@ -207,26 +215,50 @@ def _right_limit_at_zero(mu: HybridMeasure) -> float:
     return float(mu.density[0])
 
 
-def evolve(traj: Trajectory, t: float) -> HybridMeasure:
-    """Snapshot of the renormalized solution at time t.
+def snapshot_index(traj: Trajectory, t: float):
+    """Time index k and grid stride d of the snapshot at time t.
 
-    ``t`` is snapped to the nearest time node.  The snapshot grid spacing is
-    the coarsest refinement of the time grid that puts nodes exactly at x = t
-    and at every node of the initial grid image, so the newborn/shifted seam
-    and all transported kinks sit on nodes.
+    ``t`` is snapped to the nearest time node.  The snapshot spacing is
+    ``d * dt`` with ``d = gcd(k, x_max / dt, h / dt)``: the coarsest
+    refinement of the time grid that puts nodes exactly at x = t and at
+    every node of the initial grid image.  At k = 0 that is the datum's own
+    spacing.
     """
     if t < -_SNAP or t > traj.horizon * (1.0 + _SNAP) + _SNAP:
         raise TransportError("snapshot time outside [0, horizon]")
-    dt = traj.dt
-    k = int(round(t / dt))
+    k = int(round(t / traj.dt))
     k = min(max(k, 0), traj.births.size - 1)
+    m, M = traj._grid_ints()
+    return k, math.gcd(k, math.gcd(M, m))
+
+
+def snapshot_atoms(traj: Trajectory, k: int) -> tuple:
+    """Atoms of the snapshot at time index k: shifted by t, damped, cut at x_max."""
+    n0 = traj.initial
+    t_k = k * traj.dt
+    decay = math.exp(-traj.spectral.lambda0 * t_k)
+    return tuple(
+        (min(loc + t_k, n0.x_max), wt * decay)
+        for loc, wt in n0.atoms
+        if loc + t_k <= n0.x_max * (1.0 + _SNAP)
+    )
+
+
+def evolve(traj: Trajectory, t: float) -> HybridMeasure:
+    """Snapshot of the renormalized solution at time t.
+
+    ``t`` is snapped to the nearest time node and the grid is the one
+    ``snapshot_index`` names, so the newborn/shifted seam and all
+    transported kinks sit on nodes.
+    """
+    k, d = snapshot_index(traj, t)
     if k == 0:
         return traj.initial
 
     n0 = traj.initial
     lam = traj.spectral.lambda0
-    m, M = traj._grid_ints()
-    d = math.gcd(k, math.gcd(M, m))
+    dt = traj.dt
+    _, M = traj._grid_ints()
     g = d * dt
     seam = k // d
     n_new = M // d + 1
@@ -266,12 +298,6 @@ def evolve(traj: Trajectory, t: float) -> HybridMeasure:
         if x + t_k <= n0.x_max * (1.0 + _SNAP):
             jumps.append((x + t_k, lo * decay, hi * decay))
 
-    atoms = tuple(
-        (loc + t_k, wt * decay)
-        for loc, wt in n0.atoms
-        if loc + t_k <= n0.x_max * (1.0 + _SNAP)
-    )
-
     if n0.nonnegative:
         floor = -1e-12 * max(1.0, float(np.abs(dens).max()))
         if dens.min() < floor:
@@ -279,7 +305,71 @@ def evolve(traj: Trajectory, t: float) -> HybridMeasure:
         np.clip(dens, 0.0, None, out=dens)
         jumps = [(x, max(lo, 0.0), max(hi, 0.0)) for x, lo, hi in jumps]
 
-    return HybridMeasure(g, dens, atoms, tuple(jumps), nonnegative=n0.nonnegative)
+    return HybridMeasure(g, dens, snapshot_atoms(traj, k), tuple(jumps),
+                         nonnegative=n0.nonnegative)
+
+
+@dataclass(frozen=True)
+class CharacteristicLabels:
+    """The ratio density/N of every snapshot with one grid stride, as one array.
+
+    The ratio is carried unchanged along characteristics, so it is a
+    function of the birth time tau = t - x alone.  Position ``p`` holds
+    tau = (origin - p) * spacing: the newborn label ``b(tau) / lambda0`` for
+    p < origin, the seam at p = origin, and the shifted datum
+    ``n0(-tau) / N(-tau)`` beyond.  The snapshot at time index k (a multiple
+    of ``stride``) has the ratio ``labels[offset(k) + j]`` at its node j.
+
+    Both arrays are one-sided: ``left[p]`` is the value seen from the panel
+    to the right of the node (the panel's left end, as in ``_panel_sides``),
+    ``right[p]`` the value seen from the panel to its left.  They differ at
+    the seam, at the trace-jump records and at the datum's jump records.
+    For nonnegative data both are clipped at zero, as ``evolve`` clips;
+    ``clipped`` holds the trace-jump indices whose left limit was negative:
+    the only time indices at which ``evolve``'s negativity guard can fire.
+    """
+
+    stride: int
+    spacing: float
+    origin: int
+    left: np.ndarray
+    right: np.ndarray
+    clipped: frozenset = frozenset()
+
+    def offset(self, k: int) -> int:
+        return self.origin - k // self.stride
+
+
+def characteristic_labels(traj: Trajectory, stride: int) -> CharacteristicLabels:
+    """The label arrays shared by every snapshot whose grid stride is ``stride``."""
+    n0, N = traj.initial, traj.spectral.N
+    lam = traj.spectral.lambda0
+    _, M = traj._grid_ints()
+    g = stride * traj.dt
+    origin = (traj.births.size - 1) // stride
+    u = np.arange(1, M // stride + 1) * g
+    with np.errstate(all="ignore"):
+        datum = n0.density_at(u) / N(u)
+    right = np.concatenate([traj.births[origin * stride::-stride] / lam, datum])
+    left = right.copy()
+    left[origin] = _right_limit_at_zero(n0) / lam
+    for j, delta in traj.birth_jumps:
+        if j % stride == 0:
+            p = origin - j // stride
+            left[p] = (traj.births[j] - 0.5 * delta) / lam
+            right[p] = (traj.births[j] + 0.5 * delta) / lam
+    for x, lo, hi in n0.jumps:
+        if x > 0.0:
+            p = origin + int(round(x / g))
+            with np.errstate(all="ignore"):
+                left[p], right[p] = hi / N(x), lo / N(x)
+    clipped = ()
+    if n0.nonnegative:
+        clipped = [j for j, _ in traj.birth_jumps
+                   if j % stride == 0 and left[origin - j // stride] < 0.0]
+        np.maximum(left, 0.0, out=left)
+        np.maximum(right, 0.0, out=right)
+    return CharacteristicLabels(stride, g, origin, left, right, frozenset(clipped))
 
 
 def unrenormalize(mu: HybridMeasure, t: float, lambda0: float) -> HybridMeasure:
@@ -292,20 +382,26 @@ def unrenormalize(mu: HybridMeasure, t: float, lambda0: float) -> HybridMeasure:
     return HybridMeasure(mu.h, mu.density * s, atoms, jumps, nonnegative=mu.nonnegative)
 
 
-def tail_phi_mass(traj: Trajectory, t: float) -> float:
+def tail_phi_mass(traj: Trajectory, t):
     """Dual-weighted mass of the initial datum that has left the window by t.
 
     For finite-support birth laws the dual weight vanishes beyond the window
     (the truncation certificate guarantees it), so the leak is zero; for
     constant laws the weight is a known constant and the leak is an exact
-    right-tail mass of the initial datum.
+    right-tail mass of the initial datum.  ``t`` may be an array of times;
+    a scalar ``t`` gives a float.
     """
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
     if traj.birth_law.support_end is not None:
-        return 0.0
-    n0 = traj.initial
-    v = n0.x_max - t
-    ac_total = ac_cumulative(n0, n0.x_max)
-    ac_out = ac_total - ac_cumulative(n0, max(v, 0.0))
-    atom_out = sum(wt for loc, wt in n0.atoms if loc > v)
-    phi_const = traj.spectral.phi(0.0)
-    return math.exp(-traj.spectral.lambda0 * t) * phi_const * (ac_out + atom_out)
+        out = np.zeros(ts.shape)
+    else:
+        n0 = traj.initial
+        v = n0.x_max - ts
+        cum = ac_cumulative(n0, np.concatenate([[n0.x_max], np.maximum(v, 0.0)]))
+        locs = np.array([loc for loc, _ in n0.atoms])
+        wts = np.array([wt for _, wt in n0.atoms])
+        atom_out = (locs[None, :] > v[:, None]) @ wts
+        phi_const = traj.spectral.phi(0.0)
+        lam = traj.spectral.lambda0
+        out = np.exp(-lam * ts) * phi_const * ((cum[0] - cum[1:]) + atom_out)
+    return float(out[0]) if np.ndim(t) == 0 else out

@@ -3,17 +3,24 @@
 ``reference_gre_functional``, ``reference_dissipation_J``,
 ``reference_jensen_defect`` and ``reference_distance`` are the former
 one-measure implementations, kept verbatim as oracles (the jensen one
-without its input checks).  The sweep and the thin wrappers must reproduce them
-bit for bit (``==``), because the CLI artifacts are byte-stable.
+without its input checks), applied to ``evolve(traj, t)``.  The sweep
+builds no snapshot: it sums weights against windows of the time-invariant
+label arrays density/N (``transport.characteristic_labels``), which adds
+the same terms in another order, so every column must agree with the
+oracles to ``TOL * max(1, |oracle|)``.  The one-measure wrappers share the
+oracles' arithmetic and must reproduce them bit for bit (``==``).
 """
+import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
 
 import renewalsim as rs
 from renewalsim import HybridMeasure
-from renewalsim.errors import EntropyError
+from renewalsim.cli import main
+from renewalsim.errors import EntropyError, TransportError
 from renewalsim.measures import _panel_sides
 
 INTEGRANDS = [rs.builtin_integrand(n) for n in ("abs", "sqrt1p", "pospart")]
@@ -93,6 +100,13 @@ def reference_distance(traj, t, eta):
     return rs.weighted_variation(diff, eta, breakpoints=(t,))
 
 
+TOL = 1e-12
+
+
+def assert_close(value, oracle, what):
+    assert abs(value - oracle) <= TOL * max(1.0, abs(oracle)), (what, value, oracle)
+
+
 def assert_sweep_matches_oracles(traj, times):
     sp, B = traj.spectral, traj.birth_law
     etas = {"phi": sp.phi, "one": None, "ones": ones}
@@ -101,14 +115,16 @@ def assert_sweep_matches_oracles(traj, times):
     for i, t in enumerate(times):
         snap = rs.evolve(traj, t)
         for name, eta in etas.items():
-            assert diag[f"D_{name}"][i] == reference_distance(traj, t, eta), (name, t)
+            assert_close(diag[f"D_{name}"][i], reference_distance(traj, t, eta), (name, t))
         m_k = rs.integrate(snap, B.quad_values) / sp.N(0.0)
-        assert diag["m_k"][i] == m_k, t
+        assert_close(diag["m_k"][i], m_k, ("m_k", t))
         conserved = rs.integrate(snap, sp.phi) + rs.tail_phi_mass(traj, t)
-        assert diag["conserved_phi_mass"][i] == conserved, t
+        assert_close(diag["conserved_phi_mass"][i], conserved, ("phi mass", t))
         for H in INTEGRANDS:
-            assert diag[f"gre_{H.name}"][i] == reference_gre_functional(snap, sp, H)
-            assert diag[f"J_{H.name}"][i] == reference_dissipation_J(snap, B, sp, H)
+            assert_close(diag[f"gre_{H.name}"][i], reference_gre_functional(snap, sp, H),
+                         (H.name, t))
+            assert_close(diag[f"J_{H.name}"][i], reference_dissipation_J(snap, B, sp, H),
+                         (H.name, t))
 
 
 def test_acceptance_scenarios_every_20th_sample(acceptance_trajectories):
@@ -117,47 +133,56 @@ def test_acceptance_scenarios_every_20th_sample(acceptance_trajectories):
         assert_sweep_matches_oracles(traj, times)
 
 
-def test_table_law_with_atoms():
-    B = rs.BirthLaw.table([0.0, 0.5, 1.0, 1.5], [1.0, 3.0, 2.0, 0.5])
-    sp = rs.solve_spectral(B)
-    n0 = HybridMeasure.from_function(
-        lambda x: np.exp(-((x - 0.7) / 0.2) ** 2), 6.0, 0.002,
-        atoms=((0.9, 0.3), (1.2, 0.1)), nonnegative=True)
-    traj = rs.birth_series(n0, B, sp, 0.002, 4.0)
-    assert_sweep_matches_oracles(traj, np.arange(0.0, 4.01, 0.25))
+def test_table_law_with_atoms(sweep_cases):
+    assert_sweep_matches_oracles(*sweep_cases["table_law"])
 
 
-def test_trace_jump_records(ind_spectral):
-    # atoms crossing the rate jump at age 1 make the birth trace jump
-    B, sp = ind_spectral
-    n0 = HybridMeasure(0.01, np.full(1201, 0.2), ((0.25, 0.5), (0.6, 0.3)),
-                       nonnegative=True)
-    traj = rs.birth_series(n0, B, sp, 0.01, 3.0)
+def test_trace_jump_records(sweep_cases):
+    traj, times = sweep_cases["trace_jumps"]
     assert traj.birth_jumps
-    times = np.arange(0.0, 3.01, 0.1)
     assert any(len(rs.evolve(traj, t).jumps) >= 2 for t in times)  # seam + trace
     assert_sweep_matches_oracles(traj, times)
 
 
-def test_signed_datum(ind_spectral):
-    B, sp = ind_spectral
-    n0 = HybridMeasure.from_function(
-        lambda x: np.sin(3.0 * x) * np.exp(-x), 12.0, 0.005,
-        atoms=((0.3, -0.4), (0.55, 0.2)))
-    traj = rs.birth_series(n0, B, sp, 0.005, 4.0)
-    assert_sweep_matches_oracles(traj, np.arange(0.0, 4.01, 0.2))
+def test_signed_datum(sweep_cases):
+    assert_sweep_matches_oracles(*sweep_cases["signed"])
 
 
-def test_two_snapshot_grids(const_spectral):
-    # an even number of steps keeps the datum's spacing, an odd one needs
-    # half of it: the sweep keeps one set of grid arrays per spacing
-    B, sp = const_spectral
-    n0 = HybridMeasure.from_function(lambda x: np.exp(-x), 20.0, 0.05,
-                                     atoms=((0.5, 1.0),), nonnegative=True)
-    traj = rs.birth_series(n0, B, sp, 0.025, 2.0)
-    times = (0.0, 0.275, 0.5, 0.775, 1.0, 1.525, 1.75)
+def test_two_snapshot_grids(sweep_cases):
+    # the sweep keeps one label array per stride and one weight set per spacing
+    traj, times = sweep_cases["two_grids"]
     assert len({rs.evolve(traj, t).h for t in times}) == 2
     assert_sweep_matches_oracles(traj, times)
+
+
+def test_datum_jump_records(sweep_cases):
+    traj, times = sweep_cases["datum_jumps"]
+    assert [x for x, _, _ in traj.initial.jumps] == [0.0, 1.5, 10.5]
+    assert len({rs.evolve(traj, t).h for t in times}) == 2
+    assert_sweep_matches_oracles(traj, times)
+
+
+def test_atom_leaving_the_domain(sweep_cases):
+    traj, times = sweep_cases["atom_leaves"]
+    counts = [len(rs.evolve(traj, t).atoms) for t in times]
+    assert counts[0] == 2 and counts[-1] == 1
+    assert_sweep_matches_oracles(traj, times)
+
+
+def test_sweep_raises_where_evolve_does(sweep_cases):
+    traj, times = sweep_cases["trace_jumps"]
+    with pytest.raises(TransportError, match="outside"):
+        rs.sample_diagnostics(traj, (0.0, traj.horizon + 0.5))
+    # a trace jump over twice the trace leaves a negative left limit, which
+    # evolve rejects at the jump instant and clips at every later time
+    (j, _), = [jd for jd in traj.birth_jumps if jd[0] == 40]
+    bad = dataclasses.replace(traj, birth_jumps=((j, 3.0 * traj.births[j]),))
+    t_j = j * traj.dt
+    with pytest.raises(TransportError, match="negative"):
+        rs.evolve(bad, t_j)
+    with pytest.raises(TransportError, match="negative"):
+        rs.sample_diagnostics(bad, (0.0, t_j), INTEGRANDS)
+    assert_sweep_matches_oracles(bad, times[np.abs(times - t_j) > 1e-9])
 
 
 def test_single_measure_wrappers_match_oracles(ind_spectral):
@@ -187,10 +212,10 @@ def test_jensen_defect_matches_oracle():
 def test_distance_to_equilibrium_matches_oracle(dirac_benchmark):
     traj, _ = dirac_benchmark
     for t in (0.0, 0.5, 3.0):
-        assert rs.distance_to_equilibrium(traj, t) == reference_distance(
-            traj, t, traj.spectral.phi)
-        assert rs.distance_to_equilibrium(traj, t, eta=ones) == reference_distance(
-            traj, t, ones)
+        assert_close(rs.distance_to_equilibrium(traj, t),
+                     reference_distance(traj, t, traj.spectral.phi), t)
+        assert_close(rs.distance_to_equilibrium(traj, t, eta=ones),
+                     reference_distance(traj, t, ones), t)
 
 
 def test_sweep_raises_on_density_overflow():
@@ -200,3 +225,57 @@ def test_sweep_raises_on_density_overflow():
     traj = rs.birth_series(n0, B, sp, 0.05, 1.0)
     with pytest.raises(EntropyError, match="overflow"):
         rs.sample_diagnostics(traj, (0.0, 1.0), INTEGRANDS)
+
+
+SMALL = """
+[birth_law]
+kind = indicator
+beta = 2.0
+a = 0.0
+b = 1.0
+
+[initial_measure]
+density = uniform
+lo = 0.0
+hi = 1.0
+mass = 1.0
+atoms = 0.25:0.5
+
+[numerics]
+h = 0.002
+dt = 0.002
+T = 2.0
+x_max = 4.0
+
+[diagnostics]
+integrands = abs sqrt1p pospart
+eta = phi one
+snapshot_times = 1.0 2.0
+eps_list = 0.4 0.2 0.1
+sample_dt = 0.05
+
+[outputs]
+directory = out
+"""
+
+
+def test_only_snapshot_files_call_evolve(tmp_path, monkeypatch, capsys):
+    # the sweep builds no snapshot: verify calls evolve never, run once per file
+    original = rs.transport.evolve
+    calls = []
+
+    def counted(traj, t):
+        calls.append(t)
+        return original(traj, t)
+
+    for mod in list(sys.modules.values()):
+        if mod.__name__.startswith("renewalsim") and getattr(mod, "evolve", None) is original:
+            monkeypatch.setattr(mod, "evolve", counted)
+    path = tmp_path / "small.ini"
+    path.write_text(SMALL)
+    assert main(["verify", "--scenario", str(path)]) in (0, 3)  # T = 2 is short
+    assert len(capsys.readouterr().out.splitlines()) == 6
+    assert calls == []
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out"),
+                 "--quiet"]) == 0
+    assert calls == [1.0, 2.0]

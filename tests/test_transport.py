@@ -6,7 +6,13 @@ import pytest
 import renewalsim as rs
 from renewalsim import HybridMeasure
 from renewalsim.errors import TransportError
-from renewalsim.transport import _LOCAL
+from renewalsim.measures import _panel_sides, ac_cumulative
+from renewalsim.transport import (
+    _LOCAL,
+    characteristic_labels,
+    snapshot_atoms,
+    snapshot_index,
+)
 
 
 def ones(x):
@@ -279,6 +285,31 @@ class TestEvolve:
             rs.evolve(traj, -1.0)
 
 
+class TestCharacteristicLabels:
+    def test_windows_reproduce_evolve(self, sweep_cases, acceptance_trajectories):
+        # labels x N(x) are the one-sided node values of every snapshot the
+        # diagnostic sweep samples, jump records and atoms included
+        cases = list(sweep_cases.values())
+        cases += [(traj, np.arange(0, 201, 20) * 0.05)
+                  for *_, traj in acceptance_trajectories]
+        for traj, times in cases:
+            labels = {}
+            for t in times:
+                snap = rs.evolve(traj, t)
+                k, d = snapshot_index(traj, t)
+                if d not in labels:
+                    labels[d] = characteristic_labels(traj, d)
+                lab = labels[d]
+                off, n = lab.offset(k), snap.node_count
+                Nx = traj.spectral.N(snap.nodes)
+                L, R = _panel_sides(snap)
+                np.testing.assert_allclose(lab.left[off:off + n - 1] * Nx[:-1], L,
+                                           rtol=1e-14, atol=0.0)
+                np.testing.assert_allclose(lab.right[off + 1:off + n] * Nx[1:], R,
+                                           rtol=1e-14, atol=0.0)
+                assert snapshot_atoms(traj, k) == snap.atoms
+
+
 class TestUnrenormalize:
     def test_time_zero_identity(self):
         mu = HybridMeasure.from_function(lambda x: np.exp(-x), 2.0, 0.1)
@@ -332,6 +363,33 @@ class TestConservation:
         diag = rs.sample_diagnostics(traj, (0.5, 2.0, 4.0), etas={})
         for c in diag["conserved_phi_mass"]:
             assert abs(c - m0) <= 1e-6 * m0
+
+
+    def test_tail_phi_mass_takes_an_array_of_times(self, sweep_cases):
+        # the atom at 3.2 leaves [0, 4] at t = 0.8 and takes its mass along
+        traj, _ = sweep_cases["atom_leaves"]
+        n0, lam = traj.initial, traj.spectral.lambda0
+
+        def reference_tail(t):  # the former scalar implementation
+            v = n0.x_max - t
+            ac_out = ac_cumulative(n0, n0.x_max) - ac_cumulative(n0, max(v, 0.0))
+            atom_out = sum(wt for loc, wt in n0.atoms if loc > v)
+            return math.exp(-lam * t) * traj.spectral.phi(0.0) * (ac_out + atom_out)
+
+        ts = np.linspace(0.0, 2.0, 81)
+        leak = rs.tail_phi_mass(traj, ts)
+        assert leak.shape == ts.shape
+        scalar = [rs.tail_phi_mass(traj, t) for t in ts]
+        assert all(isinstance(v, float) for v in scalar)
+        np.testing.assert_array_equal(leak, scalar)
+        np.testing.assert_allclose(leak, [reference_tail(t) for t in ts], rtol=1e-14)
+        i = int(np.searchsorted(ts, 0.8))
+        assert leak[i + 1] - leak[i] >= 0.9 * 0.4 * math.exp(-0.825) * traj.spectral.phi(0.0)
+
+    def test_tail_phi_mass_vanishes_for_finite_support(self, sweep_cases):
+        traj, _ = sweep_cases["table_law"]
+        assert rs.tail_phi_mass(traj, 1.0) == 0.0
+        np.testing.assert_array_equal(rs.tail_phi_mass(traj, np.array([0.5, 1.0])), 0.0)
 
 
 class TestBoundaryConsistency:
