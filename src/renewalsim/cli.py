@@ -30,7 +30,13 @@ from .convergence import (
 from .entropy import verify_B_dominates_phi
 from .errors import RenewalError, ScenarioError
 # integrate stays importable from here: benchmark/tests patches it at this call site
-from .measures import flat_distance, integrate, read_snapshot, write_snapshot  # noqa: F401
+from .measures import (  # noqa: F401
+    _write_rows,
+    flat_distance,
+    integrate,
+    read_snapshot,
+    write_snapshot,
+)
 from .scenarios import Scenario, load_scenario
 from .spectral import solve_spectral
 from .transport import birth_series, evolve
@@ -53,15 +59,6 @@ def cmd_run(sc: Scenario, out_dir: str, quiet: bool) -> int:
     spectral, traj = _simulate(sc)
     os.makedirs(out_dir, exist_ok=True)
 
-    with open(os.path.join(out_dir, "births.csv"), "w", encoding="ascii") as fh:
-        fh.write("t,b\n")
-        for t, b in zip(traj.times, traj.births):
-            fh.write(f"{_F(t)},{_F(b)}\n")
-
-    for ts in sc.snapshot_times:
-        snap = evolve(traj, ts)
-        write_snapshot(snap, os.path.join(out_dir, f"snapshot_{ts:g}.csv"))
-
     integrands = sc.integrands()
     times = _sample_times(sc)
     weights = {"phi": spectral.phi, "one": None}
@@ -69,12 +66,23 @@ def cmd_run(sc: Scenario, out_dir: str, quiet: bool) -> int:
     etas = {eta: weights[eta] for eta in dict.fromkeys(("phi", *sc.eta_choices))}
     diag = sample_diagnostics(traj, times, integrands, etas)
     m0 = diag["m0"]
+
+    # files are written after the sweep, which sets the run's peak memory:
+    # started on a heap the writers' block buffers have fragmented, it peaks higher
+    with open(os.path.join(out_dir, "births.csv"), "w", encoding="ascii") as fh:
+        fh.write("t,b\n")
+        _write_rows(fh, "%.17g,%.17g\n", traj.times, traj.births)
+
+    for ts in sc.snapshot_times:
+        snap = evolve(traj, ts)
+        write_snapshot(snap, os.path.join(out_dir, f"snapshot_{ts:g}.csv"))
+
     names = [*(f"D_{eta}" for eta in sc.eta_choices), "m_k", "conserved_phi_mass"]
     names += [f"{kind}_{H.name}" for kind in ("gre", "J") for H in integrands]
     with open(os.path.join(out_dir, "diagnostics.csv"), "w", encoding="ascii") as fh:
         fh.write(",".join(["t", *names]) + "\n")
-        for i, t in enumerate(times):
-            fh.write(",".join(_F(v) for v in [t, *(diag[n][i] for n in names)]) + "\n")
+        _write_rows(fh, ",".join(["%.17g"] * (1 + len(names))) + "\n",
+                    times, *(diag[n] for n in names))
 
     lo = 0.2 * sc.horizon
     window = [(t, d) for t, d in zip(times, diag["D_phi"]) if t >= lo]
@@ -107,10 +115,7 @@ def cmd_spectral(sc: Scenario) -> int:
     print(f"residual_normalization = {_F(spectral.residual_normalization)}")
     print("x,N,phi")
     xs = np.arange(int(round(sc.x_max / sc.h)) + 1) * sc.h
-    Ns = spectral.N(xs)
-    phis = spectral.phi(xs)
-    for x, nv, pv in zip(xs, Ns, phis):
-        print(f"{_F(x)},{_F(nv)},{_F(pv)}")
+    _write_rows(sys.stdout, "%.17g,%.17g,%.17g\n", xs, spectral.N(xs), spectral.phi(xs))
     return 0
 
 

@@ -20,6 +20,7 @@ import warnings
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 
@@ -559,58 +560,177 @@ def flat_distance(mu: HybridMeasure, nu: HybridMeasure, max_points: int = 200_00
     return _chain_max(pts, vals)
 
 
-# -- snapshot files -----------------------------------------------------------
+# -- CSV files ----------------------------------------------------------------
+
+_BLOCK = 4096  # lines parsed or formatted per string operation
+_KINDS = ("density", "atom", "jump_lo", "jump_hi")
+
+
+def _write_rows(fh, row: str, *columns) -> None:
+    """Write ``row % values`` for every index of the equal-length ``columns``.
+
+    ``row`` is a ``%``-template holding one field per column and ending in a
+    newline (it may span several lines).  Each block of rows is formatted by
+    one ``%`` on the repeated template, so every CSV artifact shares this one
+    ``%.17g`` float formatting.
+    """
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    for s in range(0, columns[0].size, _BLOCK):
+        block = np.column_stack([c[s:s + _BLOCK] for c in columns])
+        fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
 def write_snapshot(mu: HybridMeasure, path) -> None:
-    """Write the measure as ``kind,x,value`` CSV (17 significant digits)."""
+    """Write the measure as ``kind,x,value`` CSV (17 significant digits).
+
+    One ``density`` row per grid node (the stored node value), then one
+    ``atom`` row per atom, then each jump record as a ``jump_lo`` row and a
+    ``jump_hi`` row holding its left and right limit.  Every row has three
+    fields, and :func:`read_snapshot` rebuilds the measure exactly.
+    """
+    jumps = np.array(mu.jumps, dtype=float).reshape(-1, 3)
+    atoms = np.array(mu.atoms, dtype=float).reshape(-1, 2)
     with open(path, "w", encoding="ascii") as fh:
         fh.write("kind,x,value\n")
-        h = mu.h
-        for i, v in enumerate(mu.density):
-            fh.write(f"density,{i * h:.17g},{float(v):.17g}\n")
-        for loc, wt in mu.atoms:
-            fh.write(f"atom,{loc:.17g},{wt:.17g}\n")
+        _write_rows(fh, "density,%.17g,%.17g\n", np.arange(mu.node_count) * mu.h,
+                    mu.density)
+        _write_rows(fh, "atom,%.17g,%.17g\n", atoms[:, 0], atoms[:, 1])
+        _write_rows(fh, "jump_lo,%.17g,%.17g\njump_hi,%.17g,%.17g\n",
+                    jumps[:, 0], jumps[:, 1], jumps[:, 0], jumps[:, 2])
+
+
+def _raise_bad_line(lines, first: int):
+    """Raise the ``MeasureError`` of the first bad line in a block.
+
+    Only for error reporting: a block that fails a vectorized check in
+    :func:`read_snapshot` is rescanned here line by line, in the order of
+    the per-line checks, so the message names the first offending line.
+    """
+    for ln, line in enumerate(lines, start=first):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 3:
+            raise MeasureError(f"line {ln}: expected 3 fields")
+        kind, x, v = parts
+        try:
+            x, v = float(x), float(v)
+        except ValueError as exc:
+            raise MeasureError(f"line {ln}: {exc}") from exc
+        if not (math.isfinite(x) and math.isfinite(v)):
+            raise MeasureError(f"line {ln}: non-finite value")
+        if kind not in _KINDS:
+            raise MeasureError(f"line {ln}: unknown kind {kind!r}")
+    raise AssertionError("a rejected snapshot block holds no bad line")
+
+
+def _parse_block(lines):
+    """Kinds and x, value columns of a block of lines, or None if one is bad.
+
+    Blank lines are skipped and every line is stripped.  Joined as
+    ``"\\n" + ",\\n".join(rows)`` and split at commas, a block of m good
+    rows gives 3m fields with a ``"\\n"``-prefixed kind at every third one;
+    the block holds exactly m newlines, so that pattern also proves every
+    row has three fields.  Row positions index the nonblank lines.
+    """
+    rows = list(map(str.strip, lines))
+    pos = None
+    if "" in rows:
+        pos = [i for i, r in enumerate(rows) if r]
+        rows = [rows[i] for i in pos]
+    m = len(rows)
+    fields = ("\n" + ",\n".join(rows)).split(",")
+    if len(fields) != 3 * m:
+        return None
+    kinds = fields[0::3]
+    if kinds.count("\ndensity") == m:
+        kind = None  # every row is a density row
+    else:
+        kind = np.array(kinds)
+        if sum(np.count_nonzero(kind == "\n" + k) for k in _KINDS) != m:
+            return None
+    try:
+        x = np.array(fields[1::3], dtype=float)
+        v = np.array(fields[2::3], dtype=float)
+    except ValueError:
+        return None
+    if not (np.isfinite(x).all() and np.isfinite(v).all()):
+        return None
+    return kind, x, v, pos
+
+
+def _pair_jumps(rows):
+    """``(x, left, right)`` records from ``(kind, x, value, line)`` jump rows.
+
+    Taken in file order, the jump rows must alternate ``jump_lo``,
+    ``jump_hi``, with both rows of a pair at the same x.
+    """
+    jumps = []
+    pending = None
+    for kind, x, v, ln in rows:
+        if pending is None:
+            if kind != "jump_lo":
+                raise MeasureError(f"line {ln}: jump_hi row without a jump_lo row")
+            pending = (x, v, ln)
+        elif kind == "jump_hi" and x == pending[0]:
+            jumps.append((x, pending[1], v))
+            pending = None
+        else:
+            break
+    if pending is not None:
+        raise MeasureError(f"line {pending[2]}: jump_lo row without a jump_hi row "
+                           "at its x")
+    return tuple(jumps)
 
 
 def read_snapshot(path) -> HybridMeasure:
     """Read a measure written by :func:`write_snapshot`.
 
-    Jump records are not part of the file format, so a round-tripped
-    measure carries plain node values only.
+    The file is a ``kind,x,value`` header and rows of the kinds ``density``
+    (one per grid node, in increasing x), ``atom``, and ``jump_lo`` /
+    ``jump_hi`` pairs (one pair per jump record: its left and right limit at
+    the node x).  Blank lines and whitespace around a line are ignored, rows
+    of different kinds may come in any order, and files without jump rows
+    read as measures without jump records.  Values are parsed as Python
+    ``float`` does, and a round trip through :func:`write_snapshot` is exact.
+
+    Lines are read and parsed in blocks of ``_BLOCK``; a block that fails a
+    check is rescanned only to raise the ``MeasureError`` naming its first
+    bad line.
     """
-    xs, vs, atoms = [], [], []
+    xs, vs, atoms, jump_rows = [], [], [], []
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip()
         if header != "kind,x,value":
             raise MeasureError(f"bad snapshot header: {header!r}")
-        for ln, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise MeasureError(f"line {ln}: expected 3 fields")
-            kind, x, v = parts
-            try:
-                x, v = float(x), float(v)
-            except ValueError as exc:
-                raise MeasureError(f"line {ln}: {exc}") from exc
-            if not (math.isfinite(x) and math.isfinite(v)):
-                raise MeasureError(f"line {ln}: non-finite value")
-            if kind == "density":
+        first = 2
+        while lines := list(islice(fh, _BLOCK)):
+            parsed = _parse_block(lines)
+            if parsed is None:
+                _raise_bad_line(lines, first)
+            kind, x, v, pos = parsed
+            if kind is None:
                 xs.append(x)
                 vs.append(v)
-            elif kind == "atom":
-                atoms.append((x, v))
             else:
-                raise MeasureError(f"line {ln}: unknown kind {kind!r}")
-    if len(xs) < 2:
+                dens = kind == "\ndensity"
+                xs.append(x[dens])
+                vs.append(v[dens])
+                at = kind == "\natom"
+                atoms += zip(x[at].tolist(), v[at].tolist())
+                jump = (kind == "\njump_lo") | (kind == "\njump_hi")
+                for i in np.flatnonzero(jump).tolist():
+                    ln = first + (i if pos is None else pos[i])
+                    jump_rows.append((kind[i][1:], float(x[i]), float(v[i]), ln))
+            first += len(lines)
+    jumps = _pair_jumps(jump_rows)
+    xs = np.concatenate(xs) if xs else np.empty(0)
+    if xs.size < 2:
         raise MeasureError("snapshot needs at least two density nodes")
-    h = xs[1] - xs[0]
+    h = float(xs[1] - xs[0])
     if h <= 0.0:
         raise MeasureError("snapshot nodes must increase")
-    for i, x in enumerate(xs):
-        if abs(x - i * h) > _SNAP * max(1.0, xs[-1]):
-            raise MeasureError("snapshot grid is not uniform")
-    return HybridMeasure(h, np.array(vs), tuple(atoms))
+    if np.abs(xs - np.arange(xs.size) * h).max() > _SNAP * max(1.0, float(xs[-1])):
+        raise MeasureError("snapshot grid is not uniform")
+    return HybridMeasure(h, np.concatenate(vs), tuple(atoms), jumps)

@@ -309,21 +309,19 @@ def parse_scenario(text: str, base_dir: str = ".") -> Scenario:
             if abs(loaded.h - h) > _SNAP * h or abs(loaded.x_max - x_max) > _SNAP * x_max:
                 errs.append("initial measure file grid does not match the numerics")
             else:
-                dens = loaded.density.copy()
                 atoms = list(loaded.atoms) + atoms
-                initial = (dens, atoms)
+                initial = (loaded.density, atoms, loaded.jumps)
         except Exception as exc:
             errs.append(f"initial measure file: {exc}")
     else:
-        dens = _build_density(p, x_max, h)
-        initial = (dens, atoms)
+        initial = (_build_density(p, x_max, h), atoms, ())
 
     if errs:
         raise ScenarioError(errs)
 
-    dens, atoms = initial
+    dens, atoms, jumps = initial
     try:
-        measure = HybridMeasure(h, dens, tuple(atoms), nonnegative=True)
+        measure = HybridMeasure(h, dens, tuple(atoms), jumps, nonnegative=True)
     except Exception as exc:
         raise ScenarioError([f"initial measure: {exc}"])
 

@@ -244,6 +244,119 @@ class TestLinearCombination:
         assert out.density_at(1.5) == pytest.approx(1.0)
 
 
+def reference_read_snapshot(path) -> HybridMeasure:
+    """Oracle: the line-by-line snapshot reader that ``read_snapshot`` replaced.
+
+    It knows only ``density`` and ``atom`` rows, so it is compared on files
+    without jump rows.
+    """
+    xs, vs, atoms = [], [], []
+    with open(path, "r", encoding="ascii") as fh:
+        header = fh.readline().strip()
+        if header != "kind,x,value":
+            raise MeasureError(f"bad snapshot header: {header!r}")
+        for ln, line in enumerate(fh, start=2):
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split(",")
+            if len(parts) != 3:
+                raise MeasureError(f"line {ln}: expected 3 fields")
+            kind, x, v = parts
+            try:
+                x, v = float(x), float(v)
+            except ValueError as exc:
+                raise MeasureError(f"line {ln}: {exc}") from exc
+            if not (math.isfinite(x) and math.isfinite(v)):
+                raise MeasureError(f"line {ln}: non-finite value")
+            if kind == "density":
+                xs.append(x)
+                vs.append(v)
+            elif kind == "atom":
+                atoms.append((x, v))
+            else:
+                raise MeasureError(f"line {ln}: unknown kind {kind!r}")
+    if len(xs) < 2:
+        raise MeasureError("snapshot needs at least two density nodes")
+    h = xs[1] - xs[0]
+    if h <= 0.0:
+        raise MeasureError("snapshot nodes must increase")
+    for i, x in enumerate(xs):
+        if abs(x - i * h) > 1e-9 * max(1.0, xs[-1]):
+            raise MeasureError("snapshot grid is not uniform")
+    return HybridMeasure(h, np.array(vs), tuple(atoms))
+
+
+def _density_rows(n, h=0.25, seed=0):
+    vals = np.random.default_rng(seed).normal(size=n)
+    return [f"density,{i * h!r},{v!r}" for i, v in enumerate(vals.tolist())]
+
+
+def _long_file(line, text, insert=False):
+    """5000 density rows with ``text`` put at ``line`` (header = line 1)."""
+    rows = _density_rows(5000)
+    rows[line - 2:line - 2 + (not insert)] = [text]
+    return rows
+
+
+# name -> data lines after the header (a str is written as raw text)
+ORACLE_CASES = {
+    "plain": _density_rows(9) + ["atom,0.5,2.0", "atom,1.5,-0.25"],
+    "blank lines": ["", "   "] + _density_rows(4)[:2] + ["", "\t"]
+                   + _density_rows(4)[2:] + [""],
+    "crlf": "\r\n".join(_density_rows(5) + ["atom,0.25,1.0"]) + "\r\n",
+    "no final newline": "\n".join(_density_rows(5)),
+    "spaces around fields": ["  density, 0.0 ,1.5  ", "density,\t0.25, 2 ", "density,0.5,3"],
+    "space inside kind": ["density,0.0,1.5", "density ,0.25,2"],
+    "underscore digits": ["density,0,1_0", "density,1,2"],
+    "inf value": _density_rows(3) + ["density,0.75,inf"],
+    "nan value": ["density,0,nan", "density,0.25,1"],
+    "overflow": _density_rows(3) + ["atom,1e400,1"],
+    "bad float": _density_rows(3) + ["density,0.75,1.0.0"],
+    "unknown kind": _density_rows(3) + ["mass,0.75,1.0"],
+    "two fields": _density_rows(3) + ["density,0.75"],
+    "four fields": _density_rows(3) + ["density,0.75,1,2"],
+    # 2 + 4 fields: 6 fields for 2 lines, realigned into two valid-looking rows
+    "two then four fields": ["density,0", "1,density,0.25,2", "density,0.5,3"],
+    "float error before kind error": ["foo,abc,1", "density,0,1", "density,1,1"],
+    "atoms before density rows": ["atom,0.5,1.0", "atom,0.25,-2"] + _density_rows(4)
+                                 + ["atom,0.75,3"],
+    "one node": ["density,0,1", "atom,0,1"],
+    "no nodes": ["atom,0,1"],
+    "empty": [],
+    "decreasing nodes": ["density,1,1", "density,0,1"],
+    "non-uniform grid": ["density,0,1", "density,1,1", "density,3,1"],
+    "bad line at 4098": _long_file(4098, "density,1024,x"),
+    "bad line at 4500": _long_file(4500, "density,1124.5"),
+    "blank and bad beyond one block": _long_file(4097, "") + ["density,1250,inf"],
+    "non-uniform beyond one block": _long_file(4600, "density,1149.6,0"),
+    "long valid": _long_file(4097, "atom,3.5,1", insert=True) + ["", "atom,1249.75,2"],
+}
+
+
+def _write_case(path, lines):
+    data = lines if isinstance(lines, str) else "".join(ln + "\n" for ln in lines)
+    path.write_bytes(("kind,x,value\n" + data).encode("ascii"))
+
+
+def _read_or_error(reader, path):
+    try:
+        return reader(path)
+    except MeasureError as exc:
+        return f"MeasureError: {exc}"
+
+
+def _seam_snapshot():
+    """A coarse measure with an O(1) jump at the newborn seam and an atom."""
+    h = 0.125
+    xs = np.arange(33) * h
+    dens = np.where(xs < 1.5, np.exp(-xs), 0.3 * np.exp(-xs))
+    return HybridMeasure(h, dens, ((2.0, 0.75), (3.5, 1.25)),
+                         ((1.5, float(np.exp(-1.5)), 0.3 * float(np.exp(-1.5))),
+                          (2.25, 1.0, 0.0)),
+                         nonnegative=True)
+
+
 class TestSnapshotIO:
     def test_round_trip_bit_identical(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -256,6 +369,93 @@ class TestSnapshotIO:
         assert p1.read_bytes() == p2.read_bytes()
         np.testing.assert_array_equal(again.density, mu.density)
         assert again.atoms == mu.atoms
+
+    def test_round_trip_keeps_jump_records(self, tmp_path, ind_spectral):
+        _, sp = ind_spectral
+        mu = _seam_snapshot()
+        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        rs.write_snapshot(mu, p1)
+        again = rs.read_snapshot(p1)
+        assert again.jumps == mu.jumps
+        assert again.atoms == mu.atoms
+        assert again.h == mu.h
+        np.testing.assert_array_equal(again.density, mu.density)
+        H = rs.builtin_integrand("sqrt1p")
+        assert rs.gre_functional(again, sp, H) == rs.gre_functional(mu, sp, H)
+        rs.write_snapshot(again, p2)
+        assert p1.read_bytes() == p2.read_bytes()
+        # jump rows come last, two three-field rows per record
+        tail = p1.read_text().splitlines()[-4:]
+        assert [row.split(",")[0] for row in tail] == ["jump_lo", "jump_hi"] * 2
+        assert all(len(row.split(",")) == 3 for row in tail)
+
+    def test_written_rows_match_per_value_formatting(self, tmp_path):
+        mu = _seam_snapshot()
+        p = tmp_path / "a.csv"
+        rs.write_snapshot(mu, p)
+        f = "{:.17g}".format
+        want = ["kind,x,value"]
+        want += [f"density,{f(i * mu.h)},{f(v)}" for i, v in enumerate(mu.density)]
+        want += [f"atom,{f(x)},{f(w)}" for x, w in mu.atoms]
+        for x, lo, hi in mu.jumps:
+            want += [f"jump_lo,{f(x)},{f(lo)}", f"jump_hi,{f(x)},{f(hi)}"]
+        assert p.read_text().splitlines() == want
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_reader_matches_oracle(self, tmp_path, case):
+        p = tmp_path / "s.csv"
+        _write_case(p, ORACLE_CASES[case])
+        got = _read_or_error(rs.read_snapshot, p)
+        want = _read_or_error(reference_read_snapshot, p)
+        if isinstance(want, str):
+            assert got == want
+            return
+        assert isinstance(got, HybridMeasure), got
+        assert got.h == want.h
+        np.testing.assert_array_equal(got.density, want.density)
+        assert got.atoms == want.atoms
+        assert got.jumps == ()
+
+    def test_oracle_cases_cover_both_outcomes(self, tmp_path):
+        errors = {}
+        for case, lines in ORACLE_CASES.items():
+            p = tmp_path / "s.csv"
+            _write_case(p, lines)
+            errors[case] = _read_or_error(reference_read_snapshot, p)
+        assert errors["bad line at 4500"] == "MeasureError: line 4500: expected 3 fields"
+        assert errors["bad line at 4098"].startswith("MeasureError: line 4098: ")
+        assert errors["two then four fields"] == "MeasureError: line 2: expected 3 fields"
+        assert isinstance(errors["long valid"], HybridMeasure)
+        assert isinstance(errors["spaces around fields"], HybridMeasure)
+
+    @pytest.mark.parametrize("rows, message", [
+        (["jump_lo,0.25,1"], "line 6: jump_lo row without a jump_hi row at its x"),
+        (["jump_hi,0.25,1"], "line 6: jump_hi row without a jump_lo row"),
+        (["jump_lo,0.25,1", "jump_hi,0.5,2"],
+         "line 6: jump_lo row without a jump_hi row at its x"),
+        (["jump_lo,0.25,1", "jump_lo,0.5,2", "jump_hi,0.5,3"],
+         "line 6: jump_lo row without a jump_hi row at its x"),
+        (["jump_lo,0.25,1", "jump_hi,0.25,2", "", "jump_hi,0.5,3"],
+         "line 9: jump_hi row without a jump_lo row"),
+    ], ids=["lo at end", "hi alone", "hi at other x", "two lo", "second hi"])
+    def test_unpaired_jump_rows_rejected(self, tmp_path, rows, message):
+        p = tmp_path / "s.csv"
+        _write_case(p, _density_rows(4) + rows)
+        with pytest.raises(MeasureError) as err:
+            rs.read_snapshot(p)
+        assert str(err.value) == message
+
+    def test_jump_pair_split_across_blocks(self, tmp_path):
+        # header + 4095 density rows: the jump_lo row is line 4097, the last
+        # line of the first block, and its jump_hi row starts the second
+        rows = _density_rows(4095)
+        rows += ["jump_lo,2.5,0.75", "", "jump_hi,2.5,-1", "atom,3,2"]
+        p = tmp_path / "s.csv"
+        _write_case(p, rows)
+        mu = rs.read_snapshot(p)
+        assert mu.jumps == ((2.5, 0.75, -1.0),)
+        assert mu.density[10] == -0.125
+        assert mu.atoms == ((3.0, 2.0),)
 
     def test_bad_header_rejected(self, tmp_path):
         p = tmp_path / "bad.csv"

@@ -8,7 +8,7 @@ import pytest
 import renewalsim as rs
 from renewalsim.cli import main
 from renewalsim.errors import ScenarioError
-from renewalsim.scenarios import parse_scenario
+from renewalsim.scenarios import load_scenario, parse_scenario
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 # constant_dirac's 0.005 snapshot grid is coarser than dt = 0.001: the
@@ -215,6 +215,29 @@ class TestCli:
         fit = json.loads((out1 / "decayfit.json").read_text())
         assert set(fit) == {"eta_name", "sigma_hat", "y0_hat", "r_squared",
                             "m0", "sample_count"}
+
+    def test_run_restarts_from_snapshot_with_its_jumps(self, tmp_path, capsys):
+        # the t = 1 snapshot has a seam jump; reloaded as initial data it keeps
+        # the record, so the restart's t = 0 diagnostics are the original's at t = 1
+        out = tmp_path / "o"
+        path = self.write(tmp_path, GOLDEN)
+        assert main(["--quiet", "run", "--scenario", path, "--out", str(out)]) == 0
+        snap = rs.read_snapshot(out / "snapshot_1.csv")
+        assert snap.jumps
+        restart = self.write(tmp_path, GOLDEN.replace(
+            "atoms = 0.5:1.0", "file = o/snapshot_1.csv"), name="restart.ini")
+        assert load_scenario(restart).initial.jumps == snap.jumps
+        out2 = tmp_path / "o2"
+        assert main(["--quiet", "run", "--scenario", restart, "--out", str(out2)]) == 0
+        rows = [(out / "diagnostics.csv").read_text().splitlines(),
+                (out2 / "diagnostics.csv").read_text().splitlines()]
+        header = rows[0][0].split(",")
+        at_1 = dict(zip(header, map(float, rows[0][11].split(","))))  # sample_dt 0.1
+        at_0 = dict(zip(header, map(float, rows[1][1].split(","))))
+        assert at_1["t"] == 1.0 and at_0["t"] == 0.0
+        for name in header:
+            if name.startswith(("gre_", "J_", "conserved_phi_mass")):
+                assert at_0[name] == pytest.approx(at_1[name], rel=1e-12, abs=1e-15), name
 
     def test_run_writes_only_requested_eta_columns(self, tmp_path, capsys):
         path = self.write(tmp_path, GOLDEN.replace("eta = phi one", "eta = one"))
