@@ -6,6 +6,9 @@ A scenario file has five sections; keys are ``name = value`` lines and
 
     [birth_law]       kind (constant|indicator|table), beta, a, b,
                       x, values, quadrature_panels
+                      (an indicator is rate beta on [a, b], built as a
+                      table; a table x repeated once is a jump, left
+                      value first; quadrature_panels is a positive integer)
     [initial_measure] atoms, density (exponential|gaussian-bump|uniform|none),
                       rate, center, width, lo, hi, mass, file
     [numerics]        h, dt, T, x_max
@@ -149,7 +152,6 @@ def _build_birth_law(p: _Parser) -> BirthLaw | None:
         p.errors.append("[birth_law] missing required key 'kind'")
         return None
     panels = p.number("birth_law", "quadrature_panels", 2000.0)
-    panels = int(panels) if panels else 2000
     try:
         if kind == "constant":
             beta = p.number("birth_law", "beta")

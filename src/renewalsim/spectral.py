@@ -4,16 +4,20 @@ Solves the growth-rate equation ``integral B(x) exp(-lam x) dx = 1`` for the
 Malthusian parameter, builds the stable age profile ``N(x) = lam exp(-lam x)``
 and the dual weight ``phi`` with the normalization ``integral N phi dx = 1``.
 
-Three birth-law families are supported.  ``constant`` and ``indicator`` laws
-use closed forms throughout (the infinite tail of a constant law is handled
-analytically, never by quadrature); ``table`` laws are piecewise linear with
-finite support and use exact per-panel exponential integrals.  The birth
-forcing of both finite-support families is one exact panel-moment formula.
+Two birth-law families are supported.  ``constant`` laws use closed forms
+throughout (the infinite tail is handled analytically, never by
+quadrature).  ``table`` laws are piecewise linear with finite support; a
+repeated inner abscissa is a jump, left value first, and an indicator
+``beta 1_[lo, hi]`` is sugar for such a table.  One panel table
+``(p, q, c0, c1)`` with ``B(y) = c0 + c1 y`` on each panel of positive
+width drives the exact exponential transforms, the dual-weight tail and
+the exact panel-moment birth forcing.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -48,6 +52,18 @@ def _poly_exp_int(lam, base, c0, c1, c2, p, q):
     )
 
 
+def _panel_sum(terms) -> float:
+    """Left-to-right sum of per-panel terms (pairwise summation would move bits)."""
+    return float(np.add.accumulate(terms)[-1])
+
+
+def _panel_count(panels) -> int:
+    if not (isinstance(panels, (int, float, np.integer)) and panels >= 1
+            and float(panels).is_integer()):
+        raise SpectralError("quadrature_panels must be a positive integer")
+    return int(panels)
+
+
 @dataclass(frozen=True)
 class BirthLaw:
     """Nonnegative bounded birth rate with quadrature metadata.
@@ -55,7 +71,7 @@ class BirthLaw:
     Attributes
     ----------
     kind:
-        ``"constant"``, ``"indicator"`` or ``"table"``.
+        ``"constant"`` or ``"table"``.
     sup_bound:
         Essential supremum of the rate.
     support_end:
@@ -63,6 +79,11 @@ class BirthLaw:
         support (constant laws only).
     quadrature_panels:
         Panel budget for the Simpson checks run against this law.
+    beta:
+        The rate of a constant law.
+    xs, vals:
+        Table nodes and values.  A node repeated once is a jump: the first
+        copy carries the left limit, the second the right limit.
     """
 
     kind: str
@@ -70,8 +91,6 @@ class BirthLaw:
     support_end: float | None
     quadrature_panels: int = 2000
     beta: float = 0.0
-    lo: float = 0.0
-    hi: float = 0.0
     xs: tuple = ()
     vals: tuple = ()
 
@@ -81,18 +100,17 @@ class BirthLaw:
     def constant(cls, beta: float, quadrature_panels: int = 2000) -> "BirthLaw":
         if not (beta > 0.0 and math.isfinite(beta)):
             raise SpectralError("constant birth rate must be positive and finite")
-        return cls("constant", beta, None, quadrature_panels, beta=beta)
+        return cls("constant", beta, None, _panel_count(quadrature_panels), beta=beta)
 
     @classmethod
     def indicator(cls, beta: float, lo: float, hi: float,
                   quadrature_panels: int = 2000) -> "BirthLaw":
+        """Rate ``beta`` on [lo, hi] and zero elsewhere, as a table law."""
         if not (0.0 <= lo < hi and math.isfinite(hi)):
             raise SpectralError("indicator support must satisfy 0 <= lo < hi")
-        if not (beta > 0.0 and math.isfinite(beta)):
-            raise SpectralError("indicator birth rate must be positive and finite")
-        if beta * (hi - lo) <= 1.0 + 1e-8:
-            raise SpectralError("net reproduction below one")
-        return cls("indicator", beta, hi, quadrature_panels, beta=beta, lo=lo, hi=hi)
+        if lo == 0.0:
+            return cls.table((0.0, hi), (beta, beta), quadrature_panels)
+        return cls.table((0.0, lo, lo, hi), (0.0, 0.0, beta, beta), quadrature_panels)
 
     @classmethod
     def table(cls, xs, vals, quadrature_panels: int = 2000) -> "BirthLaw":
@@ -100,41 +118,57 @@ class BirthLaw:
         vals = tuple(float(v) for v in vals)
         if len(xs) < 2 or len(xs) != len(vals):
             raise SpectralError("table law needs matching x and value lists")
-        if xs[0] != 0.0 or any(b <= a for a, b in zip(xs[:-1], xs[1:])):
+        if not all(math.isfinite(v) for v in xs + vals):
+            raise SpectralError("table nodes and values must be finite")
+        steps = np.diff(xs)
+        if xs[0] != 0.0 or steps.min() < 0.0:
             raise SpectralError("table nodes must start at 0 and increase")
+        repeat = steps == 0.0
+        if repeat[0] or repeat[-1] or np.any(repeat[:-1] & repeat[1:]):
+            raise SpectralError("a table node may repeat once (a jump), inside the support")
         if min(vals) < 0.0:
             raise SpectralError("birth rate must be nonnegative")
-        law = cls("table", max(vals), xs[-1], quadrature_panels, xs=xs, vals=vals)
+        law = cls("table", max(vals), xs[-1], _panel_count(quadrature_panels),
+                  xs=xs, vals=vals)
         if law.total_integral() <= 1.0 + 1e-8:
             raise SpectralError("net reproduction below one")
         return law
 
+    @cached_property
+    def _panels(self):
+        """``(p, q, c0, c1)`` with ``B(y) = c0 + c1 y`` on every panel of positive width."""
+        xs, vals = np.array(self.xs), np.array(self.vals)
+        wide = np.diff(xs) > 0.0
+        p, q = xs[:-1][wide], xs[1:][wide]
+        c1 = (vals[1:][wide] - vals[:-1][wide]) / (q - p)
+        return p, q, vals[:-1][wide] - c1 * p, c1
+
     # -- pointwise and quadrature sampling -------------------------------
 
     def __call__(self, x):
+        """The rate; at a table jump the right limit, at the support end the left."""
         x = np.asarray(x, dtype=float)
         if self.kind == "constant":
             return np.where(x >= 0.0, self.beta, 0.0)
-        if self.kind == "indicator":
-            return np.where((x >= self.lo) & (x <= self.hi), self.beta, 0.0)
-        xs = np.array(self.xs)
-        vals = np.array(self.vals)
-        out = np.interp(x, xs, vals, left=0.0, right=0.0)
+        # np.interp returns the second copy's value at a repeated node
+        out = np.interp(x, self.xs, self.vals, left=0.0, right=0.0)
         return np.where((x >= 0.0) & (x <= self.support_end), out, 0.0)
 
-    def jump_points(self) -> tuple:
-        """Interior discontinuities (with one-sided values) of the rate."""
+    def breakpoints(self) -> tuple:
+        """Sorted distinct table abscissae: every kink and jump of the rate."""
         if self.kind == "constant":
             return ()
-        if self.kind == "indicator":
-            pts = []
-            if self.lo > 0.0:
-                pts.append((self.lo, 0.0, self.beta))
-            pts.append((self.hi, self.beta, 0.0))
-            return tuple(pts)
-        if self.vals[-1] != 0.0:
-            return ((self.xs[-1], self.vals[-1], 0.0),)
-        return ()
+        p, q, _, _ = self._panels
+        return (*p.tolist(), float(q[-1]))
+
+    def jump_points(self) -> tuple:
+        """Discontinuities ``(x, left, right)`` of the rate on (0, inf)."""
+        if self.kind == "constant":
+            return ()
+        xs, vals = self.xs, self.vals
+        pts = [(a, vl, vr) for a, b, vl, vr in zip(xs, xs[1:], vals, vals[1:]) if a == b]
+        pts.append((xs[-1], vals[-1], 0.0))
+        return tuple(pt for pt in pts if pt[1] != pt[2])
 
     def quad_values(self, x):
         """Samples for trapezoid quadrature: jump points take the mean value."""
@@ -150,21 +184,19 @@ class BirthLaw:
         """Integral of the rate over its whole support (inf for constant)."""
         if self.kind == "constant":
             return math.inf
-        if self.kind == "indicator":
-            return self.beta * (self.hi - self.lo)
-        xs, vals = np.array(self.xs), np.array(self.vals)
-        return float(np.trapezoid(vals, xs))
+        return float(np.trapezoid(self.vals, self.xs))
 
     def integral_to(self, x: float) -> float:
         """Integral of the rate over [0, x]."""
         if self.kind == "constant":
             return self.beta * max(x, 0.0)
-        if self.kind == "indicator":
-            return self.beta * max(0.0, min(x, self.hi) - self.lo)
         xs, vals = np.array(self.xs), np.array(self.vals)
         x = min(max(x, 0.0), self.support_end)
-        grid = np.concatenate([xs[xs < x], [x]])
-        return float(np.trapezoid(np.interp(grid, xs, vals), grid))
+        i = np.count_nonzero(xs < x) - 1   # last node below x; xs[i + 1] >= x
+        if i < 0:
+            return 0.0
+        end = np.interp(x, xs[i:i + 2], vals[i:i + 2])   # left limit at x
+        return float(np.trapezoid(np.append(vals[:i + 1], end), np.append(xs[:i + 1], x)))
 
     def laplace(self, lam: float) -> float:
         """Integral of B(x) exp(-lam x) over [0, inf)."""
@@ -175,13 +207,8 @@ class BirthLaw:
             raise SpectralError("transform argument must be nonnegative")
         if self.kind == "constant":
             return self.beta / lam
-        if self.kind == "indicator":
-            return self.beta * (math.exp(-lam * self.lo) - math.exp(-lam * self.hi)) / lam
-        total = 0.0
-        for (p, q), (vp, vq) in self._panels():
-            d = (vq - vp) / (q - p)
-            total += _poly_exp_int(lam, 0.0, vp - d * p, d, 0.0, p, q)
-        return float(total)
+        p, q, c0, c1 = self._panels
+        return _panel_sum(_poly_exp_int(lam, 0.0, c0, c1, 0.0, p, q))
 
     def laplace_moment(self, lam: float) -> float:
         """Integral of x B(x) exp(-lam x) over [0, inf)."""
@@ -189,17 +216,8 @@ class BirthLaw:
             raise SpectralError("transform argument must be positive")
         if self.kind == "constant":
             return self.beta / lam ** 2
-        if self.kind == "indicator":
-            lo, hi, b = self.lo, self.hi, self.beta
-            return b * (
-                (lo * math.exp(-lam * lo) - hi * math.exp(-lam * hi)) / lam
-                + (math.exp(-lam * lo) - math.exp(-lam * hi)) / lam ** 2
-            )
-        total = 0.0
-        for (p, q), (vp, vq) in self._panels():
-            d = (vq - vp) / (q - p)
-            total += _poly_exp_int(lam, 0.0, 0.0, vp - d * p, d, p, q)
-        return float(total)
+        p, q, c0, c1 = self._panels
+        return _panel_sum(_poly_exp_int(lam, 0.0, 0.0, c0, c1, p, q))
 
     def laplace_tail(self, x, lam: float):
         """Integral of B(y) exp(-lam (y - x)) over [x, inf), vectorized in x.
@@ -210,62 +228,33 @@ class BirthLaw:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if self.kind == "constant":
             return np.full_like(x, self.beta / lam)
-        if self.kind == "indicator":
-            lo, hi, b = self.lo, self.hi, self.beta
-            start = np.maximum(x, lo)
-            out = b / lam * (np.exp(-lam * (start - x)) - np.exp(-lam * (hi - x)))
-            return np.where(x < hi, out, 0.0)
-        return self._table_tail(x, lam)
-
-    def _panels(self):
-        xs, vals = self.xs, self.vals
-        for i in range(len(xs) - 1):
-            yield (xs[i], xs[i + 1]), (vals[i], vals[i + 1])
-
-    def _table_tail(self, x, lam):
-        xs = np.array(self.xs)
-        vals = np.array(self.vals)
-        m = xs.size
-        # G[i] = integral_{xs[i]}^{end} B exp(-lam (y - xs[i])), backward recursion
-        G = np.zeros(m)
-        for i in range(m - 2, -1, -1):
-            p, q = xs[i], xs[i + 1]
-            d = (vals[i + 1] - vals[i]) / (q - p)
-            local = _poly_exp_int(lam, p, vals[i] - d * p, d, 0.0, p, q)
-            G[i] = local + math.exp(-lam * (q - p)) * G[i + 1]
+        p, q, c0, c1 = self._panels
+        # G[k] = integral_{p[k]}^{end} B exp(-lam (y - p[k])), backward recursion
+        local = _poly_exp_int(lam, p, c0, c1, 0.0, p, q)
+        G = np.zeros(p.size + 1)
+        for k in range(p.size - 1, -1, -1):
+            G[k] = local[k] + math.exp(-lam * (q[k] - p[k])) * G[k + 1]
         out = np.zeros_like(x)
-        inside = (x >= 0.0) & (x < xs[-1])
+        inside = (x >= 0.0) & (x < q[-1])
         xi = x[inside]
-        idx = np.minimum(np.searchsorted(xs, xi, side="right") - 1, m - 2)
-        p, q = xs[idx], xs[idx + 1]
-        d = (vals[idx + 1] - vals[idx]) / (q - p)
-        c = vals[idx] - d * p
-        partial = _poly_exp_antideriv(lam, xi, c, d, 0.0, q) - _poly_exp_antideriv(
-            lam, xi, c, d, 0.0, xi
-        )
-        out[inside] = partial + np.exp(-lam * (q - xi)) * G[idx + 1]
+        k = np.searchsorted(p, xi, side="right") - 1
+        partial = _poly_exp_int(lam, xi, c0[k], c1[k], 0.0, xi, q[k])
+        out[inside] = partial + np.exp(-lam * (q[k] - xi)) * G[k + 1]
         return out
 
     # -- birth forcing against a measure ----------------------------------
 
-    def _linear_pieces(self):
-        """Panel edges and coefficients with ``B(y) = c0 + c1 y`` on each panel."""
-        if self.kind == "indicator":
-            return np.array([self.lo, self.hi]), np.array([self.beta]), np.zeros(1)
-        xs, vals = np.array(self.xs), np.array(self.vals)
-        c1 = np.diff(vals) / np.diff(xs)
-        return xs, vals[:-1] - c1 * xs[:-1], c1
-
     def birth_forcing(self, mu: HybridMeasure, shifts) -> np.ndarray:
         """Integral of B(x + s) d mu(x) for every shift s, exact and vectorized.
 
-        Constant laws use the total mass.  Indicator and table laws are
-        piecewise linear: on a panel ``[p, q]`` with ``B(y) = c0 + c1 y`` the
-        density contributes ``(c0 + c1 s) (M0(q - s) - M0(p - s)) + c1 (M1(q - s)
-        - M1(p - s))`` with the exact cumulative mass ``M0`` and first moment
-        ``M1`` of the piecewise-linear density.  Atoms are weighted with
-        ``quad_values``, so an atom on a rate discontinuity counts with the
-        mean one-sided value, matching the trapezoid jump convention.
+        Constant laws use the total mass.  Table laws are piecewise linear:
+        on a panel ``[p, q]`` with ``B(y) = c0 + c1 y`` the density
+        contributes ``(c0 + c1 s) (M0(q - s) - M0(p - s)) + c1 (M1(q - s) -
+        M1(p - s))`` with the exact cumulative mass ``M0`` and first moment
+        ``M1`` of the piecewise-linear density, each evaluated once at the
+        shifted breakpoints.  Atoms are weighted with ``quad_values``, so an
+        atom on a rate discontinuity counts with the mean one-sided value,
+        matching the trapezoid jump convention.
         """
         shifts = np.asarray(shifts, dtype=float)
         locs = np.array([a[0] for a in mu.atoms])
@@ -273,8 +262,8 @@ class BirthLaw:
         if self.kind == "constant":
             ac = ac_cumulative(mu, mu.x_max)
             return np.full_like(shifts, self.beta * (ac + wts.sum()))
-        edges, c0, c1 = self._linear_pieces()
-        ys = edges[:, None] - shifts
+        _, _, c0, c1 = self._panels
+        ys = np.array(self.breakpoints())[:, None] - shifts
         m0 = np.diff(ac_cumulative(mu, ys), axis=0)
         m1 = np.diff(ac_first_moment(mu, ys), axis=0)
         c0, c1 = c0[:, None], c1[:, None]
@@ -384,9 +373,6 @@ def solve_spectral(B: BirthLaw) -> SpectralData:
     phi, phi0 = eigen_phi(B, lam)
     res_el = abs(B.laplace(lam) - 1.0)
 
-    breakpoints = [p for p, _, _ in B.jump_points()]
-    if B.kind == "table":
-        breakpoints = list(B.xs)
     if B.support_end is not None:
         x_hi = B.support_end
         tail = 0.0
@@ -394,7 +380,7 @@ def solve_spectral(B: BirthLaw) -> SpectralData:
         x_hi = 40.0 / lam
         tail = phi0 * B.beta / lam * math.exp(-lam * x_hi)  # phi is constant there
     quad = composite_simpson(
-        lambda x: N(x) * phi(x), 0.0, x_hi, B.quadrature_panels, breakpoints
+        lambda x: N(x) * phi(x), 0.0, x_hi, B.quadrature_panels, B.breakpoints()
     )
     res_norm = abs(quad + tail - 1.0)
     if res_el > 1e-10:

@@ -289,6 +289,32 @@ class TestCli:
         assert main(["run", "--scenario", path]) == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("law", [
+        "kind = table\nx = 0 1\nvalues = nan 3",
+        "kind = table\nx = 0 1\nvalues = inf inf",
+        "kind = constant\nbeta = 1.0\nquadrature_panels = 0",
+        "kind = constant\nbeta = 1.0\nquadrature_panels = -5",
+        "kind = constant\nbeta = 1.0\nquadrature_panels = 2.7",
+    ])
+    def test_birth_law_config_errors(self, tmp_path, capsys, law):
+        path = self.write(tmp_path, GOLDEN.replace("kind = constant\nbeta = 1.0", law))
+        assert main(["spectral", "--scenario", path]) == 1
+        assert "config error: [birth_law]" in capsys.readouterr().err
+
+    def test_repeated_abscissa_table_equals_indicator(self, tmp_path, capsys):
+        laws = {"indicator": "kind = indicator\nbeta = 2.0\na = 0.25\nb = 1",
+                "table": "kind = table\nx = 0 0.25 0.25 1\nvalues = 0 0 2 2"}
+        for name, law in laws.items():
+            path = self.write(tmp_path, GOLDEN.replace("kind = constant\nbeta = 1.0", law),
+                              name=f"{name}.ini")
+            assert main(["--quiet", "run", "--scenario", path,
+                         "--out", str(tmp_path / name)]) == 0
+        for name in ("births.csv", "diagnostics.csv", "snapshot_1.csv", "snapshot_2.csv"):
+            table = (tmp_path / "table" / name).read_bytes()
+            assert table == (tmp_path / "indicator" / name).read_bytes(), name
+        assert load_scenario(str(tmp_path / "table.ini")).birth_law.jump_points() == (
+            (0.25, 0.0, 2.0), (1.0, 2.0, 0.0))
+
     def test_missing_file_exit_code(self, capsys):
         assert main(["run", "--scenario", "/nonexistent.ini"]) == 1
 

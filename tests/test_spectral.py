@@ -130,6 +130,127 @@ class TestTableFamily:
         assert abs(B.laplace(lam) - quad) <= 1e-10
 
 
+class IndicatorOracle:
+    """Closed forms of the rate ``beta 1_[lo, hi]``, independent of the table code."""
+
+    def __init__(self, beta, lo, hi):
+        self.beta, self.lo, self.hi = beta, lo, hi
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        return np.where((x >= self.lo) & (x <= self.hi), self.beta, 0.0)
+
+    def jump_points(self):
+        pts = [(self.lo, 0.0, self.beta)] if self.lo > 0.0 else []
+        return tuple(pts + [(self.hi, self.beta, 0.0)])
+
+    def total_integral(self):
+        return self.beta * (self.hi - self.lo)
+
+    def integral_to(self, x):
+        return self.beta * max(0.0, min(x, self.hi) - self.lo)
+
+    def laplace(self, lam):
+        return self.beta * (math.exp(-lam * self.lo) - math.exp(-lam * self.hi)) / lam
+
+    def laplace_moment(self, lam):
+        lo, hi, b = self.lo, self.hi, self.beta
+        return b * (
+            (lo * math.exp(-lam * lo) - hi * math.exp(-lam * hi)) / lam
+            + (math.exp(-lam * lo) - math.exp(-lam * hi)) / lam ** 2
+        )
+
+    def laplace_tail(self, x, lam):
+        lo, hi, b = self.lo, self.hi, self.beta
+        start = np.maximum(x, lo)
+        out = b / lam * (np.exp(-lam * (start - x)) - np.exp(-lam * (hi - x)))
+        return np.where(x < hi, out, 0.0)
+
+
+INDICATORS = [(2.0, 0.0, 1.0), (2.5, 0.25, 1.0), (2.5, 0.3, 1.1), (1.5, 0.7, 2.4)]
+
+
+@pytest.mark.parametrize("params", INDICATORS)
+class TestIndicatorSugar:
+    """``BirthLaw.indicator`` is a table law; it must agree with the closed forms."""
+
+    def test_is_a_table(self, params):
+        beta, lo, hi = params
+        B = BirthLaw.indicator(*params)
+        assert B.kind == "table" and B.support_end == hi and B.sup_bound == beta
+        assert B.breakpoints() == ((0.0, hi) if lo == 0.0 else (0.0, lo, hi))
+
+    def test_pointwise_values_and_jumps(self, params):
+        _, lo, hi = params
+        B, ref = BirthLaw.indicator(*params), IndicatorOracle(*params)
+        xs = np.concatenate([np.linspace(-0.5, hi + 0.5, 2001),
+                             [lo, hi, np.nextafter(lo, -1.0), np.nextafter(hi, 9.0)]])
+        np.testing.assert_array_equal(B(xs), ref(xs))
+        assert B.jump_points() == ref.jump_points()
+
+    def test_integrals(self, params):
+        B, ref = BirthLaw.indicator(*params), IndicatorOracle(*params)
+        assert B.total_integral() == pytest.approx(ref.total_integral(), rel=1e-15)
+        for x in np.linspace(-0.2, params[2] + 0.3, 47).tolist() + list(params[1:]):
+            assert abs(B.integral_to(x) - ref.integral_to(x)) <= 1e-15 * max(
+                1.0, abs(ref.integral_to(x))), x
+
+    def test_transforms(self, params):
+        B, ref = BirthLaw.indicator(*params), IndicatorOracle(*params)
+        lam0 = rs.solve_lambda0(B)
+        for lam in (lam0, 1.0, 2.0, 5.0):
+            assert B.laplace(lam) == pytest.approx(ref.laplace(lam), rel=1e-15, abs=0)
+            assert B.laplace_moment(lam) == pytest.approx(ref.laplace_moment(lam),
+                                                          rel=1e-15, abs=0)
+            x = np.linspace(0.0, params[2] + 0.2, 3001)
+            got, want = B.laplace_tail(x, lam), ref.laplace_tail(x, lam)
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+            assert np.all(got[x >= params[2]] == 0.0)
+
+    def test_growth_rate(self, params):
+        # the panel and closed-form transforms round differently, so the
+        # Newton-polished root may move by a few ulps
+        oracle = rs.solve_lambda0(IndicatorOracle(*params))
+        lam = rs.solve_lambda0(BirthLaw.indicator(*params))
+        assert abs(lam - oracle) <= 4 * np.spacing(oracle)
+
+
+class TestTableValidation:
+    @pytest.mark.parametrize("xs, vals", [
+        ([0.0, 0.5, 0.5, 0.5, 1.0], [2.0, 2.0, 3.0, 4.0, 2.0]),   # triple abscissa
+        ([0.0, 0.0, 1.0], [1.0, 3.0, 3.0]),                        # repeat at 0
+        ([0.0, 1.0, 1.0], [3.0, 3.0, 0.0]),                        # repeat at the end
+        ([0.0, 0.6, 0.4, 1.0], [3.0, 3.0, 3.0, 3.0]),              # decreasing
+        ([0.0, float("nan"), 1.0], [3.0, 3.0, 3.0]),
+        ([0.0, 1.0, float("inf")], [3.0, 3.0, 3.0]),
+        ([0.0, 1.0], [float("nan"), 3.0]),
+        ([0.0, 1.0], [float("inf"), float("inf")]),
+    ])
+    def test_rejected(self, xs, vals):
+        with pytest.raises(SpectralError):
+            BirthLaw.table(xs, vals)
+
+    @pytest.mark.parametrize("panels", [0, -5, 2.7, float("inf"), float("nan"), None])
+    def test_panel_count_must_be_a_positive_integer(self, panels):
+        for make in (lambda: BirthLaw.constant(1.0, panels),
+                     lambda: BirthLaw.indicator(2.0, 0.0, 1.0, panels),
+                     lambda: BirthLaw.table([0.0, 1.0], [3.0, 3.0], panels)):
+            with pytest.raises(SpectralError, match="quadrature_panels"):
+                make()
+
+    def test_inner_jump(self):
+        B = BirthLaw.table([0.0, 0.5, 0.5, 1.0, 1.5], [1.0, 3.0, 1.0, 2.0, 0.0])
+        assert B.jump_points() == ((0.5, 3.0, 1.0),)
+        assert B.breakpoints() == (0.0, 0.5, 1.0, 1.5)
+        assert B(0.5) == 1.0 and B.quad_values([0.5])[0] == 2.0
+        assert B.integral_to(0.5) == 1.0 and B.integral_to(1.0) == 1.75
+        # a repeat with equal values is no jump; the support-end drop is
+        flat = BirthLaw.table([0.0, 0.5, 0.5, 1.0], [3.0, 3.0, 3.0, 2.0])
+        assert flat.jump_points() == ((1.0, 2.0, 0.0),)
+        sp = rs.solve_spectral(B)
+        assert sp.residual_euler_lotka <= 1e-10 and sp.residual_normalization <= 1e-8
+
+
 class TestHypothesisChecks:
     def test_subcritical_indicator_rejected(self):
         with pytest.raises(SpectralError, match="net reproduction"):
@@ -160,10 +281,9 @@ class TestMeasureConsistency:
 
 
 def law_pieces(B):
-    """``(p, q, B(p+), B(q-))`` for every linear panel of the rate."""
-    if B.kind == "indicator":
-        return [(B.lo, B.hi, B.beta, B.beta)]
-    return list(zip(B.xs[:-1], B.xs[1:], B.vals[:-1], B.vals[1:]))
+    """``(p, q, B(p+), B(q-))`` for every linear panel of positive width."""
+    return [(p, q, vp, vq) for p, q, vp, vq
+            in zip(B.xs[:-1], B.xs[1:], B.vals[:-1], B.vals[1:]) if q > p]
 
 
 def rate_at_atom(pieces, y):
