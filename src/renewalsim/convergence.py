@@ -235,15 +235,18 @@ def distance_to_equilibrium(traj: Trajectory, t: float, eta=None) -> float:
 def fit_decay_rate(samples, eta_name: str = "", m0: float = math.nan) -> DecayFit:
     """Least squares through (t, log D): slope gives the rate estimate.
 
-    Samples at or below the floating floor are discarded; at least five
-    usable points are required.
+    Samples at or below the floating floor are discarded, and so is every
+    sample after the smallest D: past it D has stopped decaying and sits on
+    the discretisation floor.  At least five usable points are required.
     """
     usable = [(float(t), float(d)) for t, d in samples if d > _FLOOR]
+    if np.any(np.diff([t for t, _ in usable]) <= 0.0):
+        raise RenewalError("decay samples must have strictly increasing times")
+    if usable:
+        usable = usable[:int(np.argmin([d for _, d in usable])) + 1]
     if len(usable) < 5:
         raise RenewalError("need at least 5 usable samples to fit a decay rate")
     ts = np.array([t for t, _ in usable])
-    if np.any(np.diff(ts) <= 0.0):
-        raise RenewalError("decay samples must have strictly increasing times")
     logd = np.log(np.array([d for _, d in usable]))
     slope, intercept = np.polyfit(ts, logd, 1)
     sigma = -float(slope)

@@ -69,12 +69,16 @@ class EntropyIntegrand:
         return self.H_inf_plus if sign > 0 else self.H_inf_minus
 
 
-def make_integrand(name: str, H, strictly_convex: bool = False,
-                   seed: int = 0) -> EntropyIntegrand:
+# Convexity probe: 1000 point pairs spread evenly over [-100, 100]^2 by the
+# R2 sequence (rotations by the inverse powers of the plastic ratio, the
+# two-dimensional analogue of golden-ratio rotation): fixed, and no RNG.
+_R2 = np.array([0.7548776662466927, 0.5698402909980532])
+_PROBE = 200.0 * (np.outer(np.arange(1, 1001), _R2) % 1.0) - 100.0
+
+
+def make_integrand(name: str, H, strictly_convex: bool = False) -> EntropyIntegrand:
     """Validate convexity, linear growth and recession, then package H."""
-    rng = np.random.default_rng(seed)
-    z1 = rng.uniform(-100.0, 100.0, 1000)
-    z2 = rng.uniform(-100.0, 100.0, 1000)
+    z1, z2 = _PROBE[:, 0], _PROBE[:, 1]
     mid = np.asarray(H(0.5 * (z1 + z2)), dtype=float)
     avg = 0.5 * (np.asarray(H(z1), dtype=float) + np.asarray(H(z2), dtype=float))
     if np.any(mid > avg + 1e-12 * np.maximum(1.0, np.abs(avg))):

@@ -8,7 +8,8 @@ A scenario file has five sections; keys are ``name = value`` lines and
                       x, values, quadrature_panels
                       (an indicator is rate beta on [a, b], built as a
                       table; a table x repeated once is a jump, left
-                      value first; quadrature_panels is a positive integer)
+                      value first; quadrature_panels is an integer in
+                      [1, 10**6])
     [initial_measure] atoms, density (exponential|gaussian-bump|uniform|none),
                       rate, center, width, lo, hi, mass, file
     [numerics]        h, dt, T, x_max

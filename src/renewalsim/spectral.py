@@ -57,10 +57,17 @@ def _panel_sum(terms) -> float:
     return float(np.add.accumulate(terms)[-1])
 
 
+# Largest accepted quadrature_panels (the default is 2000): far beyond any
+# useful accuracy, and small enough that the Simpson grid fits in memory.
+_MAX_PANELS = 10**6
+
+
 def _panel_count(panels) -> int:
     if not (isinstance(panels, (int, float, np.integer)) and panels >= 1
             and float(panels).is_integer()):
         raise SpectralError("quadrature_panels must be a positive integer")
+    if panels > _MAX_PANELS:
+        raise SpectralError(f"quadrature_panels must be at most {_MAX_PANELS}")
     return int(panels)
 
 

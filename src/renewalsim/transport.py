@@ -25,11 +25,20 @@ Every step k >= 3 is the same Toeplitz sum ``sum_i kv[k-i] b[i]`` plus the
 Gregory end terms, plus a sparse correction for each jump of b in the
 history: the rule is applied segment by segment between jumps, and the
 segment-split weights differ from the plain ones only within two nodes of
-each jump, so the correction costs O(#jumps) per step.  The history sum is
+each jump, so the correction is O(#jumps) terms.  The history sum is
 convolved in doubling blocks (Hairer, Lubich and Schlichte, SIAM J. Sci.
 Stat. Comput. 6, 1985): once b[e-m:e] is known, with m the lowest set bit
-of e, one FFT adds its contribution to the next m steps, and only a short
-local window is summed directly.  A trace of K steps costs O(K log^2 K).
+of e, one FFT adds its contribution to the next m steps, so only the
+current window of ``_LOCAL`` steps is left.  Inside a window, the steps at
+least three past the last trace jump couple only through a lower-triangular
+Toeplitz system (the Gregory ends at nodes k and k-1 go into its diagonal
+and its lag-1 coupling); every other term of their rows is known when the
+rows open and is built as a vector, and the rows are solved by one product
+with the system's inverse, itself lower-triangular Toeplitz and built once
+per trajectory.  The two steps after a jump have their own Gregory ends and
+are solved as 1-row systems.  A trace of K steps costs O(K log^2 K) work
+and O(K / _LOCAL) Python iterations (plus one per clamped value), each
+with O(#jumps) vector terms.
 """
 from __future__ import annotations
 
@@ -56,9 +65,11 @@ __all__ = [
 
 _SNAP = 1e-9
 
-# Direct-sum window of the birth-trace history; older history arrives in
-# FFT blocks of at least this many steps.  A power of two.
-_LOCAL = 64
+# Window of the birth trace solved as one block; older history arrives in
+# FFT blocks of at least this many steps.  A power of two: of 64, 128 and
+# 256, 256 was fastest on a 3-jump K = 40 000 trace and on a par elsewhere
+# (each window costs O(_LOCAL^2) flops but a fixed count of numpy calls).
+_LOCAL = 256
 
 # Gregory end offsets from the trapezoid weights, (end node, next node),
 # for a segment of 1, 2 and >= 3 steps: trapezoid, Simpson, third order.
@@ -77,6 +88,8 @@ class Trajectory:
     horizon: float
     births: np.ndarray
     birth_jumps: tuple = ()  # (time index, jump size) where the trace jumps
+    clamp_count: int = 0  # nonnegative data: births rounded below 0 and set to 0
+    clamp_max: float = 0.0  # the largest magnitude so clamped
 
     @property
     def times(self) -> np.ndarray:
@@ -95,6 +108,12 @@ def _check_multiple(value: float, unit: float, what: str) -> int:
     return k
 
 
+def _lower_toeplitz(col: np.ndarray) -> np.ndarray:
+    """The lower-triangular Toeplitz matrix with first column ``col``."""
+    lag = np.subtract.outer(np.arange(col.size), np.arange(col.size))
+    return np.where(lag >= 0, col[np.maximum(lag, 0)], 0.0)
+
+
 def birth_series(n0: HybridMeasure, B: BirthLaw, spectral: SpectralData,
                  dt: float, T: float) -> Trajectory:
     """Solve for the boundary birth trace on the time grid 0, dt, ..., T.
@@ -104,6 +123,10 @@ def birth_series(n0: HybridMeasure, B: BirthLaw, spectral: SpectralData,
     leaving the window can never feed back into births (constant laws need
     no certificate, their forcing is evaluated analytically on the full
     half-line).
+
+    For nonnegative data, a birth value below ``-1e-10`` times the largest
+    |b| so far raises; a smaller negative one (rounding) is set to 0 and
+    counted in the trajectory's ``clamp_count`` and ``clamp_max``.
     """
     if dt <= 0.0 or T <= 0.0:
         raise TransportError("time step and horizon must be positive")
@@ -145,67 +168,108 @@ def birth_series(n0: HybridMeasure, B: BirthLaw, spectral: SpectralData,
     b[0] = g[0]
     nonneg = n0.nonnegative
     scale = max(abs(b[0]), 1.0)
+    clamps, clamp_max = 0, 0.0
 
-    def settle(val):
-        nonlocal scale
-        if nonneg and val < 0.0:
-            if val < -1e-10 * scale:
-                raise TransportError("birth trace went negative beyond tolerance")
-            val = 0.0
-        scale = max(scale, abs(val))
-        return val
+    def accept(s, x):
+        # store x as b[s:s+len(x)] up to its first negative value, which is
+        # clamped to 0 or raises; return the count stored, clamp included
+        nonlocal scale, clamps, clamp_max
+        n = x.size
+        if nonneg:
+            neg = x < 0.0  # False at nan: a later non-finite value hides nothing
+            if neg.any():
+                n = int(neg.argmax())
+        b[s:s + n] = x[:n]
+        scale = float(np.fmax.reduce(np.abs(x[:n]), initial=scale))
+        if n == x.size:
+            return n
+        if x[n] < -1e-10 * scale:
+            raise TransportError("birth trace went negative beyond tolerance")
+        b[s + n] = 0.0
+        clamps += 1
+        clamp_max = max(clamp_max, float(-x[n]))
+        return n + 1
 
     if K >= 1:
-        b[1] = settle((g[1] + 0.5 * dt * kv[1] * b[0]) / (1.0 - 0.5 * dt * kv[0]))
+        accept(1, np.atleast_1d(
+            (g[1] + 0.5 * dt * kv[1] * b[0]) / (1.0 - 0.5 * dt * kv[0])))
     if K >= 2:
-        b[2] = settle(
+        accept(2, np.atleast_1d(
             (g[2] + dt / 3.0 * (4.0 * kv[1] * b[1] + kv[2] * b[0]))
-            / (1.0 - dt / 3.0 * kv[0])
-        )
+            / (1.0 - dt / 3.0 * kv[0])))
 
     # Step k integrates over the time nodes 0..k, cut into segments at the
-    # jumps before k.  hist[k] plus the local dot is the unit-weight
-    # Toeplitz sum over nodes 0..k-1.  The trapezoid halves the weight of
-    # node 0 (node k is the implicit unknown), and both ends of every
-    # segment add the Gregory offsets for its length, at a jump node
-    # applied to the one-sided value that segment sees.  Without jumps this
-    # is the plain third-order Gregory rule; where both segments next to a
-    # jump have >= 3 steps, the one-sided parts cancel.
+    # jumps before k.  hist[k] is the unit-weight Toeplitz sum over the
+    # nodes below k's window; the window's own earlier nodes add
+    # ``inner @ b``.  The trapezoid halves the weight of node 0 (node k is
+    # the implicit unknown), and both ends of every segment add the Gregory
+    # offsets for its length, at a jump node applied to the one-sided value
+    # that segment sees.  Without jumps this is the plain third-order
+    # Gregory rule; where both segments next to a jump have >= 3 steps, the
+    # one-sided parts cancel.  The steps k >= p + 3 (p the last jump before
+    # k) of one window couple only through the Toeplitz system with first
+    # column ``col``, solved by one product with its inverse ``solve``.
     jt = sorted(b_jump)
     half = [0.5 * b_jump[j] for j in jt]
     below = [_GREGORY_ENDS[min(q - p, 3)] for p, q in zip([0] + jt, jt)]
+    a0, a1 = _GREGORY_ENDS[3]
+    w = min(_LOCAL, K + 1)
+    inner = _lower_toeplitz(kv[:w])  # only its strictly lower part is read
+    col = -dt * kv[:w]
+    col[0] = 1.0 - dt * (0.5 + a0) * kv[0]
+    col[1:2] *= 1.0 + a1  # a slice: w is 1 when K = 0
+    inv = np.zeros(w)  # first column of the inverse, by forward substitution
+    inv[0] = 1.0 / col[0]
+    for i in range(1, w):
+        inv[i] = -float(np.dot(col[i:0:-1], inv[:i])) * inv[0]
+    solve = _lower_toeplitz(inv)
+
     hist = np.zeros(K + 1)
-    # float views: the scalar work per step stays off numpy scalars
-    kvl, gl, bl = memoryview(kv), memoryview(g), memoryview(b)
     spectra = {}
     active = 0
-    for k in range(3, K + 1):
-        if k % _LOCAL == 0:
-            # all of b[k-m:k] is final: add its share of the history to
-            # hist[k:k+m] with one circular convolution of length 2m
-            m = k & -k
+    for lo in range(0, K + 1, _LOCAL):
+        hi = min(lo + _LOCAL, K + 1)
+        if lo:
+            # all of b[lo-m:lo] is final: add its share of the history to
+            # hist[lo:lo+m] with one circular convolution of length 2m
+            m = lo & -lo
             if m not in spectra:
                 spectra[m] = np.fft.rfft(kv[:2 * m], 2 * m)
-            n = min(m, K + 1 - k)
-            conv = np.fft.irfft(np.fft.rfft(b[k - m:k], 2 * m) * spectra[m], 2 * m)
-            hist[k:k + n] += conv[m:m + n]
-        lo = k - k % _LOCAL
-        s = float(hist[k] + np.dot(b[lo:k], kv[k - lo:0:-1])) - 0.5 * kvl[k] * bl[0]
-        while active < len(jt) and jt[active] < k:
-            active += 1
-        p, vp = 0, bl[0]
-        for i in range(active):
-            q = jt[i]
-            a0, a1 = below[i]
-            s += (a0 * (kvl[k - p] * vp + kvl[k - q] * (bl[q] - half[i]))
-                  + a1 * (kvl[k - p - 1] * bl[p + 1] + kvl[k - q + 1] * bl[q - 1]))
-            p, vp = q, bl[q] + half[i]
-        a0, a1 = _GREGORY_ENDS[min(k - p, 3)]
-        s += a0 * kvl[k - p] * vp + a1 * (kvl[k - p - 1] * bl[p + 1] + kvl[1] * bl[k - 1])
-        bl[k] = settle((gl[k] + dt * s) / (1.0 - dt * (0.5 + a0) * kvl[0]))
+            n = min(m, K + 1 - lo)
+            conv = np.fft.irfft(np.fft.rfft(b[lo - m:lo], 2 * m) * spectra[m], 2 * m)
+            hist[lo:lo + n] += conv[m:m + n]
+        k = max(lo, 3)
+        while k < hi:
+            # rows k..e-1 share the last jump p and their Gregory ends; every
+            # term but their mutual coupling is known, so it is one vector
+            while active < len(jt) and jt[active] < k:
+                active += 1
+            p = jt[active - 1] if active else 0
+            if k - p < 3:
+                e = k + 1
+            else:
+                e = min(hi, jt[active] + 1) if active < len(jt) else hi
+            r = hist[k:e] + inner[k - lo:e - lo, :k - lo] @ b[lo:k] - 0.5 * b[0] * kv[k:e]
+            p, vp = 0, b[0]
+            for i in range(active):
+                q = jt[i]
+                c0, c1 = below[i]
+                r += (c0 * (kv[k - p:e - p] * vp + kv[k - q:e - q] * (b[q] - half[i]))
+                      + c1 * (kv[k - p - 1:e - p - 1] * b[p + 1]
+                              + kv[k - q + 1:e - q + 1] * b[q - 1]))
+                p, vp = q, b[q] + half[i]
+            c0, c1 = _GREGORY_ENDS[min(k - p, 3)]
+            r += c0 * kv[k - p:e - p] * vp + c1 * kv[k - p - 1:e - p - 1] * b[p + 1]
+            r[0] += c1 * kv[1] * b[k - 1]
+            r = g[k:e] + dt * r
+            if k - p < 3:
+                k += accept(k, r / (1.0 - dt * (0.5 + c0) * kv[0]))
+            else:
+                k += accept(k, solve[:e - k, :e - k] @ r)
 
     b.setflags(write=False)
-    return Trajectory(n0, spectral, B, dt, K * dt, b, tuple(sorted(b_jump.items())))
+    return Trajectory(n0, spectral, B, dt, K * dt, b, tuple(sorted(b_jump.items())),
+                      clamps, clamp_max)
 
 
 def _right_limit_at_zero(mu: HybridMeasure) -> float:

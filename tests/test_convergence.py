@@ -66,6 +66,15 @@ class TestFitDecayRate:
         with pytest.raises(RenewalError, match="5 usable"):
             rs.fit_decay_rate([(1.0, 0.5), (2.0, 0.1), (3.0, 1e-16), (4.0, 1e-16)])
 
+    def test_fit_stops_at_the_discretisation_floor(self):
+        # D decays like exp(-t) down to t = 6, then grows linearly off its floor
+        ts = np.arange(1.0, 10.5, 0.5)
+        samples = [(t, math.exp(-min(t, 6.0)) * (1.0 + max(t - 6.0, 0.0))) for t in ts]
+        fit = rs.fit_decay_rate(samples)
+        assert [t for t, _ in fit.samples] == [t for t in ts if t <= 6.0]
+        assert abs(fit.sigma_hat - 1.0) <= 1e-10
+        assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
+
     def test_floor_filtering(self):
         ts = np.arange(1.0, 12.0)
         samples = [(t, math.exp(-t)) for t in ts] + [(20.0, 1e-16)]

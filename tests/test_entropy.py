@@ -55,8 +55,9 @@ class TestIntegrandValidation:
         assert H.H_inf_minus == pytest.approx(1.0, abs=1e-9)
 
     def test_nonconvex_rejected(self):
-        with pytest.raises(EntropyError, match="not convex"):
-            rs.make_integrand("neg_abs", lambda u: -np.abs(u))
+        for name, H in (("neg_abs", lambda u: -np.abs(u)), ("sin", np.sin)):
+            with pytest.raises(EntropyError, match="not convex"):
+                rs.make_integrand(name, H)
 
     def test_unknown_builtin(self):
         with pytest.raises(EntropyError):

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ import renewalsim as rs
 from renewalsim.cli import main
 from renewalsim.errors import ScenarioError
 from renewalsim.scenarios import load_scenario, parse_scenario
+from renewalsim.spectral import _MAX_PANELS
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 # constant_dirac's 0.005 snapshot grid is coarser than dt = 0.001: the
@@ -295,6 +298,8 @@ class TestCli:
         "kind = constant\nbeta = 1.0\nquadrature_panels = 0",
         "kind = constant\nbeta = 1.0\nquadrature_panels = -5",
         "kind = constant\nbeta = 1.0\nquadrature_panels = 2.7",
+        "kind = constant\nbeta = 1.0\nquadrature_panels = 1e300",
+        f"kind = constant\nbeta = 1.0\nquadrature_panels = {_MAX_PANELS + 1}",
     ])
     def test_birth_law_config_errors(self, tmp_path, capsys, law):
         path = self.write(tmp_path, GOLDEN.replace("kind = constant\nbeta = 1.0", law))
@@ -314,6 +319,26 @@ class TestCli:
             assert table == (tmp_path / "indicator" / name).read_bytes(), name
         assert load_scenario(str(tmp_path / "table.ini")).birth_law.jump_points() == (
             (0.25, 0.0, 2.0), (1.0, 2.0, 0.0))
+
+    def test_commands_leave_numpy_random_unloaded(self, tmp_path):
+        # importing numpy.random costs every command about 15 ms
+        path = self.write(tmp_path, GOLDEN)
+        script = (
+            "import sys\n"
+            "from renewalsim.cli import main\n"
+            f"codes = [main(['--quiet', cmd, '--scenario', {path!r}, *extra])\n"
+            f"         for cmd, extra in (('run', ['--out', {str(tmp_path / 'o')!r}]),"
+            " ('verify', []))]\n"
+            "print(codes, 'numpy.random' in sys.modules)\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                             capture_output=True, text=True, timeout=120).stdout
+        codes, loaded = out.split("\n")[-2].rsplit(" ", 1)
+        # verify may exit 3: GOLDEN's coarse sample grid fails conservation
+        assert codes in ("[0, 0]", "[0, 3]") and loaded == "False", out
 
     def test_missing_file_exit_code(self, capsys):
         assert main(["run", "--scenario", "/nonexistent.ini"]) == 1

@@ -1,4 +1,6 @@
+import glob
 import math
+import os
 
 import numpy as np
 import pytest
@@ -7,12 +9,18 @@ import renewalsim as rs
 from renewalsim import HybridMeasure
 from renewalsim.errors import TransportError
 from renewalsim.measures import _panel_sides, ac_cumulative
+from renewalsim.scenarios import load_scenario
 from renewalsim.transport import (
+    _GREGORY_ENDS,
     _LOCAL,
+    _SNAP,
     characteristic_labels,
     snapshot_atoms,
     snapshot_index,
 )
+
+SCENARIOS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..",
+                                          "scenarios", "*.ini")))
 
 
 def ones(x):
@@ -85,6 +93,91 @@ def direct_births(traj):
         s = float(np.dot(w[1:] * kv[1:k + 1], b[k - 1::-1][:k])) + extra
         b[k] = settle((g[k] + dt * s) / (1.0 - dt * w[0] * kv[0]))
     return b
+
+
+def reference_birth_series(n0, B, spectral, dt, T):
+    """The former per-step loop of ``birth_series``: one Python step per node.
+
+    Same scheme, same FFT history blocks and the same negativity guard, with
+    each step's local window sum, jump corrections and clamp done in
+    scalars.  Returns the births array; raises ``TransportError`` where the
+    guard fires.
+    """
+    K = int(round(T / dt))
+    lam = spectral.lambda0
+    times = np.arange(K + 1) * dt
+    kv = B.quad_values(times) * np.exp(-lam * times)
+    g = B.birth_forcing(n0, times) * np.exp(-lam * times)
+    b_jump = {}
+    for p, vl, vr in B.jump_points():
+        for loc, wt in n0.atoms:
+            tj = p - loc
+            if tj <= _SNAP or tj > K * dt + _SNAP:
+                continue
+            j = int(round(tj / dt))
+            if 0 < j <= K and abs(tj - j * dt) <= _SNAP * max(1.0, tj):
+                delta = wt * (vr - vl) * math.exp(-lam * j * dt)
+                b_jump[j] = b_jump.get(j, 0.0) + delta
+    b_jump = {j: d for j, d in b_jump.items() if d != 0.0}
+
+    b = np.zeros(K + 1)
+    b[0] = g[0]
+    nonneg = n0.nonnegative
+    scale = max(abs(b[0]), 1.0)
+
+    def settle(val):
+        nonlocal scale
+        if nonneg and val < 0.0:
+            if val < -1e-10 * scale:
+                raise TransportError("birth trace went negative beyond tolerance")
+            val = 0.0
+        scale = max(scale, abs(val))
+        return val
+
+    if K >= 1:
+        b[1] = settle((g[1] + 0.5 * dt * kv[1] * b[0]) / (1.0 - 0.5 * dt * kv[0]))
+    if K >= 2:
+        b[2] = settle(
+            (g[2] + dt / 3.0 * (4.0 * kv[1] * b[1] + kv[2] * b[0]))
+            / (1.0 - dt / 3.0 * kv[0])
+        )
+    jt = sorted(b_jump)
+    half = [0.5 * b_jump[j] for j in jt]
+    below = [_GREGORY_ENDS[min(q - p, 3)] for p, q in zip([0] + jt, jt)]
+    hist = np.zeros(K + 1)
+    kvl, gl, bl = memoryview(kv), memoryview(g), memoryview(b)
+    spectra = {}
+    active = 0
+    for k in range(3, K + 1):
+        if k % _LOCAL == 0:
+            m = k & -k
+            if m not in spectra:
+                spectra[m] = np.fft.rfft(kv[:2 * m], 2 * m)
+            n = min(m, K + 1 - k)
+            conv = np.fft.irfft(np.fft.rfft(b[k - m:k], 2 * m) * spectra[m], 2 * m)
+            hist[k:k + n] += conv[m:m + n]
+        lo = k - k % _LOCAL
+        s = float(hist[k] + np.dot(b[lo:k], kv[k - lo:0:-1])) - 0.5 * kvl[k] * bl[0]
+        while active < len(jt) and jt[active] < k:
+            active += 1
+        p, vp = 0, bl[0]
+        for i in range(active):
+            q = jt[i]
+            a0, a1 = below[i]
+            s += (a0 * (kvl[k - p] * vp + kvl[k - q] * (bl[q] - half[i]))
+                  + a1 * (kvl[k - p - 1] * bl[p + 1] + kvl[k - q + 1] * bl[q - 1]))
+            p, vp = q, bl[q] + half[i]
+        a0, a1 = _GREGORY_ENDS[min(k - p, 3)]
+        s += a0 * kvl[k - p] * vp + a1 * (kvl[k - p - 1] * bl[p + 1] + kvl[1] * bl[k - 1])
+        bl[k] = settle((gl[k] + dt * s) / (1.0 - dt * (0.5 + a0) * kvl[0]))
+    return b
+
+
+def assert_matches_reference(traj):
+    ref = reference_birth_series(traj.initial, traj.birth_law, traj.spectral,
+                                 traj.dt, traj.horizon)
+    err = np.abs(traj.births - ref).max()
+    assert err <= 1e-13 * np.abs(ref).max(), f"max deviation {err:.3e}"
 
 
 def assert_matches_direct(traj):
@@ -228,6 +321,84 @@ class TestDirectOracle:
         traj = rs.birth_series(n0, B, sp, 0.0005, 40.0)
         assert traj.births.size == 80001
         assert np.abs(traj.births - 1.0).max() <= 1e-6
+
+
+class TestWindowSolve:
+    """The blocked triangular solves against the per-step reference loop."""
+
+    dt = 0.001
+
+    def run(self, B, sp, atoms, T):
+        n0 = HybridMeasure.from_function(TestDirectOracle.density, 12.0, self.dt,
+                                         atoms=atoms, nonnegative=True)
+        return rs.birth_series(n0, B, sp, self.dt, T)
+
+    @pytest.mark.parametrize("offset", [0, 1, 2, _LOCAL - 1])
+    def test_jump_at_window_offset(self, ind_spectral, offset):
+        # an atom at 1 - j dt leaves the support [0, 1] at step j
+        j = 2 * _LOCAL + offset
+        traj = self.run(*ind_spectral, ((1.0 - j * self.dt, 0.3),), (j + 300) * self.dt)
+        assert [jj for jj, _ in traj.birth_jumps] == [j]
+        assert_matches_reference(traj)
+
+    @pytest.mark.parametrize("gap", [1, 2])
+    def test_jumps_across_window_edge(self, ind_spectral, gap):
+        j = 2 * _LOCAL - 1
+        atoms = ((1.0 - j * self.dt, 0.3), (1.0 - (j + gap) * self.dt, 0.2))
+        traj = self.run(*ind_spectral, atoms, (j + 300) * self.dt)
+        assert [jj for jj, _ in traj.birth_jumps] == [j, j + gap]
+        assert_matches_reference(traj)
+
+    def test_horizon_below_one_window(self, ind_spectral):
+        K = _LOCAL - 10
+        traj = self.run(*ind_spectral, ((0.95, 0.3),), K * self.dt)
+        assert traj.births.size == K + 1 and len(traj.birth_jumps) == 1
+        assert_matches_reference(traj)
+
+    def test_signed_datum(self, ind_spectral):
+        B, sp = ind_spectral
+        n0 = HybridMeasure.from_function(lambda x: np.sin(6.0 * x) * np.exp(-x), 12.0,
+                                         self.dt, atoms=((0.3, -1.5), (0.6, 0.2)))
+        traj = rs.birth_series(n0, B, sp, self.dt, 1.5)
+        assert traj.births.min() < 0.0 and traj.clamp_count == 0
+        assert_matches_reference(traj)
+
+    def test_clamps_resolve_the_rest_of_the_window(self):
+        # the atom leaves no offspring age in [0.1, 0.5): the trace vanishes
+        # over more than one window, and FFT rounding leaves values of +-1e-17
+        B = rs.BirthLaw.indicator(4.0, 0.5, 1.0)
+        n0 = HybridMeasure.point_mass(0.9, 4.0, self.dt)
+        traj = rs.birth_series(n0, B, rs.solve_spectral(B), self.dt, 3.0)
+        windows = traj.births.size // _LOCAL + 1
+        # more clamps than windows: some window clamps and then solves again
+        assert traj.clamp_count > windows
+        assert 0.0 < traj.clamp_max < 1e-10 * np.abs(traj.births).max()
+        assert traj.births.min() == 0.0
+        assert_matches_reference(traj)
+
+    def test_negative_beyond_tolerance_mid_window(self):
+        # the negative atom enters the support [0.5, 1] at t = 0.3, step 300,
+        # and takes the trace far below zero there
+        B = rs.BirthLaw.indicator(4.0, 0.5, 1.0)
+        sp = rs.solve_spectral(B)
+        n0 = HybridMeasure.from_function(lambda x: np.exp(-x), 4.0, self.dt,
+                                         atoms=((0.2, -1.0),))
+        signed = rs.birth_series(n0, B, sp, self.dt, 1.0).births
+        first = int(np.flatnonzero(signed < 0.0)[0])
+        assert first == 300 and first % _LOCAL not in (0, _LOCAL - 1)
+        # flag the signed datum nonnegative behind the constructor's check
+        object.__setattr__(n0, "nonnegative", True)
+        for solver in (rs.birth_series, reference_birth_series):
+            with pytest.raises(TransportError, match="negative beyond tolerance"):
+                solver(n0, B, sp, self.dt, 1.0)
+
+    @pytest.mark.parametrize("path", SCENARIOS, ids=os.path.basename)
+    def test_shipped_scenarios_match_and_never_clamp(self, path):
+        sc = load_scenario(path)
+        traj = rs.birth_series(sc.initial, sc.birth_law, rs.solve_spectral(sc.birth_law),
+                               sc.dt, sc.horizon)
+        assert (traj.clamp_count, traj.clamp_max) == (0, 0.0)
+        assert_matches_reference(traj)
 
 
 class TestEvolve:
