@@ -301,27 +301,36 @@ def mollify(mu: HybridMeasure, eps: float) -> "HybridMeasure":
     each atom's mass lands on the grid exactly (cell-average projection:
     the trapezoid weights of the grid coincide with the cell widths).  The
     density part is left untouched and the result carries no atoms.
+
+    Node i owns the cell between the edges ``(i - 1/2) h`` and
+    ``(i + 1/2) h``, clipped to [0, x_max].  Only the cells that meet
+    (c - eps, c + eps), widened by one cell on each side, are evaluated;
+    when c < eps that range starts at x = 0 and so holds the reflected
+    cells as well.  Outside it the kernel's CDF is exactly 0 or 1 at every
+    edge and the cell masses are exactly zero, so an atom costs O(eps / h)
+    and the result is the same, bit for bit, as the projection evaluated
+    on every cell.
     """
     if eps < mu.h * (1.0 - 1e-12):
         raise MeasureError("mollifier width below grid spacing: kernel unresolvable")
     if not mu.atoms:
         return mu
-    nodes = mu.nodes
-    x_max = mu.x_max
-    edges = np.empty(nodes.size + 1)
-    edges[0] = 0.0
-    edges[-1] = x_max
-    edges[1:-1] = nodes[:-1] + mu.h / 2.0
-    widths = np.diff(edges)
-
-    dens = mu.density.copy()
-    added = np.zeros_like(dens)
+    h, n, x_max = mu.h, mu.node_count, mu.x_max
+    added = np.zeros(n)
     for c, wt in mu.atoms:
         if c + eps > x_max * (1 + _SNAP):
             raise MeasureError(f"kernel around atom at {c} leaves the domain")
+        # edges lo..hi: edge j sits at (j - 1/2) h, edge 0 at 0, edge n at x_max
+        lo = max(0, math.floor((c - eps) / h + 0.5) - 1)
+        hi = min(n, math.ceil((c + eps) / h + 0.5) + 1)
+        edges = np.arange(lo - 1, hi) * h + h / 2.0
+        if lo == 0:
+            edges[0] = 0.0
+        if hi == n:
+            edges[-1] = x_max
         mass_to = _hat_cdf(edges, c, eps) - _hat_cdf(-edges, c, eps)
-        added += wt * np.diff(mass_to) / widths
-    dens = dens + added
+        added[lo:hi] += wt * np.diff(mass_to) / np.diff(edges)
+    dens = mu.density + added
     jumps = tuple((x, lo + added[int(round(x / mu.h))], hi + added[int(round(x / mu.h))])
                   for x, lo, hi in mu.jumps)
     return HybridMeasure(mu.h, dens, (), jumps, nonnegative=mu.nonnegative)
@@ -454,11 +463,16 @@ def ac_first_moment(mu: HybridMeasure, ys) -> np.ndarray:
 # -- flat (bounded-Lipschitz) metric -----------------------------------------
 
 
-def _support_points(mu: HybridMeasure):
+def _node_masses(mu: HybridMeasure) -> np.ndarray:
+    """Trapezoid weight times density at every grid node."""
     tw = np.full(mu.node_count, mu.h)
     tw[0] = tw[-1] = mu.h / 2.0
+    return tw * mu.density
+
+
+def _support_points(mu: HybridMeasure):
     locs = mu.nodes
-    wts = tw * mu.density
+    wts = _node_masses(mu)
     if mu.atoms:
         locs = np.concatenate([locs, [a[0] for a in mu.atoms]])
         wts = np.concatenate([wts, [a[1] for a in mu.atoms]])
@@ -537,27 +551,62 @@ def _chain_max(locs: np.ndarray, w: np.ndarray) -> float:
     return top
 
 
-def flat_distance(mu: HybridMeasure, nu: HybridMeasure, max_points: int = 200_000) -> float:
+def _same_grid_difference(mu: HybridMeasure, nu: HybridMeasure):
+    """Sorted support and weights of ``mu - nu`` on their one shared grid.
+
+    A node's weight is summed as mu's node weight, plus mu's atom there,
+    minus nu's node weight, minus nu's atom there: the order in which the
+    sort-merge of ``flat_distance`` adds them up, so the sums are the same
+    floats.  Atoms off the nodes are merged by location and inserted in
+    order.
+    """
+    nodes = mu.nodes
+    vals = _node_masses(mu)
+    off = {}
+
+    def add_atoms(atoms, sign):
+        for loc, wt in atoms:
+            k = round(loc / mu.h)
+            if k < nodes.size and nodes[k] == loc:
+                vals[k] += sign * wt
+            else:
+                off[loc] = off.get(loc, 0.0) + sign * wt
+
+    add_atoms(mu.atoms, 1.0)
+    vals -= _node_masses(nu)
+    add_atoms(nu.atoms, -1.0)
+    if off:
+        locs, wts = np.array(sorted(off.items())).T
+        pos = nodes.searchsorted(locs)
+        nodes, vals = np.insert(nodes, pos, locs), np.insert(vals, pos, wts)
+    return nodes, vals
+
+
+def flat_distance(mu: HybridMeasure, nu: HybridMeasure) -> float:
     """Flat (bounded-Lipschitz) distance between two measures.
 
     The difference measure is discretized to atoms (trapezoid node weights
     for the AC parts, atoms verbatim) and the finite maximization over test
     functions with sup-norm and Lipschitz constant at most one is solved
     exactly by a clamping dynamic program over the sorted support.
+
+    Two measures on the same grid (equal spacing and node count) are
+    subtracted node by node in O(n), and the nodes where they agree drop
+    out of the support; measures on different grids are merged by sorting
+    all their support points.  Both give the same floats.  The support has
+    no size limit: the dynamic program is linear in it.
     """
-    l1, w1 = _support_points(mu)
-    l2, w2 = _support_points(nu)
-    locs = np.concatenate([l1, l2])
-    wts = np.concatenate([w1, -w2])
-    uniq, inv = np.unique(locs, return_inverse=True)
-    merged = np.bincount(inv, weights=wts)
-    keep = merged != 0.0
-    pts, vals = uniq[keep], merged[keep]
-    if pts.size == 0:
+    if mu.h == nu.h and mu.node_count == nu.node_count:
+        locs, wts = _same_grid_difference(mu, nu)
+    else:
+        l1, w1 = _support_points(mu)
+        l2, w2 = _support_points(nu)
+        locs, inv = np.unique(np.concatenate([l1, l2]), return_inverse=True)
+        wts = np.bincount(inv, weights=np.concatenate([w1, -w2]))
+    keep = wts != 0.0
+    if not keep.any():
         return 0.0
-    if pts.size > max_points:
-        raise MeasureError("flat metric support exceeds the configured point budget")
-    return _chain_max(pts, vals)
+    return _chain_max(locs[keep], wts[keep])
 
 
 # -- CSV files ----------------------------------------------------------------

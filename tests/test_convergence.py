@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -102,6 +103,25 @@ class TestMollificationHarness:
         assert rep.angle_gaps[-1] < rep.angle_gaps[0]
         for e, fd in zip(eps, rep.flat_distances):
             assert fd <= e / 2.0 + 1e-9
+
+    def test_one_grid_context_per_ladder(self, ind_spectral):
+        _, sp = ind_spectral
+        seen = {"phi": 0, "N": 0}
+
+        def counting(name, fn):
+            def counted(x):
+                seen[name] += np.size(x)
+                return fn(x)
+            return counted
+
+        sp = dataclasses.replace(sp, phi=counting("phi", sp.phi), N=counting("N", sp.N))
+        n0 = HybridMeasure.from_function(lambda x: np.exp(-x), 6.0, 0.005,
+                                         atoms=((0.02, 0.3), (1.0, 0.5), (2.5, 0.2)))
+        rep = rs.reshetnyak_harness(n0, sp, rs.builtin_integrand("abs"),
+                                    (0.4, 0.2, 0.1, 0.05))
+        assert len(rep.gre_values) == 4
+        panel_ends = 2 * (n0.node_count - 1)
+        assert seen == {"phi": panel_ends + 3, "N": panel_ends}
 
     def test_bad_ladder_rejected(self, const_spectral):
         _, sp = const_spectral

@@ -1,8 +1,11 @@
+import struct
+
 import numpy as np
 import pytest
 
 import renewalsim as rs
-from renewalsim import HybridMeasure
+from renewalsim import HybridMeasure, measures
+from renewalsim.cli import main
 from renewalsim.measures import _chain_max, _support_points
 
 linprog = pytest.importorskip("scipy.optimize").linprog
@@ -148,11 +151,34 @@ def test_positive_homogeneity():
         )
 
 
-def test_point_budget_cap():
-    mu = HybridMeasure.from_function(lambda x: np.exp(-x), 10.0, 0.01)
-    nu = HybridMeasure.zero(10.0, 0.01)
-    with pytest.raises(rs.MeasureError):
-        rs.flat_distance(mu, nu, max_points=100)
+def difference_bounds(mu, nu):
+    """|total| and total variation of the discretized difference mu - nu."""
+    la, wa = _support_points(mu)
+    lb, wb = _support_points(nu)
+    _, inv = np.unique(np.concatenate([la, lb]), return_inverse=True)
+    diff = np.bincount(inv, weights=np.concatenate([wa, -wb]))
+    return abs(diff.sum()), np.abs(diff).sum()
+
+
+def test_cli_distance_on_large_snapshots(tmp_path, capsys):
+    # 250 001 nodes each: the support of the difference has no size cap
+    h = 4e-5
+    a = HybridMeasure.from_function(lambda x: np.exp(-x) * (1.0 + 0.3 * np.sin(7.0 * x)),
+                                    10.0, h, atoms=((0.5, 0.4), (2.0, 0.1)))
+    b = HybridMeasure.from_function(lambda x: 1.1 * np.exp(-1.1 * x), 10.0, h,
+                                    atoms=((0.75, 0.2),))
+    assert a.node_count == b.node_count == 250_001
+    pa, pb = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+    rs.write_snapshot(a, pa)
+    rs.write_snapshot(b, pb)
+    capsys.readouterr()
+    assert main(["distance", pa, pb]) == 0
+    d_ab = capsys.readouterr().out.strip()
+    assert main(["distance", pb, pa]) == 0
+    d_ba = capsys.readouterr().out.strip()
+    assert d_ab == d_ba
+    lo, hi = difference_bounds(a, b)  # the CSV round trip is exact
+    assert lo * (1 - 1e-9) <= float(d_ab) <= hi * (1 + 1e-9)
 
 
 def test_chain_max_single_point():
@@ -217,3 +243,112 @@ def test_snapshot_distance_symmetric_bounded_and_exact(ind_spectral):
     keep = diff != 0.0
     want = reference_chain_max(locs[keep], diff[keep])
     assert abs(d_ab - want) <= 1e-12 * max(1.0, want)
+
+
+# -- the same-grid merge against the sort-merge ---------------------------------
+
+
+def reference_flat_distance(mu, nu):
+    """Flat distance with the support merged by sorting all support points.
+
+    Kept as the oracle for the node-by-node subtraction that
+    ``flat_distance`` uses on measures sharing one grid.
+    """
+    l1, w1 = _support_points(mu)
+    l2, w2 = _support_points(nu)
+    uniq, inv = np.unique(np.concatenate([l1, l2]), return_inverse=True)
+    merged = np.bincount(inv, weights=np.concatenate([w1, -w2]))
+    keep = merged != 0.0
+    if not keep.any():
+        return 0.0
+    return _chain_max(uniq[keep], merged[keep])
+
+
+def bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+@pytest.fixture
+def merge_calls(monkeypatch):
+    """Count the calls of the same-grid merge."""
+    calls = []
+    merge = measures._same_grid_difference
+
+    def counted(mu, nu):
+        calls.append(1)
+        return merge(mu, nu)
+
+    monkeypatch.setattr(measures, "_same_grid_difference", counted)
+    return calls
+
+
+def assert_same_as_reference(mu, nu):
+    for a, b in ((mu, nu), (nu, mu)):
+        got, want = rs.flat_distance(a, b), reference_flat_distance(a, b)
+        assert bits(got) == bits(want), (got, want)
+    return got
+
+
+def smooth(x_max=4.0, h=0.25, atoms=(), scale=1.0, nonnegative=False):
+    return HybridMeasure.from_function(lambda x: scale * np.exp(-x), x_max, h, atoms=atoms,
+                                       nonnegative=nonnegative)
+
+
+class TestSameGridMerge:
+    def test_atoms_at_one_node_in_both(self, merge_calls):
+        assert_same_as_reference(smooth(atoms=((1.0, 0.3),)),
+                                 smooth(atoms=((1.0, 0.7),), scale=1.2))
+        assert merge_calls
+
+    def test_shared_off_node_atom(self, merge_calls):
+        assert_same_as_reference(smooth(atoms=((1.1, 0.3), (2.0, 0.1))),
+                                 smooth(atoms=((1.1, 0.2), (0.3, -0.4)), scale=0.9))
+        assert merge_calls
+
+    def test_atom_facing_a_node(self, merge_calls):
+        # mu's atom merges into nu's node weight at x = 1.5
+        mu = HybridMeasure(0.5, np.zeros(9), ((1.5, 0.25),))
+        nu = HybridMeasure(0.5, np.linspace(0.0, 1.0, 9))
+        assert_same_as_reference(mu, nu)
+        assert merge_calls
+
+    def test_exact_cancellation(self, merge_calls):
+        # atom 0.25 at node 3 cancels nu's node weight 0.5 * 0.5 exactly, and
+        # mu's -0.0 node against nu's 0.0 node cancels to -0.0
+        dens = np.zeros(9)
+        dens[3] = 0.5
+        mu_dens = np.zeros(9)
+        mu_dens[5] = -0.0
+        mu = HybridMeasure(0.5, mu_dens, ((1.5, 0.25),))
+        nu = HybridMeasure(0.5, dens)
+        assert assert_same_as_reference(mu, nu) == 0.0
+        mu = smooth(atoms=((1.1, 0.3),))
+        assert assert_same_as_reference(mu, mu) == 0.0
+        assert merge_calls
+
+    def test_signed_pair(self, merge_calls):
+        rng = np.random.default_rng(53)
+        for _ in range(50):
+            n = int(rng.integers(2, 60))
+            h = float(rng.choice([0.1, 0.25, 1.0 / 3.0]))
+            x_max = (n - 1) * h
+
+            def draw():
+                dens = rng.normal(size=n) * (rng.uniform(size=n) < 0.6)
+                on_node = rng.integers(0, n, 3) * h
+                off_node = rng.uniform(0.0, x_max, 2)
+                locs = np.concatenate([on_node, off_node])
+                return HybridMeasure(h, dens, tuple(zip(locs, rng.normal(size=5))))
+
+            mu, nu = draw(), draw()
+            shared = mu.atoms[-1][0]
+            nu = HybridMeasure(h, nu.density, nu.atoms + ((shared, rng.normal()),))
+            assert_same_as_reference(mu, nu)
+            assert_same_as_reference(mu, HybridMeasure(h, mu.density, nu.atoms))
+        assert len(merge_calls) == 200
+
+    def test_different_node_counts_take_the_mixed_path(self, merge_calls):
+        mu = smooth(x_max=4.0, atoms=((1.1, 0.3),))
+        nu = smooth(x_max=5.0, atoms=((1.1, 0.2), (4.5, 0.1)))
+        assert_same_as_reference(mu, nu)
+        assert not merge_calls

@@ -187,6 +187,101 @@ class TestMollify:
             rs.mollify(mu, 0.2)
 
 
+def reference_mollify(mu, eps):
+    """``mollify`` with every atom's kernel CDF evaluated on every cell edge.
+
+    Kept as the oracle for the local evaluation near each atom.
+    """
+    from renewalsim.measures import _SNAP, _hat_cdf
+
+    if eps < mu.h * (1.0 - 1e-12):
+        raise MeasureError("mollifier width below grid spacing: kernel unresolvable")
+    if not mu.atoms:
+        return mu
+    nodes = mu.nodes
+    x_max = mu.x_max
+    edges = np.empty(nodes.size + 1)
+    edges[0] = 0.0
+    edges[-1] = x_max
+    edges[1:-1] = nodes[:-1] + mu.h / 2.0
+    widths = np.diff(edges)
+
+    dens = mu.density.copy()
+    added = np.zeros_like(dens)
+    for c, wt in mu.atoms:
+        if c + eps > x_max * (1 + _SNAP):
+            raise MeasureError(f"kernel around atom at {c} leaves the domain")
+        mass_to = _hat_cdf(edges, c, eps) - _hat_cdf(-edges, c, eps)
+        added += wt * np.diff(mass_to) / widths
+    dens = dens + added
+    jumps = tuple((x, lo + added[int(round(x / mu.h))], hi + added[int(round(x / mu.h))])
+                  for x, lo, hi in mu.jumps)
+    return HybridMeasure(mu.h, dens, (), jumps, nonnegative=mu.nonnegative)
+
+
+def assert_mollify_matches_reference(mu, eps):
+    out, ref = rs.mollify(mu, eps), reference_mollify(mu, eps)
+    assert np.array_equal(out.density, ref.density)
+    assert out.density.tobytes() == ref.density.tobytes()  # signs of zero too
+    assert out.jumps == ref.jumps
+    assert out.atoms == ref.atoms == ()
+    return out
+
+
+class TestLocalMollify:
+    """The local evaluation against the full-grid projection, bit for bit."""
+
+    def test_atom_at_zero(self):
+        mu = HybridMeasure.point_mass(0.0, 4.0, 0.01, weight=0.6)
+        assert_mollify_matches_reference(mu, 0.1)
+
+    def test_reflected_atom(self):
+        mu = HybridMeasure.from_function(lambda x: np.exp(-x), 4.0, 0.01,
+                                         atoms=((0.037, 0.8),))
+        for eps in (0.05, 0.1, 0.4):
+            assert_mollify_matches_reference(mu, eps)
+
+    def test_kernel_touching_the_right_end(self):
+        mu = HybridMeasure.point_mass(3.75, 4.0, 0.01)
+        assert 3.75 + 0.25 == mu.x_max
+        assert_mollify_matches_reference(mu, 0.25)
+
+    def test_negative_atom_on_signed_datum(self):
+        mu = HybridMeasure.from_function(lambda x: np.sin(3.0 * x), 4.0, 0.01,
+                                         atoms=((1.234, -0.7), (2.5, 0.2)))
+        assert_mollify_matches_reference(mu, 0.2)
+
+    def test_overlapping_kernels(self):
+        mu = HybridMeasure.from_function(lambda x: np.exp(-x), 4.0, 0.01,
+                                         atoms=((1.0, 0.5), (1.07, -0.3), (1.1, 0.2)))
+        assert_mollify_matches_reference(mu, 0.1)
+
+    def test_atom_on_a_jump_node(self):
+        dens = np.exp(-np.arange(401) * 0.01)
+        mu = HybridMeasure(0.01, dens, ((1.5, 0.4),), ((1.5, 0.2, 0.9), (1.56, 0.1, 0.3)),
+                           nonnegative=True)
+        out = assert_mollify_matches_reference(mu, 0.1)
+        assert len(out.jumps) == 2
+
+    def test_width_equal_to_spacing(self):
+        mu = HybridMeasure.from_function(lambda x: np.exp(-x), 4.0, 0.01,
+                                         atoms=((0.0, 0.1), (0.005, 0.2), (2.0, 0.3),
+                                                (2.013, 0.4)))
+        assert_mollify_matches_reference(mu, 0.01)
+
+    def test_random_data(self):
+        rng = np.random.default_rng(61)
+        for _ in range(40):
+            n = int(rng.integers(20, 400))
+            h = float(rng.choice([0.01, 0.1, 1.0 / 3.0, 0.0125]))
+            x_max = (n - 1) * h
+            eps = float(rng.uniform(h, x_max / 4))
+            locs = np.concatenate([rng.uniform(0.0, x_max - eps, 3),
+                                   rng.integers(0, int((x_max - eps) / h), 2) * h])
+            mu = HybridMeasure(h, rng.normal(size=n), tuple(zip(locs, rng.normal(size=5))))
+            assert_mollify_matches_reference(mu, eps)
+
+
 class TestShiftPushforward:
     def test_identity(self):
         mu = HybridMeasure.from_function(lambda x: np.exp(-x), 2.0, 0.1, atoms=((1.0, 2.0),))
