@@ -32,8 +32,9 @@ from .spectral import SpectralData
 from .transport import (
     Trajectory,
     characteristic_labels,
+    _atoms_at,
+    _snap,
     evolve,
-    snapshot_atoms,
     snapshot_index,
     tail_phi_mass,
 )
@@ -65,43 +66,81 @@ class DecayFit:
     m0: float
 
 
+# A tail block's scale q^block stays at least e^-_TAIL_EXP = 2^-512, a
+# normal float with room below it: the scaled terms neither underflow nor,
+# divided back, overflow.
+_TAIL_EXP = 512.0 * math.log(2.0)
+
+
 class _LabelTable:
     """Row functions of one stride's labels, summed over both panel sides.
 
-    ``fsum[p, r]`` is ``f_r(left[p]) + f_r(right[p])``, so a snapshot's node
-    sums are one window of rows; ``bad`` counts the labels that overflow up
-    to each position.  The cells where ``ratio - m0`` changes sign
-    (``cross``, by their left position), and the point in each where it
-    crosses zero, do not depend on the sample time (N(x + g) / N(x) =
-    exp(-lambda0 g) everywhere), so the exact split of ``weighted_variation``
-    is a fixed correction per cell: it removes ``cross_left`` and
-    ``cross_right``, times the node weights, from the cell's two ends.
+    ``fsum[r, p]`` is ``f_r(left[p]) + f_r(right[p])`` for the rows that
+    pair with the dual and birth weights, so a snapshot's node sums are one
+    window of rows; ``bad`` holds the positions of the labels that
+    overflow.  With ``distances``, ``dsum`` is the same sum for |ratio -
+    m0|, the row of the distances.  The cells where ``ratio - m0`` changes
+    sign (``cross``, by their left position), and the point in each where
+    it crosses zero, do not depend on the sample time (N(x + g) / N(x) =
+    exp(-lambda0 g) everywhere), so the exact split of
+    ``weighted_variation`` is folded into ``dsum``: a cell's left end
+    carries ``cross_left`` = theta |a| instead of |a| and its right end
+    ``cross_right`` = (1 - theta) |b| instead of |b|.
     """
 
-    def __init__(self, lab, fns, m0: float, lam: float):
-        self.lab = lab
+    def __init__(self, lab, fns, m0: float, lam: float, distances: bool):
+        self.lab, self.m0 = lab, m0
         L, R = lab.left, lab.right
-        self.fsum = np.empty((L.size, len(fns)))
+        self.fsum = np.empty((len(fns), L.size))
         with np.errstate(all="ignore"):
             for r, f in enumerate(fns):
-                self.fsum[:, r] = np.asarray(f(L), dtype=float) + np.asarray(f(R), dtype=float)
-            ok = np.isfinite(L) & np.isfinite(R) & (np.abs(L) <= 1e300) & (np.abs(R) <= 1e300)
-            a, b = L[:-1] - m0, R[1:] - m0
-            self.cross = np.flatnonzero(a * b < 0.0)
-        self.bad = np.concatenate([[0], np.cumsum(~ok)])
-        a, b = a[self.cross], b[self.cross]
-        theta = a / (a - math.exp(-lam * lab.spacing) * b)  # zero offset / spacing
-        self.cross_left = (1.0 - theta) * np.abs(a)
-        self.cross_right = theta * np.abs(b)
+                np.add(f(L), f(R), out=self.fsum[r])
+            self.bad = np.flatnonzero(~((np.abs(L) <= 1e300) & (np.abs(R) <= 1e300)))
+            if distances:
+                a, b = L - m0, R - m0
+                self.cross = np.flatnonzero(a[:-1] * b[1:] < 0.0)
+                a_c, b_c = a[self.cross], b[self.cross + 1]
+                theta = a_c / (a_c - math.exp(-lam * lab.spacing) * b_c)  # zero offset / spacing
+                self.cross_left = theta * np.abs(a_c)
+                self.cross_right = (1.0 - theta) * np.abs(b_c)
+                a, b = np.abs(a, out=a), np.abs(b, out=b)
+                a[self.cross] = self.cross_left
+                b[self.cross + 1] = self.cross_right
+                self.dsum = np.add(a, b, out=a)[None]
+
+    def overflows(self, starts, stops):
+        """Whether each window [start, stop) holds a label that overflows."""
+        return self.bad.searchsorted(stops) > self.bad.searchsorted(starts)
+
+    def distance_ends(self, first, last):
+        """The sides of ``dsum`` at nodes ``first`` and ``last`` that a window drops.
+
+        Node ``first`` has no panel to its left and node ``last`` none to
+        its right; a sign-change cell there carries its split value.
+        """
+        right = np.abs(self.lab.right[first] - self.m0)
+        left = np.abs(self.lab.left[last] - self.m0)
+        for side, nodes, shift, split in ((right, first, 1, self.cross_right),
+                                          (left, last, 0, self.cross_left)):
+            c = self.cross.searchsorted(nodes - shift)
+            hit = c < self.cross.size
+            hit[hit] = self.cross[c[hit]] + shift == nodes[hit]
+            side[hit] = split[c[hit]]
+        return right, left
 
 
 def _node_weights(spectral, B, etas, n: int, spacing: float, entropy: bool):
-    """Node weights of one snapshot grid, one column per weighted sum.
+    """Node weights of one snapshot grid, one row per weighted sum.
 
-    Columns: ``w phi N`` (dual mass, gre), ``w B N / N(0)`` (birth integral,
+    Rows: ``w phi N`` (dual mass, gre), ``w B N / N(0)`` (birth integral,
     dissipation) and ``w eta N`` per eta (distances), with w = spacing / 2
-    the weight of each panel end.  Also the unit-mass normalizer of the
-    dissipation weight over both panel sides.
+    the weight of each panel end.  Each row is ``w N g`` with g = phi,
+    B / N(0) or eta; its head is 1 plus the last node where g differs from
+    its final value (the whole grid if that leaves one node), and past the
+    head the row is ``w N`` times that constant, a geometric sequence.
+    Returns the weights, the unit-mass normalizer of the dissipation weight
+    over both panel sides, and the head lengths of the dual/birth rows and
+    of the distance rows.
     """
     if entropy and spectral.residual_euler_lotka > 1e-8:
         raise EntropyError("reference measure is not normalized: eigen residual too big")
@@ -109,21 +148,69 @@ def _node_weights(spectral, B, etas, n: int, spacing: float, entropy: bool):
     Nx = spectral.N(x)
     if entropy and not Nx.min() > 0.0:
         raise EntropyError("density/N overflows: domain too long for this rate")
-    wN = 0.5 * spacing * Nx
-    W = np.empty((n, 2 + len(etas)))
-    W[:, 0] = wN * spectral.phi(x)
-    W[:, 1] = wN * B.quad_values(x) / spectral.lambda0  # N(0) = lambda0
-    for e, eta in enumerate(etas.values()):
-        wn = 1.0
-        if eta is not None:
-            wn = _evaluate(eta, x)
-            if wn.min() < -1e-12:
+    g = np.empty((2 + len(etas), n))
+    g[0] = spectral.phi(x)
+    g[1] = B.quad_values(x) / spectral.lambda0  # N(0) = lambda0
+    for e, eta in enumerate(etas.values(), start=2):
+        if eta is None:
+            g[e] = 1.0
+        elif eta is spectral.phi:
+            g[e] = g[0]
+        else:
+            g[e] = _evaluate(eta, x)
+            if g[e].min() < -1e-12:
                 raise MeasureError("variation weight must be nonnegative")
-        W[:, 2 + e] = wN * wn
-    wsum = 2.0 * float(W[:, 1].sum()) - W[0, 1] - W[-1, 1]
+    head = []
+    for row in g:
+        moving = np.flatnonzero(row != row[-1])
+        head.append(int(moving[-1]) + 1 if moving.size else 0)
+    heads = (max(head[:2]), max(head[2:], default=0))
+    W = np.multiply(g, 0.5 * spacing * Nx, out=g)
+    wsum = 2.0 * float(W[1].sum()) - W[1, 0] - W[1, -1]
     if entropy and not wsum > 0.0:
         raise EntropyError("reference measure has no mass on this grid")
-    return W, wsum
+    return (W, wsum, *(h if h < n - 1 else n for h in heads))
+
+
+def _geometric_sums(f, starts, stops, decay: float):
+    """``sum_{p=start}^{stop-1} exp(-decay (p - start)) f[:, p]`` per (start, stop).
+
+    One backward recurrence ``G[p] = f[p] + q G[p + 1]``, q = exp(-decay),
+    over [min(starts), max(stops)], run from the end in blocks as a scaled
+    reverse cumulative sum with exact powers of q; a window is then
+    ``G[start] - q^(stop - start) G[stop]``.  Each row of ``f`` is summed
+    separately; the result is indexed (window, row).
+    """
+    lo, hi = int(starts.min()), int(stops.max())
+    block = max(1, int(_TAIL_EXP / decay))
+    G = np.zeros((f.shape[0], hi - lo + 1))
+    powers = np.exp(-decay * np.arange(min(block, hi - lo)))
+    for b1 in range(hi, lo, -block):
+        b0 = max(lo, b1 - block)
+        e, part = powers[:b1 - b0], G[:, b0 - lo:b1 - lo]
+        np.multiply(f[:, b0:b1], e, out=part)
+        np.cumsum(part[:, ::-1], axis=1, out=part[:, ::-1])
+        part += math.exp(-decay * (b1 - b0)) * G[:, b1 - lo, None]
+        part /= e
+    return (G[:, starts - lo] - np.exp(-decay * (stops - starts)) * G[:, stops - lo]).T
+
+
+def _window_sums(f, offs, n: int, W, head: int, decay: float):
+    """``sum_j f[:, off + j] W[:, j]`` over the n nodes of each window.
+
+    Indexed (window, row of f, row of W).  The first ``head`` nodes are
+    summed densely per window; past them each row of W is ``W[:, head]``
+    times a power of exp(-decay), so the rest is one blocked geometric
+    recurrence over the labels for all windows at once.
+    """
+    z = np.zeros((offs.size, f.shape[0], W.shape[0]))
+    if head:
+        Wh = W[:, :head].T
+        for s, off in enumerate(offs):
+            z[s] = f[:, off:off + head] @ Wh
+    if head < n and W[:, head].any():
+        z += _geometric_sums(f, offs + head, offs + n, decay)[:, :, None] * W[:, head]
+    return z
 
 
 def sample_diagnostics(traj: Trajectory, times, integrands=(), etas=None) -> dict:
@@ -141,76 +228,95 @@ def sample_diagnostics(traj: Trajectory, times, integrands=(), etas=None) -> dic
     ratio of every snapshot is one window of the time-invariant label
     arrays of ``characteristic_labels``, and each H is applied once to
     them.  Per grid spacing the node weights ``w phi N``, ``w B N / N(0)``
-    and ``w eta N`` are built once, so a sample costs one product of a
-    window view with the weights, plus closed-form terms for the atoms,
-    the window ends, the sign-change cells of ``D_<name>`` and the leak.
+    and ``w eta N`` are built once, and only the pairs a column uses are
+    summed: the ratio and each H against the first two, |ratio - m0|
+    against the etas.  Each weight is ``w N g``, and g is constant past
+    its head (past the birth law's last breakpoint phi and B are, and so is
+    eta for ``phi`` and the unit weight; an arbitrary eta has a head as
+    long as the window).  The head is summed per sample, and the geometric
+    rest of every window comes from one blocked backward recurrence over
+    the labels.  So the sweep costs O(L F) for labels of length L and F row
+    functions, plus O(S P) for S samples with heads of P nodes: nothing
+    for a constant law, the law's support for a table law.  Offsets, the
+    overflow check, the window ends and the atoms are array operations per
+    grid, and the sign-change cells of ``D_<name>`` are folded into the
+    labels.
+
     The values agree with the one-measure functionals applied to
     ``evolve(traj, t)`` to rounding (the sums are taken in another order).
-    A sample raises where ``evolve`` or those functionals would; where
-    density/N overflows this is an ``EntropyError`` even without
-    integrands, because every column is a sum over density/N.
+    A sample raises where ``evolve`` or those functionals would, in sample
+    order; where density/N overflows this is an ``EntropyError`` even
+    without integrands, because every column is a sum over density/N.
     """
     spectral, B = traj.spectral, traj.birth_law
     lam = spectral.lambda0
     if etas is None:
         etas = {"phi": spectral.phi}
     m0 = integrate(traj.initial, spectral.phi)
-    # row functions of the ratio; the columns are the node weights
+    # row functions of the ratio that pair with w phi N and w B N / N(0)
     fns = [lambda r: r] + [H.H for H in integrands]
-    if etas:
-        fns.append(lambda r: np.abs(r - m0))
-    S = len(times)
+    times = np.asarray(times, dtype=float)
+    outside, ks, ds = _snap(traj, times)
+    S = int(outside.argmax()) if outside.any() else times.size  # before the first outside
+    ks, ds = ks[:S], ds[:S]
+    spacings = np.where(ks == 0, traj.initial.h, ds * traj.dt)  # sample 0 is the datum
     n_max = traj._grid_ints()[1]
-    sums = np.empty((S, len(fns), 2 + len(etas)))
-    wsums = np.empty(S)
-    ks = []
-    tables, grids, members = {}, {}, {}
-    for i, t in enumerate(times):
-        k, d = snapshot_index(traj, t)
-        ks.append(k)
-        spacing = traj.initial.h if k == 0 else d * traj.dt  # sample 0 is the datum
-        if spacing not in grids:
-            if d not in tables:
-                tables[d] = _LabelTable(characteristic_labels(traj, d), fns, m0, lam)
-            grids[spacing] = (tables[d], *_node_weights(
-                spectral, B, etas, n_max // d + 1, spacing, bool(integrands)))
-        tab, W, wsums[i] = grids[spacing]
-        off, n = tab.lab.offset(k), W.shape[0]
-        if tab.bad[off + n] > tab.bad[off]:
-            raise EntropyError("density/N overflows: domain too long for this rate")
-        if k in tab.lab.clipped:
-            evolve(traj, t)  # its negativity guard decides whether this snapshot exists
-        z = tab.fsum[off:off + n].T @ W
-        if etas:
-            a, b = tab.cross.searchsorted((off, off + n - 1))
-            if a < b:
-                j = tab.cross[a:b] - off
-                z[-1, 2:] -= tab.cross_left[a:b] @ W[j, 2:] + tab.cross_right[a:b] @ W[j + 1, 2:]
-        sums[i] = z
-        members.setdefault(spacing, []).append((i, off, k))
 
-    # Node 0 has no panel to its left and node n-1 none to its right.  The
-    # trapezoid sums (dual mass, birth integral) take the node value there
-    # instead of the one-sided one: the mean of a jump record, and at
-    # sample 0 the datum's own stored value.
-    trapezoid_ends = np.zeros((S, 2 + len(etas)))
-    for spacing, group in members.items():
-        tab, W, _ = grids[spacing]
-        lab = tab.lab
-        idx, offs, ks_g = (np.array(v, dtype=int) for v in zip(*group))
-        ends = offs + W.shape[0] - 1
+    # Per grid spacing, the checks a sample's snapshot would fail, raised in
+    # sample order: the first sample on a grid builds its weights (which
+    # may raise), then the overflow check, then evolve's negativity guard
+    # where a clipped trace jump makes it decide whether the snapshot exists.
+    tables, grids, events = {}, [], []
+    for i0 in np.sort(np.unique(spacings, return_index=True)[1]):
+        idx = np.flatnonzero(spacings == spacings[i0])
+        d = int(ds[i0])
+        if d not in tables:
+            tables[d] = _LabelTable(characteristic_labels(traj, d), fns, m0, lam, bool(etas))
+        tab, n = tables[d], n_max // d + 1
+        offs = tab.lab.offset(ks[idx])
+        bad = idx[tab.overflows(offs, offs + n)]
+        events.append((int(i0), 0, len(grids)))
+        events += [(int(i), 1, -1) for i in bad[:1]]
+        events += [(int(i), 2, -1) for i in idx[np.isin(ks[idx], list(tab.lab.clipped))]]
+        grids.append((idx, offs, n, tab, float(spacings[i0])))
+    weights = []
+    for i, kind, g in sorted(events):
+        if kind == 0:
+            _, _, n, _, spacing = grids[g]
+            weights.append(_node_weights(spectral, B, etas, n, spacing, bool(integrands)))
+        elif kind == 1:
+            raise EntropyError("density/N overflows: domain too long for this rate")
+        else:
+            evolve(traj, times[i])
+    if S < times.size:
+        snapshot_index(traj, times[S])  # raises: outside [0, horizon]
+
+    # Node 0 has no panel to its left and node n-1 none to its right: the
+    # window sums drop those sides.  The trapezoid sums (dual mass, birth
+    # integral) take the node value there instead of the one-sided one: the
+    # mean of a jump record, and at sample 0 the datum's own stored value.
+    sums = np.empty((S, len(fns), 2))  # row function x (w phi N, w B N / N(0))
+    dist = np.empty((S, len(etas)))
+    trapezoid_ends = np.empty((S, 2))
+    wsums = np.empty(S)
+    for (idx, offs, n, tab, spacing), (W, wsum, head, dhead) in zip(grids, weights):
+        lab, ends = tab.lab, offs + n - 1
+        decay = lam * spacing
         with np.errstate(all="ignore"):
             first = np.stack([np.asarray(f(lab.right[offs]), dtype=float) for f in fns], 1)
             last = np.stack([np.asarray(f(lab.left[ends]), dtype=float) for f in fns], 1)
-        sums[idx] -= first[:, :, None] * W[0] + last[:, :, None] * W[-1]
-        node0 = np.where(ks_g == 0, traj.initial.density[0] / lam - lab.left[offs], 0.0)
+        sums[idx] = (_window_sums(tab.fsum, offs, n, W[:2], head, decay)
+                     - first[:, :, None] * W[:2, 0] - last[:, :, None] * W[:2, -1])
+        if etas:
+            right, left = tab.distance_ends(offs, ends)
+            dist[idx] = (_window_sums(tab.dsum, offs, n, W[2:], dhead, decay)[:, 0]
+                         - right[:, None] * W[2:, 0] - left[:, None] * W[2:, -1])
+        node0 = np.where(ks[idx] == 0, traj.initial.density[0] / lam - lab.left[offs], 0.0)
         node_end = 0.5 * (lab.left[ends] - lab.right[ends])
-        trapezoid_ends[idx] = node0[:, None] * W[0] + node_end[:, None] * W[-1]
+        trapezoid_ends[idx] = node0[:, None] * W[:2, 0] + node_end[:, None] * W[:2, -1]
+        wsums[idx] = wsum
 
-    atoms = [(i, loc, wt) for i, k in enumerate(ks) for loc, wt in snapshot_atoms(traj, k)]
-    rows = np.array([i for i, _, _ in atoms], dtype=int)
-    locs = np.array([loc for _, loc, _ in atoms], dtype=float)
-    wts = np.array([wt for _, _, wt in atoms], dtype=float)
+    rows, locs, wts = _atoms_at(traj, ks)
 
     def per_sample(values):
         return np.bincount(rows, weights=values, minlength=S)
@@ -218,11 +324,11 @@ def sample_diagnostics(traj: Trajectory, times, integrands=(), etas=None) -> dic
     phis, psis = spectral.phi(locs), B.quad_values(locs) / lam
     out = {}
     for e, (name, eta) in enumerate(etas.items()):
-        etax = 1.0 if eta is None or not atoms else _evaluate(eta, locs)
-        out[f"D_{name}"] = sums[:, -1, 2 + e] + per_sample(etax * np.abs(wts))
+        etax = 1.0 if eta is None or not locs.size else _evaluate(eta, locs)
+        out[f"D_{name}"] = dist[:, e] + per_sample(etax * np.abs(wts))
     out["m_k"] = sums[:, 0, 1] + trapezoid_ends[:, 1] + per_sample(psis * wts)
     out["conserved_phi_mass"] = (sums[:, 0, 0] + trapezoid_ends[:, 0] + per_sample(phis * wts)
-                                 + tail_phi_mass(traj, np.asarray(times, dtype=float)))
+                                 + tail_phi_mass(traj, times))
     arg = sums[:, 0, 1] / wsums + per_sample(psis * wts)
     for r, H in enumerate(integrands, start=1):
         cost = np.where(wts > 0.0, H.H_inf_plus, H.H_inf_minus) * np.abs(wts)

@@ -318,6 +318,12 @@ def parse_scenario(text: str, base_dir: str = ".") -> Scenario:
             errs.append(f"initial measure file: {exc}")
     else:
         initial = (_build_density(p, x_max, h), atoms, ())
+    # the mollification check's widest kernel must stay inside [0, x_max]
+    widest = max(eps_list, default=0.0)
+    for loc, _ in atoms:
+        if loc + widest > x_max * (1.0 + _SNAP):
+            errs.append(f"eps_list: the kernel of width {widest:g} around the "
+                        f"atom at {loc:g} leaves [0, x_max]")
 
     if errs:
         raise ScenarioError(errs)

@@ -36,9 +36,10 @@ and its lag-1 coupling); every other term of their rows is known when the
 rows open and is built as a vector, and the rows are solved by one product
 with the system's inverse, itself lower-triangular Toeplitz and built once
 per trajectory.  The two steps after a jump have their own Gregory ends and
-are solved as 1-row systems.  A trace of K steps costs O(K log^2 K) work
-and O(K / _LOCAL) Python iterations (plus one per clamped value), each
-with O(#jumps) vector terms.
+are solved as 1-row systems.  A clamped value changes the later rows of
+its system by a rank-one term, O(_LOCAL).  A trace of K steps costs
+O(K log^2 K) work and O(K / _LOCAL) Python iterations (plus one per
+clamped value), each with O(#jumps) vector terms.
 """
 from __future__ import annotations
 
@@ -171,24 +172,30 @@ def birth_series(n0: HybridMeasure, B: BirthLaw, spectral: SpectralData,
     clamps, clamp_max = 0, 0.0
 
     def accept(s, x):
-        # store x as b[s:s+len(x)] up to its first negative value, which is
-        # clamped to 0 or raises; return the count stored, clamp included
+        # store x as b[s:s+len(x)]; a negative value is clamped to 0 or
+        # raises.  x solves one lower-triangular Toeplitz system (inverse
+        # ``inv``), so clamping x[n] moves the later values by the rank-one
+        # term -x[n] inv[1:] / inv[0]
         nonlocal scale, clamps, clamp_max
-        n = x.size
-        if nonneg:
-            neg = x < 0.0  # False at nan: a later non-finite value hides nothing
-            if neg.any():
-                n = int(neg.argmax())
-        b[s:s + n] = x[:n]
-        scale = float(np.fmax.reduce(np.abs(x[:n]), initial=scale))
-        if n == x.size:
-            return n
-        if x[n] < -1e-10 * scale:
-            raise TransportError("birth trace went negative beyond tolerance")
-        b[s + n] = 0.0
-        clamps += 1
-        clamp_max = max(clamp_max, float(-x[n]))
-        return n + 1
+        start = 0
+        while True:
+            n = x.size
+            if nonneg:
+                neg = x[start:] < 0.0  # False at nan: a later non-finite value hides nothing
+                if neg.any():
+                    n = start + int(neg.argmax())
+            b[s + start:s + n] = x[start:n]
+            scale = float(np.fmax.reduce(np.abs(x[start:n]), initial=scale))
+            if n == x.size:
+                return
+            if x[n] < -1e-10 * scale:
+                raise TransportError("birth trace went negative beyond tolerance")
+            b[s + n] = 0.0
+            clamps += 1
+            clamp_max = max(clamp_max, float(-x[n]))
+            if n + 1 < x.size:
+                x[n + 1:] -= x[n] * inv[1:x.size - n] / inv[0]
+            start = n + 1
 
     if K >= 1:
         accept(1, np.atleast_1d(
@@ -263,9 +270,10 @@ def birth_series(n0: HybridMeasure, B: BirthLaw, spectral: SpectralData,
             r[0] += c1 * kv[1] * b[k - 1]
             r = g[k:e] + dt * r
             if k - p < 3:
-                k += accept(k, r / (1.0 - dt * (0.5 + c0) * kv[0]))
+                accept(k, r / (1.0 - dt * (0.5 + c0) * kv[0]))
             else:
-                k += accept(k, solve[:e - k, :e - k] @ r)
+                accept(k, solve[:e - k, :e - k] @ r)
+            k = e
 
     b.setflags(write=False)
     return Trajectory(n0, spectral, B, dt, K * dt, b, tuple(sorted(b_jump.items())),
@@ -279,6 +287,20 @@ def _right_limit_at_zero(mu: HybridMeasure) -> float:
     return float(mu.density[0])
 
 
+def _snap(traj: Trajectory, times):
+    """The time-snapping rule: ``(outside, k, d)`` arrays for an array of times.
+
+    ``outside`` marks the times outside [0, horizon] (nan included), whose
+    ``k`` and ``d`` are meaningless; see ``snapshot_index`` for k and d.
+    """
+    t = np.asarray(times, dtype=float)
+    outside = ~((t >= -_SNAP) & (t <= traj.horizon * (1.0 + _SNAP) + _SNAP))
+    k = np.rint(np.where(outside, 0.0, t) / traj.dt)
+    k = np.clip(k, 0, traj.births.size - 1).astype(int)
+    m, M = traj._grid_ints()
+    return outside, k, np.gcd(k, math.gcd(M, m))
+
+
 def snapshot_index(traj: Trajectory, t: float):
     """Time index k and grid stride d of the snapshot at time t.
 
@@ -288,24 +310,33 @@ def snapshot_index(traj: Trajectory, t: float):
     every node of the initial grid image.  At k = 0 that is the datum's own
     spacing.
     """
-    if t < -_SNAP or t > traj.horizon * (1.0 + _SNAP) + _SNAP:
+    outside, k, d = _snap(traj, t)
+    if outside:
         raise TransportError("snapshot time outside [0, horizon]")
-    k = int(round(t / traj.dt))
-    k = min(max(k, 0), traj.births.size - 1)
-    m, M = traj._grid_ints()
-    return k, math.gcd(k, math.gcd(M, m))
+    return int(k), int(d)
+
+
+def _atoms_at(traj: Trajectory, ks):
+    """Atoms of the snapshots at time indices ``ks``: shifted by t, damped, cut at x_max.
+
+    Flat arrays ``(row, location, weight)``, ``row`` indexing ``ks``, in
+    row-major order.
+    """
+    n0 = traj.initial
+    t = np.asarray(ks) * traj.dt
+    locs = np.array([loc for loc, _ in n0.atoms], dtype=float)
+    wts = np.array([wt for _, wt in n0.atoms], dtype=float)
+    shifted = locs + t[:, None]
+    rows, cols = np.nonzero(shifted <= n0.x_max * (1.0 + _SNAP))
+    # math.exp, not np.exp: snapshot files keep their bytes
+    decay = np.array([math.exp(v) for v in -traj.spectral.lambda0 * t])
+    return rows, np.minimum(shifted[rows, cols], n0.x_max), wts[cols] * decay[rows]
 
 
 def snapshot_atoms(traj: Trajectory, k: int) -> tuple:
     """Atoms of the snapshot at time index k: shifted by t, damped, cut at x_max."""
-    n0 = traj.initial
-    t_k = k * traj.dt
-    decay = math.exp(-traj.spectral.lambda0 * t_k)
-    return tuple(
-        (min(loc + t_k, n0.x_max), wt * decay)
-        for loc, wt in n0.atoms
-        if loc + t_k <= n0.x_max * (1.0 + _SNAP)
-    )
+    _, locs, wts = _atoms_at(traj, [k])
+    return tuple(zip(locs.tolist(), wts.tolist()))
 
 
 def evolve(traj: Trajectory, t: float) -> HybridMeasure:

@@ -20,6 +20,7 @@ import pytest
 import renewalsim as rs
 from renewalsim import HybridMeasure
 from renewalsim.cli import main
+from renewalsim.convergence import _TAIL_EXP, _node_weights
 from renewalsim.errors import EntropyError, TransportError
 from renewalsim.measures import _panel_sides
 
@@ -107,9 +108,9 @@ def assert_close(value, oracle, what):
     assert abs(value - oracle) <= TOL * max(1.0, abs(oracle)), (what, value, oracle)
 
 
-def assert_sweep_matches_oracles(traj, times):
+def assert_sweep_matches_oracles(traj, times, etas=None):
     sp, B = traj.spectral, traj.birth_law
-    etas = {"phi": sp.phi, "one": None, "ones": ones}
+    etas = etas or {"phi": sp.phi, "one": None, "ones": ones}
     diag = rs.sample_diagnostics(traj, times, INTEGRANDS, etas)
     assert diag["m0"] == rs.integrate(traj.initial, sp.phi)
     for i, t in enumerate(times):
@@ -166,6 +167,47 @@ def test_atom_leaving_the_domain(sweep_cases):
     traj, times = sweep_cases["atom_leaves"]
     counts = [len(rs.evolve(traj, t).atoms) for t in times]
     assert counts[0] == 2 and counts[-1] == 1
+    assert_sweep_matches_oracles(traj, times)
+
+
+def test_table_law_tail_with_nonzero_constant():
+    # B ends at 1.5 with the value 0.5 and jumps to 0 there; past it the unit
+    # weight is w N times 1, a geometric tail.  The 0.04 grid (stride 4) has
+    # no node at the support end; the other two do
+    B = rs.BirthLaw.table([0.0, 0.3, 1.5], [2.0, 1.0, 0.5])
+    sp = rs.solve_spectral(B)
+    n0 = rs.HybridMeasure.from_function(lambda x: np.exp(-2.0 * x), 8.0, 0.04,
+                                        atoms=((0.2, 0.4),), nonnegative=True)
+    traj = rs.birth_series(n0, B, sp, 0.01, 3.0)
+    times = (0.0, 0.37, 0.5, 1.02, 1.3, 2.0, 2.45, 3.0)
+    assert {rs.evolve(traj, t).h for t in times} == {0.01, 0.02, 0.04}
+    for spacing, n in ((0.02, 401), (0.04, 201)):
+        W, _, head, dhead = _node_weights(sp, B, {"one": None}, n, spacing, True)
+        assert head == math.floor(1.5 / spacing + 1e-9) + 1 and dhead == 0
+        assert W[2, head] > 0.0
+    assert_sweep_matches_oracles(traj, times)
+
+
+def test_callable_eta_has_no_tail(sweep_cases):
+    # 1 + sin(x) / 2 never settles: its head is the whole window
+    traj, times = sweep_cases["datum_jumps"]
+    wavy = lambda x: 1.0 + 0.5 * np.sin(x)
+    *_, dhead = _node_weights(traj.spectral, traj.birth_law, {"wavy": wavy}, 601, 0.02, True)
+    assert dhead == 601
+    assert_sweep_matches_oracles(traj, times, {"wavy": wavy, "one": None})
+
+
+def test_tail_recurrence_over_several_blocks(const_spectral):
+    # 800 e-folds of N between the oldest label and the newest: the scaled
+    # reverse sums run in at least three blocks on both snapshot grids
+    B, sp = const_spectral
+    x_max, T = 400.0, 400.0
+    assert sp.lambda0 * (T + x_max) > 2.0 * _TAIL_EXP + sp.lambda0 * 0.2
+    n0 = rs.HybridMeasure.from_function(lambda x: 0.5 * np.exp(-x) + 0.3 * np.exp(-0.2 * x),
+                                        x_max, 0.2, atoms=((0.5, 0.4),), nonnegative=True)
+    traj = rs.birth_series(n0, B, sp, 0.1, T)
+    times = (0.0, 3.1, 50.0, 123.3, 200.0, 333.3, 399.9, 400.0)
+    assert {rs.evolve(traj, t).h for t in times} == {0.1, 0.2}
     assert_sweep_matches_oracles(traj, times)
 
 

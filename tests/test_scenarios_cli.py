@@ -340,6 +340,22 @@ class TestCli:
         # verify may exit 3: GOLDEN's coarse sample grid fails conservation
         assert codes in ("[0, 0]", "[0, 3]") and loaded == "False", out
 
+    def test_eps_list_kernel_past_x_max_is_a_config_error(self, tmp_path, capsys):
+        # the widest kernel around the atom at 11.45 would reach 12.25 > x_max = 12
+        with open(os.path.join(SCENARIO_DIR, "indicator_mixed.ini"), encoding="utf-8") as fh:
+            text = fh.read()
+        for key, value in (("atoms", "11.45:0.5"), ("T", "0.5"), ("snapshot_times", "0.5"),
+                           ("sample_dt", "0.1"), ("eps_list", "0.8 0.4 0.2 0.1 0.05")):
+            text = "\n".join(f"{key} = {value}" if line.startswith(f"{key} =") else line
+                             for line in text.splitlines())
+        path = self.write(tmp_path, text)
+        assert main(["verify", "--scenario", path]) == 1
+        err = capsys.readouterr().err
+        assert "config error: eps_list" in err and "0.8" in err and "11.45" in err, err
+        text = text.replace("0.8 0.4", "0.55 0.4")  # 11.45 + 0.55 = x_max still fits
+        assert main(["verify", "--scenario", self.write(tmp_path, text)]) in (0, 3)
+        assert len(capsys.readouterr().out.splitlines()) == 6
+
     def test_missing_file_exit_code(self, capsys):
         assert main(["run", "--scenario", "/nonexistent.ini"]) == 1
 

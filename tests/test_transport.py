@@ -370,10 +370,20 @@ class TestWindowSolve:
         n0 = HybridMeasure.point_mass(0.9, 4.0, self.dt)
         traj = rs.birth_series(n0, B, rs.solve_spectral(B), self.dt, 3.0)
         windows = traj.births.size // _LOCAL + 1
-        # more clamps than windows: some window clamps and then solves again
+        # more clamps than windows: some window clamps more than once
         assert traj.clamp_count > windows
         assert 0.0 < traj.clamp_max < 1e-10 * np.abs(traj.births).max()
         assert traj.births.min() == 0.0
+        assert_matches_reference(traj)
+
+    def test_clamps_correct_the_window_by_rank_one_terms(self):
+        # the same law and atom to T = 6 at dt = 5e-4: 128 clamps over 47
+        # windows; the later rows of a clamp's window take its rank-one correction
+        B = rs.BirthLaw.indicator(4.0, 0.5, 1.0)
+        n0 = HybridMeasure.point_mass(0.9, 8.0, 5e-4)
+        traj = rs.birth_series(n0, B, rs.solve_spectral(B), 5e-4, 6.0)
+        assert traj.clamp_count == 128
+        assert 0.0 < traj.clamp_max < 1e-10 * np.abs(traj.births).max()
         assert_matches_reference(traj)
 
     def test_negative_beyond_tolerance_mid_window(self):
