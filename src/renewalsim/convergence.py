@@ -22,6 +22,7 @@ from .errors import EntropyError, MeasureError, RenewalError
 from .measures import (
     HybridMeasure,
     _evaluate,
+    _panel_sides,
     angle_bracket,
     flat_distance,
     integrate,
@@ -404,9 +405,9 @@ def reshetnyak_harness(n0: HybridMeasure, spectral: SpectralData,
 
     Every rung lies on the datum's grid, so phi and N are evaluated there
     once for the whole ladder.  A rung changes the datum only within eps of
-    its atoms: mollifying costs O(eps / h) per atom, and the flat distance
-    subtracts the two measures node by node, so its support is the changed
-    nodes and the atoms.
+    its atoms: mollifying costs O(eps / h) per atom, the flat distance's
+    support is the changed nodes and the atoms, and H(density/N) is
+    evaluated anew only on the changed panel sides.
     """
     eps = [float(e) for e in eps_list]
     if any(b >= a for a, b in zip(eps[:-1], eps[1:])):
@@ -415,12 +416,19 @@ def reshetnyak_harness(n0: HybridMeasure, spectral: SpectralData,
         raise RenewalError("epsilon ladder goes below the grid spacing")
 
     grid = _GridEntropy(n0, spectral)
-    gre_ref = grid.values(n0, (H,))[0][0]
+    sides = np.concatenate(_panel_sides(n0))
+    Hr = np.asarray(H.H(grid.ratio(sides)), dtype=float)
+    gre_ref = grid.gre(Hr, [spectral.phi(loc) for loc, _ in n0.atoms], n0.atoms, H)
     ab_ref = angle_bracket(n0)
     gre_vals, gre_gaps, ab_vals, ab_gaps, flats = [], [], [], [], []
     for e in eps:
         smoothed = mollify(n0, e)
-        gv = grid.values(smoothed, (H,))[0][0]
+        rung = np.concatenate(_panel_sides(smoothed))
+        cells = np.flatnonzero(rung != sides)
+        kept = Hr[cells]
+        Hr[cells] = H.H(grid.ratio(rung, cells))
+        gv = grid.gre(Hr, (), (), H)
+        Hr[cells] = kept
         av = angle_bracket(smoothed)
         gre_vals.append(gv)
         gre_gaps.append(abs(gv - gre_ref))

@@ -147,13 +147,25 @@ class _GridEntropy:
                 raise EntropyError("reference measure has no mass on this grid")
             self.j_w = j_w / wsum
 
+    def ratio(self, sides: np.ndarray, cells=slice(None)) -> np.ndarray:
+        """density/N at the panel sides ``sides[cells]``; raises where it overflows."""
+        with np.errstate(all="ignore"):
+            ratio = sides[cells] / self.Nx[cells]
+        if not np.all(np.isfinite(ratio)) or np.any(np.abs(ratio) > 1e300):
+            raise EntropyError("density/N overflows: domain too long for this rate")
+        return ratio
+
+    def gre(self, Hr: np.ndarray, phis, atoms, H: EntropyIntegrand) -> float:
+        """gre from H(ratio) at every panel side and phi at the atoms."""
+        total = float(np.sum(self.gre_w * Hr))
+        for p, (_, wt) in zip(phis, atoms):
+            total += p * H.H_inf(math.copysign(1.0, wt)) * abs(wt)
+        return total
+
     def values(self, mu: HybridMeasure, integrands):
         """Lists of gre and (given a birth law) dissipation, one per integrand."""
         spectral, B = self.spectral, self.B
-        with np.errstate(all="ignore"):
-            ratio = np.concatenate(_panel_sides(mu)) / self.Nx
-        if not np.all(np.isfinite(ratio)) or np.any(np.abs(ratio) > 1e300):
-            raise EntropyError("density/N overflows: domain too long for this rate")
+        ratio = self.ratio(np.concatenate(_panel_sides(mu)))
         phis = [spectral.phi(loc) for loc, _ in mu.atoms]
         if B is not None:
             psis = [float(B.quad_values(np.array([loc]))[0]) / spectral.lambda0
@@ -161,10 +173,7 @@ class _GridEntropy:
         gre, dis = [], []
         for H in integrands:
             Hr = np.asarray(H.H(ratio), dtype=float)
-            total = float(np.sum(self.gre_w * Hr))
-            for p, (_, wt) in zip(phis, mu.atoms):
-                total += p * H.H_inf(math.copysign(1.0, wt)) * abs(wt)
-            gre.append(total)
+            gre.append(self.gre(Hr, phis, mu.atoms, H))
             if B is not None:
                 dis.append(_jensen_gap(self.j_w, ratio, Hr, psis, mu.atoms, H))
         return gre, dis

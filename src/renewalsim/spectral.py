@@ -177,6 +177,13 @@ class BirthLaw:
         pts.append((xs[-1], vals[-1], 0.0))
         return tuple(pt for pt in pts if pt[1] != pt[2])
 
+    @cached_property
+    def live_end(self) -> float:
+        """Last age at which ``quad_values`` can be nonzero: the support end plus the jump snap."""
+        if self.support_end is None:
+            return math.inf
+        return self.support_end + _SNAP * max(1.0, self.support_end)
+
     def quad_values(self, x):
         """Samples for trapezoid quadrature: jump points take the mean value."""
         x = np.asarray(x, dtype=float)
@@ -261,7 +268,9 @@ class BirthLaw:
         ``M1`` of the piecewise-linear density, each evaluated once at the
         shifted breakpoints.  Atoms are weighted with ``quad_values``, so an
         atom on a rate discontinuity counts with the mean one-sided value,
-        matching the trapezoid jump convention.
+        matching the trapezoid jump convention.  Past ``live_end`` every
+        shifted breakpoint and atom lies beyond the support: those shifts
+        are exactly 0 and not evaluated, so the cost is O(P) per live shift.
         """
         shifts = np.asarray(shifts, dtype=float)
         locs = np.array([a[0] for a in mu.atoms])
@@ -269,14 +278,17 @@ class BirthLaw:
         if self.kind == "constant":
             ac = ac_cumulative(mu, mu.x_max)
             return np.full_like(shifts, self.beta * (ac + wts.sum()))
+        out = np.zeros(shifts.shape)
+        live = shifts <= self.live_end
+        s = shifts[live]
         _, _, c0, c1 = self._panels
-        ys = np.array(self.breakpoints())[:, None] - shifts
+        ys = np.array(self.breakpoints())[:, None] - s
         m0 = np.diff(ac_cumulative(mu, ys), axis=0)
         m1 = np.diff(ac_first_moment(mu, ys), axis=0)
         c0, c1 = c0[:, None], c1[:, None]
-        out = ((c0 + c1 * shifts) * m0 + c1 * m1).sum(axis=0)
+        out[live] = ((c0 + c1 * s) * m0 + c1 * m1).sum(axis=0)
         if locs.size:
-            out = out + self.quad_values(locs[None, :] + shifts[:, None]) @ wts
+            out[live] += self.quad_values(locs[None, :] + s[:, None]) @ wts
         return out
 
 

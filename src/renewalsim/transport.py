@@ -29,7 +29,11 @@ each jump, so the correction is O(#jumps) terms.  The history sum is
 convolved in doubling blocks (Hairer, Lubich and Schlichte, SIAM J. Sci.
 Stat. Comput. 6, 1985): once b[e-m:e] is known, with m the lowest set bit
 of e, one FFT adds its contribution to the next m steps, so only the
-current window of ``_LOCAL`` steps is left.  Inside a window, the steps at
+current window of ``_LOCAL`` steps is left.  Past the birth law's last
+fertile age (``BirthLaw.live_end``) the kernel and the forcing are exact
+zeros, so both are evaluated on the first ``live`` grid times only, and no
+block is longer than C, the smallest power of two >= live: a longer block
+would add only pairs at lags past the support.  Inside a window, the steps at
 least three past the last trace jump couple only through a lower-triangular
 Toeplitz system (the Gregory ends at nodes k and k-1 go into its diagonal
 and its lag-1 coupling); every other term of their rows is known when the
@@ -38,8 +42,9 @@ with the system's inverse, itself lower-triangular Toeplitz and built once
 per trajectory.  The two steps after a jump have their own Gregory ends and
 are solved as 1-row systems.  A clamped value changes the later rows of
 its system by a rank-one term, O(_LOCAL).  A trace of K steps costs
-O(K log^2 K) work and O(K / _LOCAL) Python iterations (plus one per
-clamped value), each with O(#jumps) vector terms.
+O(min(K, live) P) work for the forcing of a P-panel law, O(K log^2 min(K, C))
+for the history and O(K / _LOCAL) Python iterations (plus one per clamped
+value), each with O(#jumps) vector terms.
 """
 from __future__ import annotations
 
@@ -143,10 +148,12 @@ def birth_series(n0: HybridMeasure, B: BirthLaw, spectral: SpectralData,
 
     lam = spectral.lambda0
     times = np.arange(K + 1) * dt
-    kv = B.quad_values(times) * np.exp(-lam * times)
+    live = int(np.searchsorted(times, B.live_end, side="right"))  # kv, g = 0 past it
+    kv, g = np.zeros(K + 1), np.zeros(K + 1)
+    np.multiply(B.quad_values(times[:live]), np.exp(-lam * times[:live]), out=kv[:live])
     if 1.0 - 0.5 * dt * kv[0] <= 0.0:
         raise TransportError("time step too large for the implicit boundary weight")
-    g = B.birth_forcing(n0, times) * np.exp(-lam * times)
+    np.multiply(B.birth_forcing(n0, times[:live]), np.exp(-lam * times[:live]), out=g[:live])
 
     # The forcing (hence b) jumps whenever an atom crosses a birth-rate
     # discontinuity; the jump sizes are known exactly.  The stored series
@@ -232,14 +239,16 @@ def birth_series(n0: HybridMeasure, B: BirthLaw, spectral: SpectralData,
     solve = _lower_toeplitz(inv)
 
     hist = np.zeros(K + 1)
-    spectra = {}
+    spectra = {}  # rfft of kv[:2m] per block length m <= cap, the kernel's reach
+    cap = 1 << (live - 1).bit_length()
     active = 0
     for lo in range(0, K + 1, _LOCAL):
         hi = min(lo + _LOCAL, K + 1)
         if lo:
             # all of b[lo-m:lo] is final: add its share of the history to
-            # hist[lo:lo+m] with one circular convolution of length 2m
-            m = lo & -lo
+            # hist[lo:lo+m] with one circular convolution of length 2m; a
+            # longer block would add only pairs at lags > cap, where kv = 0
+            m = min(lo & -lo, cap)
             if m not in spectra:
                 spectra[m] = np.fft.rfft(kv[:2 * m], 2 * m)
             n = min(m, K + 1 - lo)

@@ -123,6 +123,26 @@ class TestMollificationHarness:
         panel_ends = 2 * (n0.node_count - 1)
         assert seen == {"phi": panel_ends + 3, "N": panel_ends}
 
+    def test_rungs_evaluate_H_where_mollify_changed_the_datum(self, ind_spectral):
+        _, sp = ind_spectral
+        smooth = HybridMeasure.from_function(lambda x: np.exp(-x), 6.0, 0.005)
+        # a jump record under the middle atom: its sides change with the rung
+        n0 = HybridMeasure(smooth.h, smooth.density, ((0.02, 0.3), (1.0, 0.5), (2.5, 0.2)),
+                           jumps=((1.0, 0.5, 0.1),))
+        base = rs.builtin_integrand("sqrt1p")
+        evaluated = []
+        H = dataclasses.replace(base, H=lambda u: evaluated.append(np.size(u)) or base.H(u))
+        eps = (0.4, 0.2, 0.1, 0.05)
+        rep = rs.reshetnyak_harness(n0, sp, H, eps)
+        # bit for bit the full evaluation of every rung
+        assert rep.gre_reference == rs.gre_functional(n0, sp, base)
+        assert rep.gre_values == tuple(rs.gre_functional(rs.mollify(n0, e), sp, base)
+                                       for e in eps)
+        assert evaluated[0] == 2 * (n0.node_count - 1)
+        # a rung's new panel sides: two per node within eps + 2h of an atom
+        for e, count in zip(eps, evaluated[1:]):
+            assert 0 < count <= 3 * 2 * (2 * e / n0.h + 5)
+
     def test_bad_ladder_rejected(self, const_spectral):
         _, sp = const_spectral
         n0 = HybridMeasure.point_mass(1.0, 6.0, 0.005)

@@ -6,6 +6,7 @@ import pytest
 import renewalsim as rs
 from renewalsim import BirthLaw
 from renewalsim.errors import SpectralError
+from renewalsim.measures import ac_cumulative, ac_first_moment
 from renewalsim.quadrature import composite_simpson
 
 # independent root for 2 (1 - exp(-lam)) / lam = 1, frozen from a standalone
@@ -403,3 +404,50 @@ class TestExactForcing:
         mu = rs.HybridMeasure.point_mass(0.0, 3.0, 0.01, 0.5)
         out, _ = self.assert_matches_oracle(B, mu, s_max=1.2)
         assert out[0] == 1.0
+
+
+def full_birth_forcing(B, mu, shifts):
+    """The panel-moment forcing evaluated at every shift, the support end ignored."""
+    shifts = np.asarray(shifts, dtype=float)
+    locs = np.array([a[0] for a in mu.atoms])
+    wts = np.array([a[1] for a in mu.atoms])
+    _, _, c0, c1 = B._panels
+    ys = np.array(B.breakpoints())[:, None] - shifts
+    m0 = np.diff(ac_cumulative(mu, ys), axis=0)
+    m1 = np.diff(ac_first_moment(mu, ys), axis=0)
+    c0, c1 = c0[:, None], c1[:, None]
+    out = ((c0 + c1 * shifts) * m0 + c1 * m1).sum(axis=0)
+    if locs.size:
+        out = out + B.quad_values(locs[None, :] + shifts[:, None]) @ wts
+    return out
+
+
+class TestForcingSupportBound:
+    """Shifts past ``live_end`` are exact zeros; live shifts are the full evaluation."""
+
+    @staticmethod
+    def assert_bounded(B, mu, shifts):
+        out, full = B.birth_forcing(mu, shifts), full_birth_forcing(B, mu, shifts)
+        live = shifts <= B.live_end
+        assert live.any() and not live.all()
+        assert np.array_equal(out[live], full[live])  # bit for bit
+        assert np.all(out[~live] == 0.0) and np.all(full[~live] == 0.0)
+        return out
+
+    @pytest.mark.parametrize("law", [TABLE_JUMP, ([0.0, 0.5, 1.0, 1.5], [1.0, 3.0, 2.0, 0.0])],
+                             ids=["support-end-jump", "smooth"])
+    def test_table_laws(self, law):
+        self.assert_bounded(BirthLaw.table(*law), jump_measure(), np.arange(301) * 0.01)
+
+    def test_live_end_snaps_like_quad_values(self):
+        # 700 * 0.001 is 0.7000000000000001, a rounding error past the support
+        # end: the atom at age 0 still sits on the jump and takes the mean rate
+        B = BirthLaw.indicator(2.0, 0.0, 0.7)
+        mu = rs.HybridMeasure.point_mass(0.0, 3.0, 0.001, 0.5)
+        shifts = np.arange(1001) * 0.001
+        assert shifts[700] > B.support_end and shifts[700] <= B.live_end < shifts[701]
+        out = self.assert_bounded(B, mu, shifts)
+        assert out[700] == 0.5 and out[699] == 1.0
+
+    def test_constant_law_has_no_end(self):
+        assert BirthLaw.constant(1.0).live_end == math.inf

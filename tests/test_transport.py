@@ -1,4 +1,5 @@
 import glob
+import hashlib
 import math
 import os
 
@@ -409,6 +410,108 @@ class TestWindowSolve:
                                sc.dt, sc.horizon)
         assert (traj.clamp_count, traj.clamp_max) == (0, 0.0)
         assert_matches_reference(traj)
+
+
+class TestSupportBound:
+    """The trace bounded by the law's support, against the unbounded oracles.
+
+    ``direct_births`` sums every history pair and ``reference_birth_series``
+    convolves uncapped FFT blocks; ``birth_series`` evaluates kernel and
+    forcing on the first ``live`` grid times and caps every FFT block at C,
+    the smallest power of two >= live.
+    """
+
+    @staticmethod
+    def cap(traj):
+        live = int(np.count_nonzero(traj.times <= traj.birth_law.live_end))
+        return 1 << (live - 1).bit_length()
+
+    @staticmethod
+    def run(B, atoms, T, dt, x_max=12.0):
+        n0 = HybridMeasure.from_function(TestDirectOracle.density, x_max, dt,
+                                         atoms=atoms, nonnegative=True)
+        return rs.birth_series(n0, B, rs.solve_spectral(B), dt, T)
+
+    @staticmethod
+    def assert_matches_oracles(traj):
+        assert_matches_direct(traj)
+        assert_matches_reference(traj)
+
+    def test_several_levels_capped(self):
+        traj = self.run(rs.BirthLaw.indicator(2.0, 0.0, 1.0), ((0.2, 0.3), (0.5, 0.2)),
+                        10.0, 0.004)
+        C = self.cap(traj)
+        assert C == 256 and traj.births.size - 1 >= 8 * C
+        self.assert_matches_oracles(traj)
+
+    def test_cap_below_window(self):
+        traj = self.run(rs.BirthLaw.indicator(40.0, 0.0, 0.05), ((0.01, 0.3),), 3.0, 0.001,
+                        x_max=4.0)
+        assert self.cap(traj) == 64 < _LOCAL and traj.birth_jumps
+        self.assert_matches_oracles(traj)
+
+    def test_support_end_off_grid(self):
+        B = rs.BirthLaw.indicator(2.0, 0.1, 0.7537)
+        traj = self.run(B, ((0.3, 0.3),), 10.0, 0.004)
+        assert B.support_end / 0.004 % 1.0 > 0.1 and self.cap(traj) == 256
+        self.assert_matches_oracles(traj)
+
+    def test_support_end_jump_meets_atom_at_age_zero(self):
+        # 700 * dt lies a rounding error past the support end 0.7, where the
+        # atom born at age 0 takes the mean rate: that step is live
+        B = rs.BirthLaw.indicator(2.0, 0.0, 0.7)
+        traj = self.run(B, ((0.0, 0.3),), 2.5, 0.001, x_max=4.0)
+        assert traj.times[700] > B.support_end and self.cap(traj) == 1024
+        assert [j for j, _ in traj.birth_jumps] == [700]
+        self.assert_matches_oracles(traj)
+
+    def test_table_with_nonzero_last_rate(self):
+        # the rate drops from 1.5 to 0 at the support end 1.3
+        traj = self.run(rs.BirthLaw.table([0.0, 0.4, 1.0, 1.3], [1.0, 3.0, 2.0, 1.5]),
+                        ((0.5, 0.3),), 10.0, 0.004)
+        assert self.cap(traj) == 512 and [j for j, _ in traj.birth_jumps] == [200]
+        self.assert_matches_oracles(traj)
+
+    @staticmethod
+    def rfft_lengths(monkeypatch, *args):
+        lengths = []
+        rfft = np.fft.rfft
+
+        def spy(a, n=None, *rest, **kw):
+            lengths.append(n)
+            return rfft(a, n, *rest, **kw)
+
+        monkeypatch.setattr(np.fft, "rfft", spy)
+        traj = rs.birth_series(*args)
+        monkeypatch.undo()
+        return traj, lengths
+
+    def test_no_transform_longer_than_twice_the_cap(self, monkeypatch, ind_spectral):
+        B, sp = ind_spectral
+        n0 = HybridMeasure.point_mass(0.5, 40.0, 0.004)
+        traj, lengths = self.rfft_lengths(monkeypatch, n0, B, sp, 0.004, 30.0)
+        C = self.cap(traj)
+        # uncapped, the blocks would reach 4096 steps
+        assert 16 * C < traj.births.size and max(lengths) == 2 * C
+
+    def test_constant_law_transforms_uncapped(self, monkeypatch, const_spectral):
+        B, sp = const_spectral
+        n0 = HybridMeasure.point_mass(0.5, 40.0, 0.002)
+        traj, lengths = self.rfft_lengths(monkeypatch, n0, B, sp, 0.002, 8.0)
+        blocks = [lo & -lo for lo in range(_LOCAL, traj.births.size, _LOCAL)]
+        # one transform of kv per block length, one of b per block
+        assert sorted(lengths) == sorted([2 * m for m in set(blocks)] + [2 * m for m in blocks])
+
+    def test_constant_law_trace_bytes_unchanged(self, const_spectral):
+        # sha256 of the trace as computed before the support bound: a constant
+        # law has no support end, so it takes the unbounded path bit for bit
+        B, sp = const_spectral
+        n0 = HybridMeasure.from_function(TestDirectOracle.density, 40.0, 0.002,
+                                         atoms=((0.5, 0.3),), nonnegative=True)
+        births = rs.birth_series(n0, B, sp, 0.002, 8.0).births
+        assert births.size == 4001
+        assert hashlib.sha256(births.tobytes()).hexdigest() == (
+            "31d925de12e4f0d11e2e21833afef416dc89603221c4f2a7bd0ecd71659bfbc7")
 
 
 class TestEvolve:
