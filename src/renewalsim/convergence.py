@@ -8,13 +8,14 @@ mass, entropy, dissipation) in one pass over the sample times, as weighted
 window sums of the time-invariant ratio labels of the transport module.
 A log-linear fit of that distance estimates the empirical decay rate; the
 mollification harness checks that smoothing the initial datum moves the
-entropy functional, the area functional and the flat distance coherently
-to zero.
+entropy functional by a gap that shrinks to zero with the kernel width,
+and reports the area functional and the flat distance on demand.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -374,23 +375,42 @@ def fit_decay_rate(samples, eta_name: str = "", m0: float = math.nan) -> DecayFi
 
 @dataclass(frozen=True)
 class MollificationReport:
-    """Per-epsilon table of functional gaps for a mollified datum."""
+    """Per-epsilon table of functional gaps for a mollified datum.
+
+    The entropy ladder (``gre_*``, ``gap_decreased``, ``final_below_tol``)
+    is computed by ``reshetnyak_harness``.  The flat distances and the area
+    functional (``flat_distances``, ``angle_*``) are computed from ``datum``
+    and ``eps`` on first read and cached; ``passed`` reads neither.
+    """
 
     eps: tuple
     gre_values: tuple
     gre_gaps: tuple
-    angle_values: tuple
-    angle_gaps: tuple
-    flat_distances: tuple
     gre_reference: float
-    angle_reference: float
     functional_tol: float
     gap_decreased: bool
     final_below_tol: bool
+    datum: HybridMeasure = field(repr=False, compare=False)
 
     @property
     def passed(self) -> bool:
         return self.gap_decreased and self.final_below_tol
+
+    @cached_property
+    def flat_distances(self) -> tuple:
+        return tuple(flat_distance(mollify(self.datum, e), self.datum) for e in self.eps)
+
+    @cached_property
+    def angle_reference(self) -> float:
+        return angle_bracket(self.datum)
+
+    @cached_property
+    def angle_values(self) -> tuple:
+        return tuple(angle_bracket(mollify(self.datum, e)) for e in self.eps)
+
+    @cached_property
+    def angle_gaps(self) -> tuple:
+        return tuple(abs(av - self.angle_reference) for av in self.angle_values)
 
 
 def reshetnyak_harness(n0: HybridMeasure, spectral: SpectralData,
@@ -398,10 +418,10 @@ def reshetnyak_harness(n0: HybridMeasure, spectral: SpectralData,
                        functional_tol: float = 1e-2) -> MollificationReport:
     """Mollify the datum along a decreasing epsilon ladder and tabulate gaps.
 
-    For each epsilon: the entropy functional of the mollified datum, its gap
-    to the unmollified value, the same for the area functional, and the flat
-    distance to the original.  Passing means the final entropy gap is no
-    larger than the first and below ``functional_tol``.
+    For each epsilon: the entropy functional of the mollified datum and its
+    gap to the unmollified value.  Passing means the final entropy gap is no
+    larger than the first and below ``functional_tol``.  The report computes
+    the area functional and the flat distance to the original on first read.
 
     Every rung lies on the datum's grid, so phi and N are evaluated there
     once for the whole ladder.  A rung changes the datum only within eps of
@@ -419,8 +439,7 @@ def reshetnyak_harness(n0: HybridMeasure, spectral: SpectralData,
     sides = np.concatenate(_panel_sides(n0))
     Hr = np.asarray(H.H(grid.ratio(sides)), dtype=float)
     gre_ref = grid.gre(Hr, [spectral.phi(loc) for loc, _ in n0.atoms], n0.atoms, H)
-    ab_ref = angle_bracket(n0)
-    gre_vals, gre_gaps, ab_vals, ab_gaps, flats = [], [], [], [], []
+    gre_vals, gre_gaps = [], []
     for e in eps:
         smoothed = mollify(n0, e)
         rung = np.concatenate(_panel_sides(smoothed))
@@ -429,20 +448,13 @@ def reshetnyak_harness(n0: HybridMeasure, spectral: SpectralData,
         Hr[cells] = H.H(grid.ratio(rung, cells))
         gv = grid.gre(Hr, (), (), H)
         Hr[cells] = kept
-        av = angle_bracket(smoothed)
         gre_vals.append(gv)
         gre_gaps.append(abs(gv - gre_ref))
-        ab_vals.append(av)
-        ab_gaps.append(abs(av - ab_ref))
-        flats.append(flat_distance(smoothed, n0))
 
     decreased = bool(gre_gaps and gre_gaps[-1] <= gre_gaps[0] + 1e-12)
     below = bool(gre_gaps and gre_gaps[-1] <= functional_tol)
-    return MollificationReport(
-        tuple(eps), tuple(gre_vals), tuple(gre_gaps), tuple(ab_vals),
-        tuple(ab_gaps), tuple(flats), gre_ref, ab_ref, functional_tol,
-        decreased, below,
-    )
+    return MollificationReport(tuple(eps), tuple(gre_vals), tuple(gre_gaps), gre_ref,
+                               functional_tol, decreased, below, n0)
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,14 @@
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
 
 import renewalsim as rs
-from renewalsim import HybridMeasure
+from renewalsim import HybridMeasure, cli, convergence
 from renewalsim.errors import RenewalError
+from renewalsim.scenarios import parse_scenario
 
 
 def ones(x):
@@ -148,6 +150,67 @@ class TestMollificationHarness:
         n0 = HybridMeasure.point_mass(1.0, 6.0, 0.005)
         with pytest.raises(RenewalError, match="decreasing"):
             rs.reshetnyak_harness(n0, sp, rs.builtin_integrand("abs"), (0.1, 0.2))
+
+
+INDICATOR_MIXED = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios",
+                               "indicator_mixed.ini")
+# edits of indicator_mixed.ini's datum into the trace-atoms benchmark
+# workload's seed-1 datum: the same law and grid, three atoms
+TRACE_ATOMS_SEED1 = {"lo = 0.0": "lo = 0.07125", "hi = 2.0": "hi = 1.2575",
+                     "mass = 1.0": "mass = 1.248702",
+                     "atoms = 0.25:0.5": "atoms = 0.606:0.116844 0.78075:0.263415 0.816:0.358413"}
+
+
+class TestLazyMollificationReport:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = {"flat_distance": 0, "angle_bracket": 0}
+
+        def counting(name):
+            fn = getattr(convergence, name)
+
+            def counted(*args):
+                seen[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(convergence, name, counted)
+
+        counting("flat_distance")
+        counting("angle_bracket")
+        return seen
+
+    def test_verify_computes_no_flat_distance_or_area_functional(self, calls, capsys):
+        assert cli.main(["verify", "--scenario", INDICATOR_MIXED]) == 0
+        assert "PASS mollification" in capsys.readouterr().out
+        assert calls == {"flat_distance": 0, "angle_bracket": 0}
+
+    @pytest.mark.parametrize("edits", [{}, TRACE_ATOMS_SEED1],
+                             ids=["indicator_mixed", "trace_atoms_seed1"])
+    def test_lazy_fields_equal_the_direct_loop(self, calls, edits):
+        with open(INDICATOR_MIXED, encoding="utf-8") as fh:
+            text = fh.read()
+        for old, new in edits.items():
+            assert text.count(old) == 1
+            text = text.replace(old, new)
+        sc = parse_scenario(text)
+        n0, sp = sc.initial, rs.solve_spectral(sc.birth_law)
+        rep = rs.reshetnyak_harness(n0, sp, sc.integrands()[0], sc.eps_list)
+        assert calls == {"flat_distance": 0, "angle_bracket": 0}
+
+        rungs = [rs.mollify(n0, e) for e in sc.eps_list]
+        ref = rs.angle_bracket(n0)
+        values = tuple(rs.angle_bracket(m) for m in rungs)
+        lazy = (rep.flat_distances, rep.angle_reference, rep.angle_values, rep.angle_gaps)
+        assert lazy == (tuple(rs.flat_distance(m, n0) for m in rungs), ref, values,
+                        tuple(abs(v - ref) for v in values))
+        first = dict(calls)
+        assert first == {"flat_distance": len(rungs), "angle_bracket": len(rungs) + 1}
+
+        # a second read is served from the cache, and the report keeps no rung
+        assert (rep.flat_distances, rep.angle_reference, rep.angle_values,
+                rep.angle_gaps) == lazy
+        assert calls == first
+        kept = [v for v in vars(rep).values() if isinstance(v, HybridMeasure)]
+        assert len(kept) == 1 and kept[0] is n0
 
 
 class TestBirthIntegralSequence:

@@ -14,6 +14,10 @@ from renewalsim.scenarios import load_scenario, parse_scenario
 from renewalsim.spectral import _MAX_PANELS
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
+# environment for a subprocess that imports renewalsim from this checkout
+SRC_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    [os.path.join(os.path.dirname(__file__), os.pardir, "src"),
+     *filter(None, [os.environ.get("PYTHONPATH")])]))
 # constant_dirac's 0.005 snapshot grid is coarser than dt = 0.001: the
 # sampled dual mass drifts by trapezoid error (ROADMAP item 1, dt grid)
 SHIPPED = [
@@ -331,14 +335,21 @@ class TestCli:
             " ('verify', []))]\n"
             "print(codes, 'numpy.random' in sys.modules)\n"
         )
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-        out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+        out = subprocess.run([sys.executable, "-c", script], env=SRC_ENV, check=True,
                              capture_output=True, text=True, timeout=120).stdout
         codes, loaded = out.split("\n")[-2].rsplit(" ", 1)
         # verify may exit 3: GOLDEN's coarse sample grid fails conservation
         assert codes in ("[0, 0]", "[0, 3]") and loaded == "False", out
+
+    def test_python_dash_m_runs_the_cli(self):
+        # a checkout has no console script: README's commands run as python -m
+        proc = subprocess.run(
+            [sys.executable, "-m", "renewalsim", "verify", "--scenario",
+             os.path.join(SCENARIO_DIR, "indicator_mixed.ini")],
+            env=SRC_ENV, capture_output=True, text=True, timeout=120)
+        lines = proc.stdout.splitlines()
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert len(lines) == 6 and all(line.startswith("PASS ") for line in lines)
 
     def test_eps_list_kernel_past_x_max_is_a_config_error(self, tmp_path, capsys):
         # the widest kernel around the atom at 11.45 would reach 12.25 > x_max = 12
