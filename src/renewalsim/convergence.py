@@ -29,7 +29,7 @@ from .measures import (
     integrate,
     mollify,
 )
-from .entropy import EntropyIntegrand, _GridEntropy
+from .entropy import EntropyIntegrand, _entropy_grid, _gre, _ratio
 from .spectral import SpectralData
 from .transport import (
     Trajectory,
@@ -54,6 +54,7 @@ __all__ = [
 ]
 
 _FLOOR = 1e-13  # distances below this are floating noise, not signal
+_MK_SLACK, _MK_FLOOR, _MK_FINAL_TOL = 1e-7, 1e-6, 1e-4  # birth_integral_report
 
 
 @dataclass(frozen=True)
@@ -423,11 +424,11 @@ def reshetnyak_harness(n0: HybridMeasure, spectral: SpectralData,
     larger than the first and below ``functional_tol``.  The report computes
     the area functional and the flat distance to the original on first read.
 
-    Every rung lies on the datum's grid, so phi and N are evaluated there
-    once for the whole ladder.  A rung changes the datum only within eps of
-    its atoms: mollifying costs O(eps / h) per atom, the flat distance's
-    support is the changed nodes and the atoms, and H(density/N) is
-    evaluated anew only on the changed panel sides.
+    Every rung lies on the datum's grid, so phi and N are evaluated once
+    per node for the whole ladder.  A rung changes the datum only within
+    eps of its atoms: mollifying costs O(eps / h) per atom, the flat
+    distance's support is the changed nodes and the atoms, and H(density/N)
+    is evaluated anew only on the changed panel sides.
     """
     eps = [float(e) for e in eps_list]
     if any(b >= a for a, b in zip(eps[:-1], eps[1:])):
@@ -435,18 +436,17 @@ def reshetnyak_harness(n0: HybridMeasure, spectral: SpectralData,
     if eps and eps[-1] < n0.h:
         raise RenewalError("epsilon ladder goes below the grid spacing")
 
-    grid = _GridEntropy(n0, spectral)
+    Nx, gre_w = _entropy_grid(n0, spectral)
     sides = np.concatenate(_panel_sides(n0))
-    Hr = np.asarray(H.H(grid.ratio(sides)), dtype=float)
-    gre_ref = grid.gre(Hr, [spectral.phi(loc) for loc, _ in n0.atoms], n0.atoms, H)
+    Hr = np.asarray(H.H(_ratio(sides, Nx)), dtype=float)
+    gre_ref = _gre(gre_w, Hr, n0.atoms, spectral, H)
     gre_vals, gre_gaps = [], []
     for e in eps:
-        smoothed = mollify(n0, e)
-        rung = np.concatenate(_panel_sides(smoothed))
+        rung = np.concatenate(_panel_sides(mollify(n0, e)))  # a rung has no atoms
         cells = np.flatnonzero(rung != sides)
         kept = Hr[cells]
-        Hr[cells] = H.H(grid.ratio(rung, cells))
-        gv = grid.gre(Hr, (), (), H)
+        Hr[cells] = H.H(_ratio(rung[cells], Nx[cells]))
+        gv = float(np.sum(gre_w * Hr))
         Hr[cells] = kept
         gre_vals.append(gv)
         gre_gaps.append(abs(gv - gre_ref))
@@ -474,8 +474,7 @@ class BirthIntegralReport:
         return self.envelope_ok and self.final_ok
 
 
-def birth_integral_report(times, m0: float, m_k, d_phi, slack: float = 1e-7,
-                          floor: float = 1e-6, final_tol: float = 1e-4) -> BirthIntegralReport:
+def birth_integral_report(times, m0: float, m_k, d_phi) -> BirthIntegralReport:
     """Check that m_k = (integral B d snapshot)/N(0) settles at m0.
 
     ``m_k`` and ``d_phi`` are sweep columns sampled at ``times``, and
@@ -483,10 +482,10 @@ def birth_integral_report(times, m0: float, m_k, d_phi, slack: float = 1e-7,
     and the later samples are checked.  The deviation |m_k - m0|
     generically oscillates through zero while its envelope decays (the
     subdominant renewal roots are complex), so the check asserts that no
-    deviation sets a new maximum (beyond ``slack``) once the equilibrium
+    deviation sets a new maximum (beyond ``_MK_SLACK``) once the equilibrium
     distance has dropped below a tenth of its initial value, and that the
-    final deviation is at most ``final_tol``.  Deviations below ``floor``
-    count as converged quadrature jitter.
+    final deviation is at most ``_MK_FINAL_TOL``.  Deviations below
+    ``_MK_FLOOR`` count as converged quadrature jitter.
     """
     times = tuple(float(t) for t in times[1:])
     mks, ds = np.asarray(m_k[1:], dtype=float), np.asarray(d_phi, dtype=float)
@@ -494,21 +493,19 @@ def birth_integral_report(times, m0: float, m_k, d_phi, slack: float = 1e-7,
     if ds[0] > _FLOOR:
         below = np.flatnonzero(ds[1:] < 0.1 * ds[0])
         start = int(below[0]) if below.size else len(times) - 1
-    devs = np.maximum(np.abs(mks - m0), floor)[start:]
-    envelope_ok = bool(np.all(devs[1:] <= np.maximum.accumulate(devs)[:-1] + slack))
+    devs = np.maximum(np.abs(mks - m0), _MK_FLOOR)[start:]
+    envelope_ok = bool(np.all(devs[1:] <= np.maximum.accumulate(devs)[:-1] + _MK_SLACK))
     final_dev = float(abs(mks[-1] - m0)) if mks.size else 0.0
     return BirthIntegralReport(
         times, tuple(mks.tolist()), m0, start, envelope_ok, final_dev,
-        final_dev <= final_tol,
+        final_dev <= _MK_FINAL_TOL,
     )
 
 
-def mk_sequence_check(traj: Trajectory, times, slack: float = 1e-7, floor: float = 1e-6,
-                      final_tol: float = 1e-4) -> BirthIntegralReport:
+def mk_sequence_check(traj: Trajectory, times) -> BirthIntegralReport:
     """``birth_integral_report`` on one sweep over t = 0 and ``times``."""
     times = [0.0, *(float(t) for t in times)]
     if any(b <= a for a, b in zip(times[1:-1], times[2:])):
         raise RenewalError("check times must be strictly increasing")
     diag = sample_diagnostics(traj, times)
-    return birth_integral_report(times, diag["m0"], diag["m_k"], diag["D_phi"],
-                                 slack, floor, final_tol)
+    return birth_integral_report(times, diag["m0"], diag["m_k"], diag["D_phi"])

@@ -7,6 +7,9 @@ relative-entropy functional of a measure against the stable profile, the
 instantaneous dissipation (a measure-level Jensen gap driven by the birth
 rate), and the plain Jensen defect for a caller-supplied weight.
 
+Each is a trapezoid sum over both ends of every panel; phi, N and the
+birth rate are evaluated once per grid node and copied to the panel ends.
+
 The discrete Jensen quantities renormalize their quadrature weight vectors
 to unit mass, so nonnegativity holds exactly (up to rounding) instead of up
 to quadrature error; the shift this introduces is below the quadrature
@@ -63,7 +66,6 @@ class EntropyIntegrand:
     H: Callable
     H_inf_plus: float
     H_inf_minus: float
-    strictly_convex: bool = False
 
     def H_inf(self, sign: float) -> float:
         return self.H_inf_plus if sign > 0 else self.H_inf_minus
@@ -74,9 +76,10 @@ class EntropyIntegrand:
 # two-dimensional analogue of golden-ratio rotation): fixed, and no RNG.
 _R2 = np.array([0.7548776662466927, 0.5698402909980532])
 _PROBE = 200.0 * (np.outer(np.arange(1, 1001), _R2) % 1.0) - 100.0
+_DOMINANCE_NODES = 4001  # sampling grid of verify_B_dominates_phi
 
 
-def make_integrand(name: str, H, strictly_convex: bool = False) -> EntropyIntegrand:
+def make_integrand(name: str, H) -> EntropyIntegrand:
     """Validate convexity, linear growth and recession, then package H."""
     z1, z2 = _PROBE[:, 0], _PROBE[:, 1]
     mid = np.asarray(H(0.5 * (z1 + z2)), dtype=float)
@@ -90,7 +93,7 @@ def make_integrand(name: str, H, strictly_convex: bool = False) -> EntropyIntegr
             raise EntropyError(f"integrand {name!r} has unbounded growth")
     hp = recession(H, 1)
     hm = recession(H, -1)
-    return EntropyIntegrand(name, H, hp, hm, strictly_convex)
+    return EntropyIntegrand(name, H, hp, hm)
 
 
 def abs_shift(k: float) -> EntropyIntegrand:
@@ -100,9 +103,7 @@ def abs_shift(k: float) -> EntropyIntegrand:
 
 _BUILTINS = {
     "abs": lambda: make_integrand("abs", np.abs),
-    "sqrt1p": lambda: make_integrand(
-        "sqrt1p", lambda u: np.sqrt(1.0 + np.square(u)), strictly_convex=True
-    ),
+    "sqrt1p": lambda: make_integrand("sqrt1p", lambda u: np.sqrt(1.0 + np.square(u))),
     "pospart": lambda: make_integrand("pospart", lambda u: np.maximum(u, 0.0)),
     "id": lambda: make_integrand("id", lambda u: np.asarray(u, dtype=float)),
 }
@@ -115,68 +116,33 @@ def builtin_integrand(name: str) -> EntropyIntegrand:
         raise EntropyError(f"unknown integrand {name!r}") from None
 
 
-def _sample_points(mu: HybridMeasure):
-    """Both ends of every panel, left ends first, each with weight h/2.
-
-    The density values there are ``np.concatenate(_panel_sides(mu))``.
-    """
-    nodes = mu.nodes
-    xs = np.concatenate([nodes[:-1], nodes[1:]])
-    return xs, np.full(xs.size, mu.h / 2.0)
+def _sides(v: np.ndarray) -> np.ndarray:
+    """Node values at both ends of every panel, in ``_panel_sides`` order."""
+    return np.concatenate([v[:-1], v[1:]])
 
 
-class _GridEntropy:
-    """gre and dissipation of any measure on one grid.
+def _entropy_grid(mu: HybridMeasure, spectral: SpectralData):
+    """N and the gre weight ``(h/2 phi) N`` at the panel sides of ``mu``'s grid."""
+    x = mu.nodes
+    Nx = spectral.N(x)
+    return _sides(Nx), _sides(mu.h / 2.0 * spectral.phi(x) * Nx)
 
-    Built once per grid: N at ``_sample_points``, the gre weight ``w phi N``
-    and, given a birth law, the unit-mass dissipation weight ``w B N / N(0)``.
-    """
 
-    def __init__(self, mu: HybridMeasure, spectral: SpectralData,
-                 B: BirthLaw | None = None):
-        if B is not None and spectral.residual_euler_lotka > 1e-8:
-            raise EntropyError("reference measure is not normalized: eigen residual too big")
-        self.spectral, self.B = spectral, B
-        xs, w = _sample_points(mu)
-        self.Nx = spectral.N(xs)
-        self.gre_w = w * spectral.phi(xs) * self.Nx
-        if B is not None:
-            j_w = w * B.quad_values(xs) * self.Nx / spectral.lambda0  # N(0) = lambda0
-            wsum = float(j_w.sum())
-            if not wsum > 0.0:
-                raise EntropyError("reference measure has no mass on this grid")
-            self.j_w = j_w / wsum
+def _ratio(dens: np.ndarray, Nx: np.ndarray) -> np.ndarray:
+    """density/N side by side; raises where it overflows."""
+    with np.errstate(all="ignore"):
+        ratio = dens / Nx
+    if not np.all(np.isfinite(ratio)) or np.any(np.abs(ratio) > 1e300):
+        raise EntropyError("density/N overflows: domain too long for this rate")
+    return ratio
 
-    def ratio(self, sides: np.ndarray, cells=slice(None)) -> np.ndarray:
-        """density/N at the panel sides ``sides[cells]``; raises where it overflows."""
-        with np.errstate(all="ignore"):
-            ratio = sides[cells] / self.Nx[cells]
-        if not np.all(np.isfinite(ratio)) or np.any(np.abs(ratio) > 1e300):
-            raise EntropyError("density/N overflows: domain too long for this rate")
-        return ratio
 
-    def gre(self, Hr: np.ndarray, phis, atoms, H: EntropyIntegrand) -> float:
-        """gre from H(ratio) at every panel side and phi at the atoms."""
-        total = float(np.sum(self.gre_w * Hr))
-        for p, (_, wt) in zip(phis, atoms):
-            total += p * H.H_inf(math.copysign(1.0, wt)) * abs(wt)
-        return total
-
-    def values(self, mu: HybridMeasure, integrands):
-        """Lists of gre and (given a birth law) dissipation, one per integrand."""
-        spectral, B = self.spectral, self.B
-        ratio = self.ratio(np.concatenate(_panel_sides(mu)))
-        phis = [spectral.phi(loc) for loc, _ in mu.atoms]
-        if B is not None:
-            psis = [float(B.quad_values(np.array([loc]))[0]) / spectral.lambda0
-                    for loc, _ in mu.atoms]
-        gre, dis = [], []
-        for H in integrands:
-            Hr = np.asarray(H.H(ratio), dtype=float)
-            gre.append(self.gre(Hr, phis, mu.atoms, H))
-            if B is not None:
-                dis.append(_jensen_gap(self.j_w, ratio, Hr, psis, mu.atoms, H))
-        return gre, dis
+def _gre(gre_w, Hr, atoms, spectral: SpectralData, H: EntropyIntegrand) -> float:
+    """gre from H(density/N) at every panel side and the recession cost of the atoms."""
+    total = float(np.sum(gre_w * Hr))
+    for loc, wt in atoms:
+        total += spectral.phi(loc) * H.H_inf(math.copysign(1.0, wt)) * abs(wt)
+    return total
 
 
 def _jensen_gap(weights, vals, Hvals, psis, atoms, H: EntropyIntegrand) -> float:
@@ -196,7 +162,9 @@ def gre_functional(mu: HybridMeasure, spectral: SpectralData,
     AC part: integral of phi N H(density / N); singular part: each atom
     contributes phi(loc) |weight| times the recession value of its sign.
     """
-    return _GridEntropy(mu, spectral).values(mu, (H,))[0][0]
+    Nx, gre_w = _entropy_grid(mu, spectral)
+    ratio = _ratio(np.concatenate(_panel_sides(mu)), Nx)
+    return _gre(gre_w, np.asarray(H.H(ratio), dtype=float), mu.atoms, spectral, H)
 
 
 def dissipation_J(mu: HybridMeasure, B: BirthLaw, spectral: SpectralData,
@@ -207,7 +175,18 @@ def dissipation_J(mu: HybridMeasure, B: BirthLaw, spectral: SpectralData,
     the recession cost of the atoms weighted by B/N(0), minus H of the total
     birth integral B/N(0) against the measure.  Nonnegative for convex H.
     """
-    return _GridEntropy(mu, spectral, B).values(mu, (H,))[1][0]
+    if spectral.residual_euler_lotka > 1e-8:
+        raise EntropyError("reference measure is not normalized: eigen residual too big")
+    lam, x = spectral.lambda0, mu.nodes  # N(0) = lambda0
+    Nx = spectral.N(x)
+    j_w = _sides(mu.h / 2.0 * B.quad_values(x) * Nx / lam)
+    wsum = float(j_w.sum())
+    if not wsum > 0.0:
+        raise EntropyError("reference measure has no mass on this grid")
+    ratio = _ratio(np.concatenate(_panel_sides(mu)), _sides(Nx))
+    psis = [float(B.quad_values(np.array([loc]))[0]) / lam for loc, _ in mu.atoms]
+    return _jensen_gap(j_w / wsum, ratio, np.asarray(H.H(ratio), dtype=float),
+                       psis, mu.atoms, H)
 
 
 def jensen_defect(mu: HybridMeasure, psi, f: EntropyIntegrand) -> float:
@@ -218,30 +197,29 @@ def jensen_defect(mu: HybridMeasure, psi, f: EntropyIntegrand) -> float:
     psi and no atoms sit there (for strictly convex f), and identically
     zero for linear f.
     """
-    xs, w = _sample_points(mu)
     vals = np.concatenate(_panel_sides(mu))
-    psix = np.asarray(psi(xs), dtype=float)
+    psix = _sides(np.asarray(psi(mu.nodes), dtype=float))
     if psix.min() < 0.0:
         raise EntropyError("jensen weight must be nonnegative")
-    wsum = float(np.sum(w * psix))
+    w_psi = mu.h / 2.0 * psix
+    wsum = float(np.sum(w_psi))
     if abs(wsum - 1.0) > 1e-8:
         raise EntropyError("jensen weight is not normalized on this domain")
     psis = [float(np.asarray(psi(np.asarray([loc])), dtype=float)[0])
             for loc, _ in mu.atoms]
-    return _jensen_gap(w * psix / wsum, vals, np.asarray(f.H(vals), dtype=float),
+    return _jensen_gap(w_psi / wsum, vals, np.asarray(f.H(vals), dtype=float),
                        psis, mu.atoms, f)
 
 
-def verify_B_dominates_phi(B: BirthLaw, spectral: SpectralData,
-                           x_max: float | None = None, n: int = 4001):
+def verify_B_dominates_phi(B: BirthLaw, spectral: SpectralData):
     """Largest C with B >= C phi on the sampling grid, and whether C > 0.
 
-    The minimum runs over nodes where phi exceeds 1e-14; the grid covers
-    the birth-law support (or a 40/lambda window for infinite support).
+    The minimum runs over the ``_DOMINANCE_NODES`` grid nodes where phi
+    exceeds 1e-14; the grid covers the birth-law support (or a 40/lambda
+    window for infinite support).
     """
-    if x_max is None:
-        x_max = B.support_end if B.support_end is not None else 40.0 / spectral.lambda0
-    xs = np.linspace(0.0, x_max, n)
+    x_max = B.support_end if B.support_end is not None else 40.0 / spectral.lambda0
+    xs = np.linspace(0.0, x_max, _DOMINANCE_NODES)
     phix = np.asarray(spectral.phi(xs), dtype=float)
     bx = np.asarray(B(xs), dtype=float)
     mask = phix > 1e-14

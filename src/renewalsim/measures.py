@@ -45,6 +45,11 @@ __all__ = [
 _SNAP = 1e-9  # relative slack when matching coordinates to grid nodes
 
 
+def _is_multiple(value: float, unit: float) -> bool:
+    """Whether ``value`` is an integer multiple of ``unit`` up to the snap."""
+    return abs(value - round(value / unit) * unit) <= _SNAP * max(1.0, abs(value))
+
+
 def _evaluate(f, x):
     """Evaluate a scalar function on an array, vectorizing if needed."""
     with warnings.catch_warnings():

@@ -5,11 +5,10 @@ A scenario file has five sections; keys are ``name = value`` lines and
 ``location:weight`` tokens.
 
     [birth_law]       kind (constant|indicator|table), beta, a, b,
-                      x, values, quadrature_panels
+                      x, values
                       (an indicator is rate beta on [a, b], built as a
                       table; a table x repeated once is a jump, left
-                      value first; quadrature_panels is an integer in
-                      [1, 10**6])
+                      value first)
     [initial_measure] atoms, density (exponential|gaussian-bump|uniform|none),
                       rate, center, width, lo, hi, mass, file
     [numerics]        h, dt, T, x_max
@@ -21,7 +20,8 @@ must be nonnegative; atom locations must lie strictly inside
 (0, x_max - T) so no atom can reach the window edge within the horizon.
 With a discontinuous birth law, its jump points and all atom locations must
 sit on the spatial grid, which keeps every kink of the solution on grid
-nodes for the lifetime of the run.
+nodes for the lifetime of the run.  There is no quadrature key: the
+spectral check derives its Simpson panel count from the law.
 """
 from __future__ import annotations
 
@@ -33,16 +33,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ScenarioError, SpectralError
-from .measures import HybridMeasure, read_snapshot
+from .measures import _SNAP, HybridMeasure, _is_multiple, read_snapshot
 from .spectral import BirthLaw
 from .entropy import EntropyIntegrand, abs_shift, builtin_integrand
 
 __all__ = ["Scenario", "parse_scenario", "load_scenario"]
 
-_SNAP = 1e-9
-
 _SECTIONS = {
-    "birth_law": {"kind", "beta", "a", "b", "x", "values", "quadrature_panels"},
+    "birth_law": {"kind", "beta", "a", "b", "x", "values"},
     "initial_measure": {"atoms", "density", "rate", "center", "width",
                         "lo", "hi", "mass", "file"},
     "numerics": {"h", "dt", "T", "x_max"},
@@ -77,11 +75,6 @@ def _integrand_by_name(name: str) -> EntropyIntegrand:
     if m:
         return abs_shift(float(m.group(1)))
     return builtin_integrand(name)
-
-
-def _is_multiple(value: float, unit: float) -> bool:
-    k = round(value / unit)
-    return abs(value - k * unit) <= _SNAP * max(1.0, abs(value))
 
 
 class _Parser:
@@ -152,25 +145,24 @@ def _build_birth_law(p: _Parser) -> BirthLaw | None:
     if kind is None:
         p.errors.append("[birth_law] missing required key 'kind'")
         return None
-    panels = p.number("birth_law", "quadrature_panels", 2000.0)
     try:
         if kind == "constant":
             beta = p.number("birth_law", "beta")
-            return BirthLaw.constant(beta, panels) if beta is not None else None
+            return BirthLaw.constant(beta) if beta is not None else None
         if kind == "indicator":
             beta = p.number("birth_law", "beta")
             a = p.number("birth_law", "a", 0.0)
             b = p.number("birth_law", "b")
             if beta is None or b is None:
                 return None
-            return BirthLaw.indicator(beta, a, b, panels)
+            return BirthLaw.indicator(beta, a, b)
         if kind == "table":
             xs = p.numbers("birth_law", "x")
             vals = p.numbers("birth_law", "values")
             if not xs or not vals:
                 p.errors.append("[birth_law] table law needs 'x' and 'values'")
                 return None
-            return BirthLaw.table(xs, vals, panels)
+            return BirthLaw.table(xs, vals)
         p.errors.append(f"[birth_law] unknown kind {kind!r}")
     except SpectralError as exc:
         p.errors.append(f"[birth_law] {exc}")

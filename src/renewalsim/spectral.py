@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import SpectralError
-from .measures import HybridMeasure, ac_cumulative, ac_first_moment
+from .measures import _SNAP, HybridMeasure, ac_cumulative, ac_first_moment
 from .quadrature import composite_simpson
 
 __all__ = [
@@ -35,9 +35,6 @@ __all__ = [
     "solve_spectral",
     "stationary_measure",
 ]
-
-_SNAP = 1e-9
-
 
 def _poly_exp_antideriv(lam, base, c0, c1, c2, y):
     """Antiderivative of (c0 + c1 y + c2 y^2) exp(-lam (y - base)) at y."""
@@ -57,23 +54,17 @@ def _panel_sum(terms) -> float:
     return float(np.add.accumulate(terms)[-1])
 
 
-# Largest accepted quadrature_panels (the default is 2000): far beyond any
-# useful accuracy, and small enough that the Simpson grid fits in memory.
+# Simpson panels of the dual normalization check over [0, x_hi]: N phi
+# decays like exp(-lambda0 x) there, so _PANELS_PER_DECAY per unit of
+# lambda0 x, at least _MIN_PANELS; _MAX_PANELS keeps the grid in memory.
+_MIN_PANELS = 2000
+_PANELS_PER_DECAY = 40
 _MAX_PANELS = 10**6
-
-
-def _panel_count(panels) -> int:
-    if not (isinstance(panels, (int, float, np.integer)) and panels >= 1
-            and float(panels).is_integer()):
-        raise SpectralError("quadrature_panels must be a positive integer")
-    if panels > _MAX_PANELS:
-        raise SpectralError(f"quadrature_panels must be at most {_MAX_PANELS}")
-    return int(panels)
 
 
 @dataclass(frozen=True)
 class BirthLaw:
-    """Nonnegative bounded birth rate with quadrature metadata.
+    """Nonnegative bounded birth rate.
 
     Attributes
     ----------
@@ -84,8 +75,6 @@ class BirthLaw:
     support_end:
         Smallest x beyond which the rate vanishes; ``None`` means infinite
         support (constant laws only).
-    quadrature_panels:
-        Panel budget for the Simpson checks run against this law.
     beta:
         The rate of a constant law.
     xs, vals:
@@ -96,7 +85,6 @@ class BirthLaw:
     kind: str
     sup_bound: float
     support_end: float | None
-    quadrature_panels: int = 2000
     beta: float = 0.0
     xs: tuple = ()
     vals: tuple = ()
@@ -104,23 +92,22 @@ class BirthLaw:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def constant(cls, beta: float, quadrature_panels: int = 2000) -> "BirthLaw":
+    def constant(cls, beta: float) -> "BirthLaw":
         if not (beta > 0.0 and math.isfinite(beta)):
             raise SpectralError("constant birth rate must be positive and finite")
-        return cls("constant", beta, None, _panel_count(quadrature_panels), beta=beta)
+        return cls("constant", beta, None, beta=beta)
 
     @classmethod
-    def indicator(cls, beta: float, lo: float, hi: float,
-                  quadrature_panels: int = 2000) -> "BirthLaw":
+    def indicator(cls, beta: float, lo: float, hi: float) -> "BirthLaw":
         """Rate ``beta`` on [lo, hi] and zero elsewhere, as a table law."""
         if not (0.0 <= lo < hi and math.isfinite(hi)):
             raise SpectralError("indicator support must satisfy 0 <= lo < hi")
         if lo == 0.0:
-            return cls.table((0.0, hi), (beta, beta), quadrature_panels)
-        return cls.table((0.0, lo, lo, hi), (0.0, 0.0, beta, beta), quadrature_panels)
+            return cls.table((0.0, hi), (beta, beta))
+        return cls.table((0.0, lo, lo, hi), (0.0, 0.0, beta, beta))
 
     @classmethod
-    def table(cls, xs, vals, quadrature_panels: int = 2000) -> "BirthLaw":
+    def table(cls, xs, vals) -> "BirthLaw":
         xs = tuple(float(x) for x in xs)
         vals = tuple(float(v) for v in vals)
         if len(xs) < 2 or len(xs) != len(vals):
@@ -135,8 +122,7 @@ class BirthLaw:
             raise SpectralError("a table node may repeat once (a jump), inside the support")
         if min(vals) < 0.0:
             raise SpectralError("birth rate must be nonnegative")
-        law = cls("table", max(vals), xs[-1], _panel_count(quadrature_panels),
-                  xs=xs, vals=vals)
+        law = cls("table", max(vals), xs[-1], xs=xs, vals=vals)
         if law.total_integral() <= 1.0 + 1e-8:
             raise SpectralError("net reproduction below one")
         return law
@@ -386,7 +372,11 @@ def eigen_phi(B: BirthLaw, lambda0: float):
 
 
 def solve_spectral(B: BirthLaw) -> SpectralData:
-    """Solve both eigenproblems and record the defining residuals."""
+    """Solve both eigenproblems and record the defining residuals.
+
+    The Simpson panel count of the normalization check grows with lambda0
+    times the window, so a steep law is resolved too.
+    """
     lam = solve_lambda0(B)
     N = eigen_N(lam)
     phi, phi0 = eigen_phi(B, lam)
@@ -398,9 +388,8 @@ def solve_spectral(B: BirthLaw) -> SpectralData:
     else:
         x_hi = 40.0 / lam
         tail = phi0 * B.beta / lam * math.exp(-lam * x_hi)  # phi is constant there
-    quad = composite_simpson(
-        lambda x: N(x) * phi(x), 0.0, x_hi, B.quadrature_panels, B.breakpoints()
-    )
+    panels = min(max(_MIN_PANELS, math.ceil(_PANELS_PER_DECAY * lam * x_hi)), _MAX_PANELS)
+    quad = composite_simpson(lambda x: N(x) * phi(x), 0.0, x_hi, panels, B.breakpoints())
     res_norm = abs(quad + tail - 1.0)
     if res_el > 1e-10:
         raise SpectralError("growth-rate residual above tolerance")

@@ -54,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TransportError
-from .measures import HybridMeasure, ac_cumulative
+from .measures import _SNAP, HybridMeasure, _is_multiple, ac_cumulative
 from .spectral import BirthLaw, SpectralData
 
 __all__ = [
@@ -68,8 +68,6 @@ __all__ = [
     "unrenormalize",
     "tail_phi_mass",
 ]
-
-_SNAP = 1e-9
 
 # Window of the birth trace solved as one block; older history arrives in
 # FFT blocks of at least this many steps.  A power of two: of 64, 128 and
@@ -109,7 +107,7 @@ class Trajectory:
 
 def _check_multiple(value: float, unit: float, what: str) -> int:
     k = int(round(value / unit))
-    if k < 0 or abs(value - k * unit) > _SNAP * max(1.0, abs(value)):
+    if k < 0 or not _is_multiple(value, unit):
         raise TransportError(f"{what} must be an integer multiple of {unit}")
     return k
 

@@ -107,16 +107,16 @@ class TestRandomLaws:
             assert sp.residual_normalization <= 1e-8
             assert sp.residual_euler_lotka <= 1e-10
 
+    def test_steep_law_is_resolved(self):
+        # lambda0 = 200: 2000 Simpson panels leave a residual above 1e-8, the
+        # derived count (40 per unit of lambda0 x, so 8000) resolves it
+        sp = rs.solve_spectral(BirthLaw.indicator(200.0, 0.0, 1.0))
+        assert sp.residual_normalization <= 1e-8
+
 
 class TestTableFamily:
-    def make(self, panels=2000):
-        return BirthLaw.table([0.0, 0.5, 1.0, 2.0], [0.0, 2.0, 2.0, 0.0],
-                              quadrature_panels=panels)
-
-    def test_growth_rate_panel_invariance(self):
-        lam1 = rs.solve_lambda0(self.make(panels=500))
-        lam2 = rs.solve_lambda0(self.make(panels=1000))
-        assert abs(lam1 - lam2) <= 1e-9
+    def make(self):
+        return BirthLaw.table([0.0, 0.5, 1.0, 2.0], [0.0, 2.0, 2.0, 0.0])
 
     def test_spectral_residuals(self):
         sp = rs.solve_spectral(self.make())
@@ -230,14 +230,6 @@ class TestTableValidation:
     def test_rejected(self, xs, vals):
         with pytest.raises(SpectralError):
             BirthLaw.table(xs, vals)
-
-    @pytest.mark.parametrize("panels", [0, -5, 2.7, float("inf"), float("nan"), None])
-    def test_panel_count_must_be_a_positive_integer(self, panels):
-        for make in (lambda: BirthLaw.constant(1.0, panels),
-                     lambda: BirthLaw.indicator(2.0, 0.0, 1.0, panels),
-                     lambda: BirthLaw.table([0.0, 1.0], [3.0, 3.0], panels)):
-            with pytest.raises(SpectralError, match="quadrature_panels"):
-                make()
 
     def test_inner_jump(self):
         B = BirthLaw.table([0.0, 0.5, 0.5, 1.0, 1.5], [1.0, 3.0, 1.0, 2.0, 0.0])
