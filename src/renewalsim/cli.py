@@ -142,18 +142,19 @@ def _verify_checks(sc: Scenario):
         return worst <= 1e-8, f"max sampled increase {worst:.3e}"
 
     def dissipation():
+        factor = spectral.phi0 * spectral.lambda0  # phi(0) N(0): d/dt gre = -factor J
         min_j = math.inf
         cum_ok = True
         detail = []
         for H in integrands:
             js = diag[f"J_{H.name}"]
             min_j = min(min_j, float(js.min()))
-            total = float(np.trapezoid(js, dx=sc.sample_dt))
+            total = factor * float(np.trapezoid(js, dx=sc.sample_dt))
             bound = diag[f"gre_{H.name}"][0] + 1e-6  # sample 0 is the datum
             cum_ok = cum_ok and total <= bound
-            detail.append(f"{H.name}: int J = {total:.6g} <= {bound:.6g}")
+            detail.append(f"{H.name}: phi(0)N(0) int J = {total:.8g} <= {bound:.8g}")
         ok = min_j >= -1e-10 and cum_ok
-        return ok, f"min J {min_j:.3e}; " + "; ".join(detail)
+        return ok, f"min J {min_j:.3e}; phi(0)N(0) = {factor:.6g}; " + "; ".join(detail)
 
     def mollification():
         if not (traj.initial.atoms and sc.eps_list):

@@ -1,7 +1,7 @@
-"""Composite Simpson quadrature with forced panel boundaries.
+"""Composite Simpson quadrature with forced panel boundaries: the tests' oracle.
 
-Panel edges can be pinned to the integrand's known discontinuities so that
-a merely bounded integrand keeps second-order panel accuracy.
+No command imports it.  Pinning panel edges to the integrand's known
+discontinuities keeps a merely bounded integrand second-order accurate.
 """
 from __future__ import annotations
 

@@ -10,8 +10,8 @@ quadrature).  ``table`` laws are piecewise linear with finite support; a
 repeated inner abscissa is a jump, left value first, and an indicator
 ``beta 1_[lo, hi]`` is sugar for such a table.  One panel table
 ``(p, q, c0, c1)`` with ``B(y) = c0 + c1 y`` on each panel of positive
-width drives the exact exponential transforms, the dual-weight tail and
-the exact panel-moment birth forcing.
+width drives the exact exponential transforms, the dual-weight tail, its
+normalization residual and the exact panel-moment birth forcing.
 """
 from __future__ import annotations
 
@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import SpectralError
 from .measures import _SNAP, HybridMeasure, ac_cumulative, ac_first_moment
-from .quadrature import composite_simpson
 
 __all__ = [
     "BirthLaw",
@@ -52,14 +51,6 @@ def _poly_exp_int(lam, base, c0, c1, c2, p, q):
 def _panel_sum(terms) -> float:
     """Left-to-right sum of per-panel terms (pairwise summation would move bits)."""
     return float(np.add.accumulate(terms)[-1])
-
-
-# Simpson panels of the dual normalization check over [0, x_hi]: N phi
-# decays like exp(-lambda0 x) there, so _PANELS_PER_DECAY per unit of
-# lambda0 x, at least _MIN_PANELS; _MAX_PANELS keeps the grid in memory.
-_MIN_PANELS = 2000
-_PANELS_PER_DECAY = 40
-_MAX_PANELS = 10**6
 
 
 @dataclass(frozen=True)
@@ -219,6 +210,27 @@ class BirthLaw:
         p, q, c0, c1 = self._panels
         return _panel_sum(_poly_exp_int(lam, 0.0, 0.0, c0, c1, p, q))
 
+    def _panel_tails(self, lam: float) -> np.ndarray:
+        """``G[k]`` = integral of B exp(-lam (y - p[k])) over [p[k], inf); ``G[P] = 0``."""
+        p, q, c0, c1 = self._panels
+        local = _poly_exp_int(lam, p, c0, c1, 0.0, p, q)
+        G = np.zeros(p.size + 1)
+        for k in range(p.size - 1, -1, -1):
+            G[k] = local[k] + math.exp(-lam * (q[k] - p[k])) * G[k + 1]
+        return G
+
+    def tail_moment(self, lam: float) -> float:
+        """Integral over x >= 0 of ``integral_x^inf B(y) exp(-lam y) dy``, i.e. ``laplace_moment``.
+
+        Computed through the tail recursion instead: on the x-panel [p, q] the inner integral
+        splits at q into ``integral_p^q (y - p) B exp(-lam y) dy + (q - p) exp(-lam q) G[k + 1]``.
+        """
+        if self.kind == "constant":
+            return self.beta / lam ** 2
+        p, q, c0, c1 = self._panels
+        near = _poly_exp_int(lam, 0.0, -p * c0, c0 - p * c1, c1, p, q)
+        return _panel_sum(near + (q - p) * np.exp(-lam * q) * self._panel_tails(lam)[1:])
+
     def laplace_tail(self, x, lam: float):
         """Integral of B(y) exp(-lam (y - x)) over [x, inf), vectorized in x.
 
@@ -229,11 +241,7 @@ class BirthLaw:
         if self.kind == "constant":
             return np.full_like(x, self.beta / lam)
         p, q, c0, c1 = self._panels
-        # G[k] = integral_{p[k]}^{end} B exp(-lam (y - p[k])), backward recursion
-        local = _poly_exp_int(lam, p, c0, c1, 0.0, p, q)
-        G = np.zeros(p.size + 1)
-        for k in range(p.size - 1, -1, -1):
-            G[k] = local[k] + math.exp(-lam * (q[k] - p[k])) * G[k + 1]
+        G = self._panel_tails(lam)
         out = np.zeros_like(x)
         inside = (x >= 0.0) & (x < q[-1])
         xi = x[inside]
@@ -374,28 +382,18 @@ def eigen_phi(B: BirthLaw, lambda0: float):
 def solve_spectral(B: BirthLaw) -> SpectralData:
     """Solve both eigenproblems and record the defining residuals.
 
-    The Simpson panel count of the normalization check grows with lambda0
-    times the window, so a steep law is resolved too.
+    ``integral N phi dx = lambda0 phi0 B.tail_moment(lambda0)`` exactly, so the normalization
+    check sets the tail recursion behind phi against the moment behind phi0 without sampling.
     """
     lam = solve_lambda0(B)
-    N = eigen_N(lam)
     phi, phi0 = eigen_phi(B, lam)
     res_el = abs(B.laplace(lam) - 1.0)
-
-    if B.support_end is not None:
-        x_hi = B.support_end
-        tail = 0.0
-    else:
-        x_hi = 40.0 / lam
-        tail = phi0 * B.beta / lam * math.exp(-lam * x_hi)  # phi is constant there
-    panels = min(max(_MIN_PANELS, math.ceil(_PANELS_PER_DECAY * lam * x_hi)), _MAX_PANELS)
-    quad = composite_simpson(lambda x: N(x) * phi(x), 0.0, x_hi, panels, B.breakpoints())
-    res_norm = abs(quad + tail - 1.0)
+    res_norm = abs(lam * phi0 * B.tail_moment(lam) - 1.0)
     if res_el > 1e-10:
         raise SpectralError("growth-rate residual above tolerance")
     if res_norm > 1e-8:
         raise SpectralError("dual normalization residual above tolerance")
-    return SpectralData(lam, N, phi, phi0, res_el, res_norm)
+    return SpectralData(lam, eigen_N(lam), phi, phi0, res_el, res_norm)
 
 
 def stationary_measure(spectral: SpectralData, x_max: float, h: float,

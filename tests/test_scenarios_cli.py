@@ -327,7 +327,7 @@ class TestCli:
     @pytest.mark.parametrize("law", [
         "kind = table\nx = 0 1\nvalues = nan 3",
         "kind = table\nx = 0 1\nvalues = inf inf",
-        # the Simpson panel count is derived from the law: the old key is unknown
+        # the normalization check is exact and has no panel count: the old key is unknown
         "kind = constant\nbeta = 1.0\nquadrature_panels = 2000",
     ])
     def test_birth_law_config_errors(self, tmp_path, capsys, law):
@@ -340,9 +340,10 @@ class TestCli:
             assert "config error: [birth_law]" in err
 
     def test_spectral_on_a_steep_law(self, tmp_path, capsys):
-        law = "kind = indicator\nbeta = 200.0\na = 0.0\nb = 1.0"
-        path = self.write(tmp_path, GOLDEN.replace("kind = constant\nbeta = 1.0", law))
-        assert main(["spectral", "--scenario", path]) == 0, capsys.readouterr().err
+        for beta in ("200.0", "1e5"):
+            law = f"kind = indicator\nbeta = {beta}\na = 0.0\nb = 1.0"
+            path = self.write(tmp_path, GOLDEN.replace("kind = constant\nbeta = 1.0", law))
+            assert main(["spectral", "--scenario", path]) == 0, capsys.readouterr().err
 
     def test_repeated_abscissa_table_equals_indicator(self, tmp_path, capsys):
         laws = {"indicator": "kind = indicator\nbeta = 2.0\na = 0.25\nb = 1",
@@ -374,6 +375,27 @@ class TestCli:
         codes, loaded = out.split("\n")[-2].rsplit(" ", 1)
         # verify may exit 3: GOLDEN's coarse sample grid fails conservation
         assert codes in ("[0, 0]", "[0, 3]") and loaded == "False", out
+
+    def test_cli_leaves_quadrature_unloaded(self):
+        # Simpson quadrature is the tests' oracle; no command imports it
+        script = ("import sys\nimport renewalsim.cli\n"
+                  "print('renewalsim.quadrature' in sys.modules)\n")
+        out = subprocess.run([sys.executable, "-c", script], env=SRC_ENV, check=True,
+                             capture_output=True, text=True, timeout=120).stdout
+        assert out.strip() == "False", out
+
+    def test_dissipation_bound_carries_phi0_lambda0(self, tmp_path, capsys):
+        # beta = 0.5: phi(0) N(0) = 0.5, so gre(0) - gre(T) = 0.5 int J and the
+        # unscaled int J = 4.0000009 would exceed gre(0) + 1e-6 = 2.0000015
+        with open(os.path.join(SCENARIO_DIR, "constant_dirac.ini"), encoding="utf-8") as fh:
+            text = fh.read()
+        for key, value in (("beta", "0.5"), ("T", "30.0"), ("x_max", "60.0"),
+                           ("integrands", "abs_shift(1)"), ("sample_dt", "0.005")):
+            text = "\n".join(f"{key} = {value}" if line.startswith(f"{key} =") else line
+                             for line in text.splitlines())
+        main(["verify", "--scenario", self.write(tmp_path, text)])
+        line = next(ln for ln in capsys.readouterr().out.splitlines() if "dissipation" in ln)
+        assert line.startswith("PASS dissipation:") and "phi(0)N(0) = 0.5;" in line, line
 
     def test_python_dash_m_runs_the_cli(self):
         # a checkout has no console script: README's commands run as python -m
