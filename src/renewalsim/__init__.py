@@ -19,12 +19,8 @@ from .measures import (
     angle_bracket,
     flat_distance,
     integrate,
-    linear_combination,
     mollify,
     read_snapshot,
-    shift_pushforward,
-    total_variation,
-    weighted_variation,
     write_snapshot,
 )
 from .spectral import (
@@ -34,20 +30,17 @@ from .spectral import (
     eigen_phi,
     solve_lambda0,
     solve_spectral,
-    stationary_measure,
 )
 from .transport import (
     Trajectory,
     birth_series,
     evolve,
     tail_phi_mass,
-    unrenormalize,
 )
 from .entropy import (
     EntropyIntegrand,
     abs_shift,
     builtin_integrand,
-    dissipation_J,
     gre_functional,
     jensen_defect,
     make_integrand,
@@ -60,7 +53,6 @@ from .convergence import (
     MollificationReport,
     distance_to_equilibrium,
     fit_decay_rate,
-    mk_sequence_check,
     reshetnyak_harness,
     sample_diagnostics,
 )

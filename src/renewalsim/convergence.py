@@ -50,7 +50,6 @@ __all__ = [
     "reshetnyak_harness",
     "BirthIntegralReport",
     "birth_integral_report",
-    "mk_sequence_check",
 ]
 
 _FLOOR = 1e-13  # distances below this are floating noise, not signal
@@ -85,8 +84,8 @@ class _LabelTable:
     m0|, the row of the distances.  The cells where ``ratio - m0`` changes
     sign (``cross``, by their left position), and the point in each where
     it crosses zero, do not depend on the sample time (N(x + g) / N(x) =
-    exp(-lambda0 g) everywhere), so the exact split of
-    ``weighted_variation`` is folded into ``dsum``: a cell's left end
+    exp(-lambda0 g) everywhere), so the exact split of |ratio - m0| at its
+    zero is folded into ``dsum``: a cell's left end
     carries ``cross_left`` = theta |a| instead of |a| and its right end
     ``cross_right`` = (1 - theta) |b| instead of |b|.
     """
@@ -245,11 +244,12 @@ def sample_diagnostics(traj: Trajectory, times, integrands=(), etas=None) -> dic
     grid, and the sign-change cells of ``D_<name>`` are folded into the
     labels.
 
-    The values agree with the one-measure functionals applied to
-    ``evolve(traj, t)`` to rounding (the sums are taken in another order).
-    A sample raises where ``evolve`` or those functionals would, in sample
-    order; where density/N overflows this is an ``EntropyError`` even
-    without integrands, because every column is a sum over density/N.
+    The values agree to rounding with the same sums taken over the nodes of
+    ``evolve(traj, t)`` (in another order; the tests keep those per-snapshot
+    sums as oracles).  A sample raises where ``evolve`` or
+    ``gre_functional`` would, in sample order; where density/N overflows
+    this is an ``EntropyError`` even without integrands, because every
+    column is a sum over density/N.
     """
     spectral, B = traj.spectral, traj.birth_law
     lam = spectral.lambda0
@@ -500,12 +500,3 @@ def birth_integral_report(times, m0: float, m_k, d_phi) -> BirthIntegralReport:
         times, tuple(mks.tolist()), m0, start, envelope_ok, final_dev,
         final_dev <= _MK_FINAL_TOL,
     )
-
-
-def mk_sequence_check(traj: Trajectory, times) -> BirthIntegralReport:
-    """``birth_integral_report`` on one sweep over t = 0 and ``times``."""
-    times = [0.0, *(float(t) for t in times)]
-    if any(b <= a for a, b in zip(times[1:-1], times[2:])):
-        raise RenewalError("check times must be strictly increasing")
-    diag = sample_diagnostics(traj, times)
-    return birth_integral_report(times, diag["m0"], diag["m_k"], diag["D_phi"])

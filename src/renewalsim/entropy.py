@@ -2,17 +2,18 @@
 
 An admissible integrand is a convex H with at most linear growth; its
 recession values at +/-1 say what H costs per unit of singular mass of
-either sign.  The three diagnostics evaluated here are the weighted
-relative-entropy functional of a measure against the stable profile, the
-instantaneous dissipation (a measure-level Jensen gap driven by the birth
-rate), and the plain Jensen defect for a caller-supplied weight.
+either sign.  The two diagnostics evaluated here on a single measure are
+the weighted relative-entropy functional of a measure against the stable
+profile and the measure-level Jensen defect for a caller-supplied weight.
+The dissipation (the Jensen gap driven by the birth rate) exists only as
+the per-sample column of ``convergence.sample_diagnostics``.
 
-Each is a trapezoid sum over both ends of every panel; phi, N and the
-birth rate are evaluated once per grid node and copied to the panel ends.
+Each is a trapezoid sum over both ends of every panel; phi and N are
+evaluated once per grid node and copied to the panel ends.
 
-The discrete Jensen quantities renormalize their quadrature weight vectors
-to unit mass, so nonnegativity holds exactly (up to rounding) instead of up
-to quadrature error; the shift this introduces is below the quadrature
+The Jensen defect renormalizes its quadrature weight vector to unit mass,
+so nonnegativity holds exactly (up to rounding) instead of up to
+quadrature error; the shift this introduces is below the quadrature
 tolerance everywhere.
 """
 from __future__ import annotations
@@ -34,7 +35,6 @@ __all__ = [
     "builtin_integrand",
     "abs_shift",
     "gre_functional",
-    "dissipation_J",
     "jensen_defect",
     "verify_B_dominates_phi",
 ]
@@ -145,16 +145,6 @@ def _gre(gre_w, Hr, atoms, spectral: SpectralData, H: EntropyIntegrand) -> float
     return total
 
 
-def _jensen_gap(weights, vals, Hvals, psis, atoms, H: EntropyIntegrand) -> float:
-    """Jensen gap of H; ``weights`` has unit mass, ``psis`` weight the atoms."""
-    arg = float(np.sum(weights * vals))
-    term2 = 0.0
-    for psi, (_, wt) in zip(psis, atoms):
-        term2 += psi * H.H_inf(math.copysign(1.0, wt)) * abs(wt)
-        arg += psi * wt
-    return float(np.sum(weights * Hvals)) + term2 - float(H.H(np.asarray(arg, dtype=float)))
-
-
 def gre_functional(mu: HybridMeasure, spectral: SpectralData,
                    H: EntropyIntegrand) -> float:
     """Weighted entropy of a measure relative to the stable profile.
@@ -165,28 +155,6 @@ def gre_functional(mu: HybridMeasure, spectral: SpectralData,
     Nx, gre_w = _entropy_grid(mu, spectral)
     ratio = _ratio(np.concatenate(_panel_sides(mu)), Nx)
     return _gre(gre_w, np.asarray(H.H(ratio), dtype=float), mu.atoms, spectral, H)
-
-
-def dissipation_J(mu: HybridMeasure, B: BirthLaw, spectral: SpectralData,
-                  H: EntropyIntegrand) -> float:
-    """Instantaneous entropy dissipation of a measure state.
-
-    Three terms: H(density/N) against the unit-mass reference B N / N(0) dx,
-    the recession cost of the atoms weighted by B/N(0), minus H of the total
-    birth integral B/N(0) against the measure.  Nonnegative for convex H.
-    """
-    if spectral.residual_euler_lotka > 1e-8:
-        raise EntropyError("reference measure is not normalized: eigen residual too big")
-    lam, x = spectral.lambda0, mu.nodes  # N(0) = lambda0
-    Nx = spectral.N(x)
-    j_w = _sides(mu.h / 2.0 * B.quad_values(x) * Nx / lam)
-    wsum = float(j_w.sum())
-    if not wsum > 0.0:
-        raise EntropyError("reference measure has no mass on this grid")
-    ratio = _ratio(np.concatenate(_panel_sides(mu)), _sides(Nx))
-    psis = [float(B.quad_values(np.array([loc]))[0]) / lam for loc, _ in mu.atoms]
-    return _jensen_gap(j_w / wsum, ratio, np.asarray(H.H(ratio), dtype=float),
-                       psis, mu.atoms, H)
 
 
 def jensen_defect(mu: HybridMeasure, psi, f: EntropyIntegrand) -> float:
@@ -205,10 +173,15 @@ def jensen_defect(mu: HybridMeasure, psi, f: EntropyIntegrand) -> float:
     wsum = float(np.sum(w_psi))
     if abs(wsum - 1.0) > 1e-8:
         raise EntropyError("jensen weight is not normalized on this domain")
-    psis = [float(np.asarray(psi(np.asarray([loc])), dtype=float)[0])
-            for loc, _ in mu.atoms]
-    return _jensen_gap(w_psi / wsum, vals, np.asarray(f.H(vals), dtype=float),
-                       psis, mu.atoms, f)
+    weights = w_psi / wsum
+    arg = float(np.sum(weights * vals))
+    term2 = 0.0
+    for loc, wt in mu.atoms:
+        pl = float(np.asarray(psi(np.asarray([loc])), dtype=float)[0])
+        term2 += pl * f.H_inf(math.copysign(1.0, wt)) * abs(wt)
+        arg += pl * wt
+    Hvals = np.asarray(f.H(vals), dtype=float)
+    return float(np.sum(weights * Hvals)) + term2 - float(f.H(np.asarray(arg, dtype=float)))
 
 
 def verify_B_dominates_phi(B: BirthLaw, spectral: SpectralData):

@@ -19,7 +19,6 @@ import math
 import warnings
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import islice
 
 import numpy as np
@@ -28,13 +27,9 @@ from .errors import MeasureError
 
 __all__ = [
     "HybridMeasure",
-    "total_variation",
     "integrate",
-    "weighted_variation",
     "angle_bracket",
     "mollify",
-    "shift_pushforward",
-    "linear_combination",
     "flat_distance",
     "ac_cumulative",
     "ac_first_moment",
@@ -46,8 +41,9 @@ _SNAP = 1e-9  # relative slack when matching coordinates to grid nodes
 
 
 def _is_multiple(value: float, unit: float) -> bool:
-    """Whether ``value`` is an integer multiple of ``unit`` up to the snap."""
-    return abs(value - round(value / unit) * unit) <= _SNAP * max(1.0, abs(value))
+    """Whether ``value`` is an integer multiple of ``unit`` up to the snap; never inf or nan."""
+    q = value / unit
+    return math.isfinite(q) and abs(value - round(q) * unit) <= _SNAP * max(1.0, abs(value))
 
 
 def _evaluate(f, x):
@@ -218,74 +214,6 @@ def integrate(mu: HybridMeasure, f) -> float:
     return total
 
 
-def weighted_variation(mu: HybridMeasure, w=None, breakpoints=()) -> float:
-    """Integral of a nonnegative weight against ``|mu|``.
-
-    The absolute value of the piecewise-linear density is integrated
-    exactly: every panel is split at its sign change, at jump nodes the
-    one-sided limits are used, and callers may force additional split
-    points (``breakpoints``) where the weight or density is known to kink.
-    """
-    nodes = mu.nodes
-    h = mu.h
-    n = nodes.size
-    L, R = _panel_sides(mu)
-    if w is None:
-        wn = np.ones(n)
-    else:
-        wn = _evaluate(w, nodes)
-        if wn.min() < -1e-12:
-            raise MeasureError("variation weight must be nonnegative")
-
-    inner = {}
-    for bp in breakpoints:
-        bp = float(bp)
-        if bp <= 0.0 or bp >= mu.x_max:
-            continue
-        pos = bp / h
-        if abs(pos - round(pos)) <= _SNAP:
-            continue  # already a node
-        inner.setdefault(int(pos), []).append(bp)
-
-    cross = L * R < 0.0
-    special = cross.copy()
-    for i in inner:
-        if 0 <= i < n - 1:
-            special[i] = True
-
-    plain = ~special
-    total = float(np.sum((np.abs(L[plain]) * wn[:-1][plain]
-                          + np.abs(R[plain]) * wn[1:][plain]) * (h / 2.0)))
-
-    for i in np.flatnonzero(special):
-        a, b = nodes[i], nodes[i + 1]
-        li, ri = L[i], R[i]
-        pts = sorted(inner.get(i, []))
-        if li * ri < 0.0:
-            pts.append(a + h * li / (li - ri))
-            pts.sort()
-        xs = np.array([a] + pts + [b])
-        vals = li + (ri - li) * (xs - a) / h
-        vals[0], vals[-1] = li, ri
-        ws = np.empty_like(xs)
-        ws[0], ws[-1] = wn[i], wn[i + 1]
-        if xs.size > 2:
-            ws[1:-1] = 1.0 if w is None else _evaluate(w, xs[1:-1])
-        seg = np.diff(xs)
-        av = np.abs(vals)
-        total += float(np.sum(seg * (av[:-1] * ws[:-1] + av[1:] * ws[1:]) / 2.0))
-
-    for loc, wt in mu.atoms:
-        wloc = 1.0 if w is None else float(_evaluate(w, np.array([loc]))[0])
-        total += wloc * abs(wt)
-    return total
-
-
-def total_variation(mu: HybridMeasure) -> float:
-    """Total variation: exact integral of |density| plus summed |atom weights|."""
-    return weighted_variation(mu, None)
-
-
 def angle_bracket(mu: HybridMeasure) -> float:
     """Area-type functional: integral of sqrt(1 + density^2) plus atom mass."""
     L, R = _panel_sides(mu)
@@ -339,88 +267,6 @@ def mollify(mu: HybridMeasure, eps: float) -> "HybridMeasure":
     jumps = tuple((x, lo + added[int(round(x / mu.h))], hi + added[int(round(x / mu.h))])
                   for x, lo, hi in mu.jumps)
     return HybridMeasure(mu.h, dens, (), jumps, nonnegative=mu.nonnegative)
-
-
-def shift_pushforward(mu: HybridMeasure, t: float, scale: float) -> "HybridMeasure":
-    """Image of the measure under x -> x + t, weights multiplied by ``scale``.
-
-    The domain grows by ``t``.  Grid-aligned shifts are exact index moves;
-    otherwise the density is linearly resampled onto the extended grid and
-    jump records are dropped (their node values are already the means).
-    """
-    if t < 0.0:
-        raise MeasureError("shift must be nonnegative")
-    h = mu.h
-    atoms = tuple((loc + t, wt * scale) for loc, wt in mu.atoms)
-    steps = t / h
-    if abs(steps - round(steps)) <= _SNAP:
-        k = int(round(steps))
-        dens = np.concatenate([np.zeros(k), mu.density * scale])
-        jumps = [(x + k * h, lo * scale, hi * scale)
-                 for x, lo, hi in mu.jumps if x > 0.0 or k == 0]
-        if k > 0:
-            # the shifted density starts abruptly at x = t
-            right0 = mu.density[0]
-            for x, _, hi in mu.jumps:
-                if x == 0.0:
-                    right0 = hi
-            if right0 * scale != 0.0:
-                jumps.append((k * h, 0.0, right0 * scale))
-        nonneg = mu.nonnegative and scale >= 0.0
-        return HybridMeasure(h, dens, atoms, tuple(jumps), nonnegative=nonneg)
-    n_new = mu.node_count + int(math.ceil(steps - _SNAP))
-    xs = np.arange(n_new) * h
-    dens = scale * mu.density_at(xs - t)
-    return HybridMeasure(h, dens, atoms, nonnegative=mu.nonnegative and scale >= 0.0)
-
-
-def _common_grid(mu: HybridMeasure, nu: HybridMeasure):
-    """Target (h, node_count) covering both measures; grids must be commensurable."""
-    h1, h2 = mu.h, nu.h
-    if abs(h1 - h2) <= _SNAP * h1:
-        g = min(h1, h2)
-    else:
-        frac = Fraction(h1 / h2).limit_denominator(10 ** 6)
-        p, q = frac.numerator, frac.denominator
-        g = h1 / p
-        if p < 1 or q < 1 or abs(h2 / q - g) > _SNAP * g:
-            raise MeasureError("incommensurable grids cannot be combined")
-    x_max = max(mu.x_max, nu.x_max)
-    n = int(round(x_max / g)) + 1
-    return g, n
-
-
-def _resample(mu: HybridMeasure, g: float, n: int):
-    """Density values and carried-over jumps of ``mu`` on the refined grid."""
-    xs = np.arange(n) * g
-    dens = mu.density_at(xs)
-    jumps = {}
-    for x, lo, hi in mu.jumps:
-        i = int(round(x / g))
-        if abs(x - i * g) <= _SNAP * max(1.0, x):
-            jumps[i] = (lo, hi)
-    return dens, jumps
-
-
-def linear_combination(a: float, mu: HybridMeasure, b: float, nu: HybridMeasure):
-    """The measure ``a*mu + b*nu`` on a common refinement grid."""
-    g, n = _common_grid(mu, nu)
-    d1, j1 = _resample(mu, g, n)
-    d2, j2 = _resample(nu, g, n)
-    dens = a * d1 + b * d2
-    atoms = [(loc, a * wt) for loc, wt in mu.atoms]
-    atoms += [(loc, b * wt) for loc, wt in nu.atoms]
-
-    jumps = []
-    for i in sorted(set(j1) | set(j2)):
-        lo1, hi1 = j1.get(i, (d1[i], d1[i]))
-        lo2, hi2 = j2.get(i, (d2[i], d2[i]))
-        lo, hi = a * lo1 + b * lo2, a * hi1 + b * hi2
-        if lo != hi:
-            jumps.append((i * g, lo, hi))
-
-    nonneg = mu.nonnegative and nu.nonnegative and a >= 0.0 and b >= 0.0
-    return HybridMeasure(g, dens, tuple(atoms), tuple(jumps), nonnegative=nonneg)
 
 
 def _cell_offsets(mu: HybridMeasure, ys):

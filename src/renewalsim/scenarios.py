@@ -20,8 +20,9 @@ must be nonnegative; atom locations must lie strictly inside
 (0, x_max - T) so no atom can reach the window edge within the horizon.
 With a discontinuous birth law, its jump points and all atom locations must
 sit on the spatial grid, which keeps every kink of the solution on grid
-nodes for the lifetime of the run.  There is no quadrature key: the
-spectral check derives its Simpson panel count from the law.
+nodes for the lifetime of the run.  Non-finite values fail the rule they
+enter, and invalid numerics stop validation before the rules that divide
+by them.
 """
 from __future__ import annotations
 
@@ -238,11 +239,12 @@ def parse_scenario(text: str, base_dir: str = ".") -> Scenario:
     eps_list = p.numbers("diagnostics", "eps_list")
     sample_dt = p.number("diagnostics", "sample_dt", 0.0)
 
-    errs = list(p.errors)
-    for name, val in (("h", h), ("dt", dt), ("T", T), ("x_max", x_max)):
-        if val is not None and not (val > 0.0 and math.isfinite(val)):
-            errs.append(f"[numerics] {name} must be positive")
-    if None in (h, dt, T, x_max) or errs and law is None:
+    errs = p.errors  # the density and atom builders below append to it too
+    bad = [name for name, val in (("h", h), ("dt", dt), ("T", T), ("x_max", x_max))
+           if val is not None and not (val > 0.0 and math.isfinite(val))]
+    errs.extend(f"[numerics] {name} must be positive" for name in bad)
+    # every rule below divides by the numerics
+    if None in (h, dt, T, x_max) or bad or errs and law is None:
         raise ScenarioError(errs or ["missing numerics"])
 
     if dt > h * (1.0 + _SNAP):
@@ -285,7 +287,7 @@ def parse_scenario(text: str, base_dir: str = ".") -> Scenario:
     if eps_list:
         if any(b >= a for a, b in zip(eps_list[:-1], eps_list[1:])):
             errs.append("eps_list must be strictly decreasing")
-        if min(eps_list) < h:
+        if not all(e >= h for e in eps_list):  # nan included
             errs.append("eps_list entries must be at least the grid spacing")
     for name in integrands:
         try:

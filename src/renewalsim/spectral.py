@@ -32,7 +32,6 @@ __all__ = [
     "eigen_N",
     "eigen_phi",
     "solve_spectral",
-    "stationary_measure",
 ]
 
 def _poly_exp_antideriv(lam, base, c0, c1, c2, y):
@@ -395,10 +394,3 @@ def solve_spectral(B: BirthLaw) -> SpectralData:
         raise SpectralError("dual normalization residual above tolerance")
     return SpectralData(lam, eigen_N(lam), phi, phi0, res_el, res_norm)
 
-
-def stationary_measure(spectral: SpectralData, x_max: float, h: float,
-                       mass: float = 1.0) -> HybridMeasure:
-    """The profile ``mass * N dx`` sampled on a grid."""
-    return HybridMeasure.from_function(
-        lambda x: mass * spectral.N(x), x_max, h, nonnegative=mass >= 0.0
-    )

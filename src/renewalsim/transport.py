@@ -65,7 +65,6 @@ __all__ = [
     "snapshot_atoms",
     "CharacteristicLabels",
     "characteristic_labels",
-    "unrenormalize",
     "tail_phi_mass",
 ]
 
@@ -106,10 +105,9 @@ class Trajectory:
 
 
 def _check_multiple(value: float, unit: float, what: str) -> int:
-    k = int(round(value / unit))
-    if k < 0 or not _is_multiple(value, unit):
+    if not _is_multiple(value, unit) or round(value / unit) < 0:
         raise TransportError(f"{what} must be an integer multiple of {unit}")
-    return k
+    return int(round(value / unit))
 
 
 def _lower_toeplitz(col: np.ndarray) -> np.ndarray:
@@ -472,16 +470,6 @@ def characteristic_labels(traj: Trajectory, stride: int) -> CharacteristicLabels
         np.maximum(left, 0.0, out=left)
         np.maximum(right, 0.0, out=right)
     return CharacteristicLabels(stride, g, origin, left, right, frozenset(clipped))
-
-
-def unrenormalize(mu: HybridMeasure, t: float, lambda0: float) -> HybridMeasure:
-    """Undo the exponential damping: multiply all masses by exp(lambda0 t)."""
-    if lambda0 * t > 700.0:
-        raise TransportError("unrenormalization factor overflows")
-    s = math.exp(lambda0 * t)
-    jumps = tuple((x, lo * s, hi * s) for x, lo, hi in mu.jumps)
-    atoms = tuple((loc, wt * s) for loc, wt in mu.atoms)
-    return HybridMeasure(mu.h, mu.density * s, atoms, jumps, nonnegative=mu.nonnegative)
 
 
 def tail_phi_mass(traj: Trajectory, t):

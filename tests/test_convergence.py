@@ -10,6 +10,8 @@ from renewalsim import HybridMeasure, cli, convergence
 from renewalsim.errors import RenewalError
 from renewalsim.scenarios import parse_scenario
 
+from oracles import linear_combination, stationary_measure, weighted_variation
+
 
 def ones(x):
     return np.ones_like(np.asarray(x, dtype=float))
@@ -18,7 +20,7 @@ def ones(x):
 class TestDistanceToEquilibrium:
     def test_stationary_data_stays_at_zero(self, const_spectral):
         B, sp = const_spectral
-        n0 = rs.stationary_measure(sp, 40.0, 0.002, mass=2.0)
+        n0 = stationary_measure(sp, 40.0, 0.002, mass=2.0)
         traj = rs.birth_series(n0, B, sp, 0.002, 4.0)
         for t in (0.0, 1.0, 4.0):
             assert rs.distance_to_equilibrium(traj, t) <= 1e-6
@@ -35,9 +37,9 @@ class TestDistanceToEquilibrium:
         _, sp = const_spectral
         traj, _ = dirac_benchmark
         m0 = rs.integrate(traj.initial, sp.phi)
-        eq = rs.stationary_measure(sp, 40.0, 0.005, mass=m0)
-        diff = rs.linear_combination(1.0, traj.initial, -1.0, eq)
-        direct = rs.weighted_variation(diff, ones)
+        eq = stationary_measure(sp, 40.0, 0.005, mass=m0)
+        diff = linear_combination(1.0, traj.initial, -1.0, eq)
+        direct = weighted_variation(diff, ones)
         assert rs.distance_to_equilibrium(traj, 0.0, eta=ones) == pytest.approx(
             direct, rel=1e-12)
 
@@ -213,21 +215,28 @@ class TestLazyMollificationReport:
         assert len(kept) == 1 and kept[0] is n0
 
 
+def birth_integral(traj, times):
+    """``birth_integral_report`` on the sweep over t = 0 and ``times``."""
+    times = (0.0, *times)
+    diag = rs.sample_diagnostics(traj, times)
+    return convergence.birth_integral_report(times, diag["m0"], diag["m_k"], diag["D_phi"])
+
+
 class TestBirthIntegralSequence:
     def test_stationary_profile(self, const_spectral):
         # the initial-mass quadrature bias feeds the births, so hitting 1e-8
         # absolute needs a grid with h^2/12 below it
         B, sp = const_spectral
-        n0 = rs.stationary_measure(sp, 20.0, 2e-4)
+        n0 = stationary_measure(sp, 20.0, 2e-4)
         traj = rs.birth_series(n0, B, sp, 2e-4, 4.0)
-        rep = rs.mk_sequence_check(traj, (1.0, 2.0, 3.0, 4.0))
+        rep = birth_integral(traj, (1.0, 2.0, 3.0, 4.0))
         assert rep.passed
         assert max(abs(m - rep.m0) for m in rep.m_values) <= 1e-8
 
     def test_dirac_scenario_converges(self, dirac_benchmark, const_spectral):
         B, sp = const_spectral
         traj, _ = dirac_benchmark
-        rep = rs.mk_sequence_check(traj, tuple(np.arange(0.5, 10.5, 0.5)))
+        rep = birth_integral(traj, tuple(np.arange(0.5, 10.5, 0.5)))
         assert rep.passed
         assert rep.final_deviation <= 1e-4
 
@@ -235,6 +244,6 @@ class TestBirthIntegralSequence:
         B, sp = const_spectral
         n0 = HybridMeasure.zero(40.0, 0.01)
         traj = rs.birth_series(n0, B, sp, 0.01, 2.0)
-        rep = rs.mk_sequence_check(traj, (1.0, 2.0))
+        rep = birth_integral(traj, (1.0, 2.0))
         assert rep.passed
         assert rep.m_values == (0.0, 0.0)

@@ -7,8 +7,9 @@ without its input checks), applied to ``evolve(traj, t)``.  The sweep
 builds no snapshot: it sums weights against windows of the time-invariant
 label arrays density/N (``transport.characteristic_labels``), which adds
 the same terms in another order, so every column must agree with the
-oracles to ``TOL * max(1, |oracle|)``.  The one-measure wrappers share the
-oracles' arithmetic and must reproduce them bit for bit (``==``).
+oracles to ``TOL * max(1, |oracle|)``.  The one-measure functionals left
+in ``src/`` (``gre_functional``, ``jensen_defect``) share the oracles'
+arithmetic and must reproduce them bit for bit (``==``).
 """
 import dataclasses
 import math
@@ -23,6 +24,8 @@ from renewalsim.cli import main
 from renewalsim.convergence import _TAIL_EXP, _node_weights
 from renewalsim.errors import EntropyError, TransportError
 from renewalsim.measures import _panel_sides
+
+from oracles import linear_combination, stationary_measure, weighted_variation
 
 INTEGRANDS = [rs.builtin_integrand(n) for n in ("abs", "sqrt1p", "pospart")]
 
@@ -96,9 +99,9 @@ def reference_distance(traj, t, eta):
     spectral = traj.spectral
     m0 = rs.integrate(traj.initial, spectral.phi)
     snap = rs.evolve(traj, t)
-    eq = rs.stationary_measure(spectral, snap.x_max, snap.h, mass=m0)
-    diff = rs.linear_combination(1.0, snap, -1.0, eq)
-    return rs.weighted_variation(diff, eta, breakpoints=(t,))
+    eq = stationary_measure(spectral, snap.x_max, snap.h, mass=m0)
+    diff = linear_combination(1.0, snap, -1.0, eq)
+    return weighted_variation(diff, eta, breakpoints=(t,))
 
 
 TOL = 1e-12
@@ -228,7 +231,7 @@ def test_sweep_raises_where_evolve_does(sweep_cases):
 
 
 def test_single_measure_wrappers_match_oracles(ind_spectral):
-    B, sp = ind_spectral
+    _, sp = ind_spectral
     rng = np.random.default_rng(7)
     for _ in range(5):
         mu = HybridMeasure(0.01, rng.normal(size=1201),
@@ -236,11 +239,9 @@ def test_single_measure_wrappers_match_oracles(ind_spectral):
                            ((0.5, 0.2, -0.3),))
         for H in INTEGRANDS:
             assert rs.gre_functional(mu, sp, H) == reference_gre_functional(mu, sp, H)
-            assert rs.dissipation_J(mu, B, sp, H) == reference_dissipation_J(mu, B, sp, H)
 
 
 def test_jensen_defect_matches_oracle():
-    # shares its Jensen-gap kernel with dissipation_J
     rng = np.random.default_rng(9)
     psi = lambda x: np.full_like(np.asarray(x, dtype=float), 0.2)  # uniform on [0, 5]
     for _ in range(5):

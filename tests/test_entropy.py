@@ -7,6 +7,8 @@ import renewalsim as rs
 from renewalsim import HybridMeasure
 from renewalsim.errors import EntropyError
 
+from oracles import stationary_measure
+
 
 def ones(x):
     return np.ones_like(np.asarray(x, dtype=float))
@@ -69,7 +71,7 @@ class TestGreFunctional:
         _, sp = const_spectral
         H = rs.builtin_integrand("sqrt1p")
         for m in (0.5, 1.0, 3.0):
-            mu = rs.stationary_measure(sp, 40.0, 1e-4, mass=m)
+            mu = stationary_measure(sp, 40.0, 1e-4, mass=m)
             val = rs.gre_functional(mu, sp, H)
             assert abs(val - float(H.H(np.asarray(m, float)))) <= 1e-8
 
@@ -102,26 +104,31 @@ class TestGreFunctional:
             rs.gre_functional(mu, sp, rs.builtin_integrand("abs"))
 
 
+def sweep_J(mu, B, sp, H):
+    """The shipped J: the sweep's ``J_<H>`` at sample 0 of the trajectory from ``mu``."""
+    traj = rs.birth_series(mu, B, sp, mu.h, mu.h)
+    return rs.sample_diagnostics(traj, (0.0,), [H])[f"J_{H.name}"][0]
+
+
 class TestDissipation:
     def test_zero_for_profile_multiples(self, const_spectral):
         B, sp = const_spectral
         H = rs.builtin_integrand("sqrt1p")
         for c in (0.2, 1.0, 4.0):
-            mu = rs.stationary_measure(sp, 40.0, 0.005, mass=c)
-            assert abs(rs.dissipation_J(mu, B, sp, H)) <= 1e-8
+            mu = stationary_measure(sp, 40.0, 0.005, mass=c)
+            assert abs(sweep_J(mu, B, sp, H)) <= 1e-8
 
     def test_unit_atom_hand_value(self, const_spectral):
         # independent hand evaluation: H(0) * 1 + 1 * 1 * 1 - H(1) = 2 - sqrt(2)
         B, sp = const_spectral
         H = rs.builtin_integrand("sqrt1p")
         for x0 in (0.3, 0.7, 2.0):
-            val = rs.dissipation_J(HybridMeasure.point_mass(x0, 40.0, 0.005), B, sp, H)
+            val = sweep_J(HybridMeasure.point_mass(x0, 40.0, 0.005), B, sp, H)
             assert val == pytest.approx(2.0 - math.sqrt(2.0), abs=1e-8)
 
     def test_zero_measure(self, const_spectral):
         B, sp = const_spectral
-        val = rs.dissipation_J(HybridMeasure.zero(40.0, 0.01), B, sp,
-                               rs.builtin_integrand("abs"))
+        val = sweep_J(HybridMeasure.zero(40.0, 0.01), B, sp, rs.builtin_integrand("abs"))
         assert val == 0.0
 
     def test_nonnegative_on_random_signed_measures(self, ind_spectral):
@@ -132,8 +139,7 @@ class TestDissipation:
             mu = HybridMeasure(0.01, rng.normal(size=1201),
                                ((0.31, rng.normal()), (0.87, rng.normal())))
             for H in Hs:
-                assert rs.dissipation_J(mu, B, sp, H) >= -1e-10
-
+                assert sweep_J(mu, B, sp, H) >= -1e-10
 
     def test_overflow_guard(self):
         # the same density/N overflow that gre_functional rejects
@@ -141,7 +147,7 @@ class TestDissipation:
         sp = rs.solve_spectral(B)
         mu = HybridMeasure.from_function(lambda x: ones(x), 40.0, 0.05)
         with pytest.raises(EntropyError, match="overflow"):
-            rs.dissipation_J(mu, B, sp, rs.builtin_integrand("abs"))
+            sweep_J(mu, B, sp, rs.builtin_integrand("abs"))
 
 
 class TestJensenDefect:

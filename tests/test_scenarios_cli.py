@@ -339,6 +339,22 @@ class TestCli:
         else:
             assert "config error: [birth_law]" in err
 
+    @pytest.mark.parametrize("key, value", [
+        ("sample_dt", "inf"), ("sample_dt", "nan"), ("hi", "inf"),
+        ("atoms", "nan:0.5"), ("atoms", "inf:0.5"), ("h", "nan"), ("x_max", "inf"),
+        ("eps_list", "nan"),
+        # the density builder's own errors reach the report too
+        ("density", "bogus"),
+    ])
+    def test_non_finite_values_are_config_errors(self, tmp_path, capsys, key, value):
+        # each validator reports its own message instead of a traceback
+        with open(os.path.join(SCENARIO_DIR, "indicator_mixed.ini"), encoding="utf-8") as fh:
+            text = "\n".join(f"{key} = {value}" if line.startswith(f"{key} =") else line
+                             for line in fh.read().splitlines())
+        assert main(["verify", "--scenario", self.write(tmp_path, text)]) == 1
+        err = capsys.readouterr().err
+        assert "config error: " in err and "Traceback" not in err, err
+
     def test_spectral_on_a_steep_law(self, tmp_path, capsys):
         for beta in ("200.0", "1e5"):
             law = f"kind = indicator\nbeta = {beta}\na = 0.0\nb = 1.0"
@@ -377,12 +393,13 @@ class TestCli:
         assert codes in ("[0, 0]", "[0, 3]") and loaded == "False", out
 
     def test_cli_leaves_quadrature_unloaded(self):
-        # Simpson quadrature is the tests' oracle; no command imports it
+        # Simpson quadrature is the tests' oracle, and linear combinations on a
+        # common grid (the only Fraction user) live in tests/oracles.py
         script = ("import sys\nimport renewalsim.cli\n"
-                  "print('renewalsim.quadrature' in sys.modules)\n")
+                  "print([m in sys.modules for m in ('renewalsim.quadrature', 'fractions')])\n")
         out = subprocess.run([sys.executable, "-c", script], env=SRC_ENV, check=True,
                              capture_output=True, text=True, timeout=120).stdout
-        assert out.strip() == "False", out
+        assert out.strip() == "[False, False]", out
 
     def test_dissipation_bound_carries_phi0_lambda0(self, tmp_path, capsys):
         # beta = 0.5: phi(0) N(0) = 0.5, so gre(0) - gre(T) = 0.5 int J and the
