@@ -67,8 +67,10 @@ def cmd_run(sc: Scenario, out_dir: str, quiet: bool) -> int:
     diag = sample_diagnostics(traj, times, integrands, etas)
     m0 = diag["m0"]
 
-    # files are written after the sweep, which sets the run's peak memory:
-    # started on a heap the writers' block buffers have fragmented, it peaks higher
+    # files are written after the sweep, whose labels and node weights set the
+    # run's peak memory on long traces (long_horizon.ini: 130 MB, the birth
+    # trace 94 MB): started on a heap the writers' block buffers have
+    # fragmented, the sweep peaks 10 MB higher
     with open(os.path.join(out_dir, "births.csv"), "w", encoding="ascii") as fh:
         fh.write("t,b\n")
         _write_rows(fh, "%.17g,%.17g\n", traj.times, traj.births)

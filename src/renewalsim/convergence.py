@@ -72,50 +72,77 @@ class DecayFit:
 # normal float with room below it: the scaled terms neither underflow nor,
 # divided back, overflow.
 _TAIL_EXP = 512.0 * math.log(2.0)
+# Labels per block of the sweep's pass: the row buffers hold this many
+# labels (plus the longest head), however long the label arrays are.
+_BLOCK = 1 << 14
+
+
+def _blocks(lo: int, hi: int):
+    """The label blocks ``[b0, b1)`` of ``_BLOCK`` positions covering [lo, hi), top down."""
+    for b1 in range(hi, lo, -_BLOCK):
+        yield max(lo, b1 - _BLOCK), b1
 
 
 class _LabelTable:
-    """Row functions of one stride's labels, summed over both panel sides.
+    """One stride's labels and the row functions a sweep reads from them.
 
-    ``fsum[r, p]`` is ``f_r(left[p]) + f_r(right[p])`` for the rows that
-    pair with the dual and birth weights, so a snapshot's node sums are one
-    window of rows; ``bad`` holds the positions of the labels that
-    overflow.  With ``distances``, ``dsum`` is the same sum for |ratio -
-    m0|, the row of the distances.  The cells where ``ratio - m0`` changes
-    sign (``cross``, by their left position), and the point in each where
-    it crosses zero, do not depend on the sample time (N(x + g) / N(x) =
-    exp(-lambda0 g) everywhere), so the exact split of |ratio - m0| at its
-    zero is folded into ``dsum``: a cell's left end
+    No row function is held over all the labels: ``fill`` writes the rows
+    of one label block into a buffer.  Row r is ``f_r(left[p]) +
+    f_r(right[p])``, summed over both panel sides, for the row functions
+    that pair with the dual and birth weights, so a snapshot's node sums
+    are one window of rows; with ``distances`` one more row holds the same
+    sum for |ratio - m0|, the row of the distances.  ``bad`` holds the
+    positions of the labels that overflow.  The cells where ``ratio - m0``
+    changes sign (``cross``, by their left position), and the point in
+    each where it crosses zero, do not depend on the sample time (N(x + g)
+    / N(x) = exp(-lambda0 g) everywhere), so the exact split of |ratio -
+    m0| at its zero is folded into the distance row: a cell's left end
     carries ``cross_left`` = theta |a| instead of |a| and its right end
-    ``cross_right`` = (1 - theta) |b| instead of |b|.
+    ``cross_right`` = (1 - theta) |b| instead of |b|.  ``bad`` and
+    ``cross`` are found block by block when the table is built; a cell at
+    a block's top reads one label of the block above.
     """
 
-    def __init__(self, lab, fns, m0: float, lam: float, distances: bool):
-        self.lab, self.m0 = lab, m0
+    def __init__(self, lab, m0: float, lam: float, distances: bool):
+        self.lab, self.m0, self.distances = lab, m0, distances
         L, R = lab.left, lab.right
-        self.fsum = np.empty((len(fns), L.size))
+        bad, cross = [], []
         with np.errstate(all="ignore"):
-            for r, f in enumerate(fns):
-                np.add(f(L), f(R), out=self.fsum[r])
-            self.bad = np.flatnonzero(~((np.abs(L) <= 1e300) & (np.abs(R) <= 1e300)))
+            for b0, b1 in _blocks(0, L.size):
+                ok = (np.abs(L[b0:b1]) <= 1e300) & (np.abs(R[b0:b1]) <= 1e300)
+                bad.append(b0 + np.flatnonzero(~ok))
+                if distances:
+                    a = L[b0:min(b1, L.size - 1)] - m0
+                    cross.append(b0 + np.flatnonzero(a * (R[b0 + 1:b1 + 1] - m0) < 0.0))
+            self.bad = np.concatenate(bad[::-1])
             if distances:
-                a, b = L - m0, R - m0
-                self.cross = np.flatnonzero(a[:-1] * b[1:] < 0.0)
-                a_c, b_c = a[self.cross], b[self.cross + 1]
+                self.cross = np.concatenate(cross[::-1])
+                a_c, b_c = L[self.cross] - m0, R[self.cross + 1] - m0
                 theta = a_c / (a_c - math.exp(-lam * lab.spacing) * b_c)  # zero offset / spacing
                 self.cross_left = theta * np.abs(a_c)
                 self.cross_right = (1.0 - theta) * np.abs(b_c)
-                a, b = np.abs(a, out=a), np.abs(b, out=b)
-                a[self.cross] = self.cross_left
-                b[self.cross + 1] = self.cross_right
-                self.dsum = np.add(a, b, out=a)[None]
+
+    def fill(self, fns, b0: int, b1: int, out):
+        """The rows of labels [b0, b1) into ``out[:, :b1 - b0]``: one per fn, then distances."""
+        L, R = self.lab.left[b0:b1], self.lab.right[b0:b1]
+        m = b1 - b0
+        with np.errstate(all="ignore"):
+            for r, f in enumerate(fns):
+                np.add(f(L), f(R), out=out[r, :m])
+            if self.distances:
+                a, b = np.abs(L - self.m0), np.abs(R - self.m0)
+                i0, i1 = self.cross.searchsorted((b0, b1))
+                a[self.cross[i0:i1] - b0] = self.cross_left[i0:i1]
+                i0, i1 = self.cross.searchsorted((b0 - 1, b1 - 1))
+                b[self.cross[i0:i1] + 1 - b0] = self.cross_right[i0:i1]
+                np.add(a, b, out=out[len(fns), :m])
 
     def overflows(self, starts, stops):
         """Whether each window [start, stop) holds a label that overflows."""
         return self.bad.searchsorted(stops) > self.bad.searchsorted(starts)
 
     def distance_ends(self, first, last):
-        """The sides of ``dsum`` at nodes ``first`` and ``last`` that a window drops.
+        """The sides of the distance row at nodes ``first`` and ``last`` that a window drops.
 
         Node ``first`` has no panel to its left and node ``last`` none to
         its right; a sign-change cell there carries its split value.
@@ -140,79 +167,150 @@ def _node_weights(spectral, B, etas, n: int, spacing: float, entropy: bool):
     B / N(0) or eta; its head is 1 plus the last node where g differs from
     its final value (the whole grid if that leaves one node), and past the
     head the row is ``w N`` times that constant, a geometric sequence.
-    Returns the weights, the unit-mass normalizer of the dissipation weight
-    over both panel sides, and the head lengths of the dual/birth rows and
-    of the distance rows.
+    Returns the weights at the nodes the sums read (the first max(head) + 1
+    and the last), the unit-mass normalizer of the dissipation weight over
+    both panel sides, and the head lengths of the dual/birth rows and of
+    the distance rows.  One g row over the whole grid is held at a time.
     """
     if entropy and spectral.residual_euler_lotka > 1e-8:
         raise EntropyError("reference measure is not normalized: eigen residual too big")
     x = np.arange(n) * spacing
-    Nx = spectral.N(x)
-    if entropy and not Nx.min() > 0.0:
+    wN = spectral.N(x)
+    if entropy and not wN.min() > 0.0:
         raise EntropyError("density/N overflows: domain too long for this rate")
-    g = np.empty((2 + len(etas), n))
-    g[0] = spectral.phi(x)
-    g[1] = B.quad_values(x) / spectral.lambda0  # N(0) = lambda0
-    for e, eta in enumerate(etas.values(), start=2):
+    np.multiply(wN, 0.5 * spacing, out=wN)
+    rows = []  # per row: g up to its head, the final g, the head
+
+    def add(g):
+        moving = g != g[-1]
+        head = n - int(moving[::-1].argmax()) if moving.any() else 0
+        rows.append((g[:head].copy(), g[-1], head))
+
+    add(spectral.phi(x))
+    g = B.quad_values(x) / spectral.lambda0  # N(0) = lambda0
+    wsum = 2.0 * float((g * wN).sum()) - g[0] * wN[0] - g[-1] * wN[-1]
+    add(g)
+    for eta in etas.values():
         if eta is None:
-            g[e] = 1.0
+            rows.append((np.empty(0), 1.0, 0))
         elif eta is spectral.phi:
-            g[e] = g[0]
+            rows.append(rows[0])
         else:
-            g[e] = _evaluate(eta, x)
-            if g[e].min() < -1e-12:
+            g = _evaluate(eta, x)
+            if g.min() < -1e-12:
                 raise MeasureError("variation weight must be nonnegative")
-    head = []
-    for row in g:
-        moving = np.flatnonzero(row != row[-1])
-        head.append(int(moving[-1]) + 1 if moving.size else 0)
-    heads = (max(head[:2]), max(head[2:], default=0))
-    W = np.multiply(g, 0.5 * spacing * Nx, out=g)
-    wsum = 2.0 * float(W[1].sum()) - W[1, 0] - W[1, -1]
+            add(g)
     if entropy and not wsum > 0.0:
         raise EntropyError("reference measure has no mass on this grid")
-    return (W, wsum, *(h if h < n - 1 else n for h in heads))
+    heads = [max((h for *_, h in part), default=0) for part in (rows[:2], rows[2:])]
+    heads = [h if h < n - 1 else n for h in heads]
+    keep = min(max(heads) + 1, n)
+    cols = np.append(np.arange(keep), n - 1) if keep < n else np.arange(n)
+    W = np.empty((len(rows), cols.size))
+    for w, (g, final, head) in zip(W, rows):
+        w[:] = final
+        w[:head] = g
+    W *= wN[cols]
+    return (W, wsum, *heads)
 
 
-def _geometric_sums(f, starts, stops, decay: float):
+class _GeometricSums:
     """``sum_{p=start}^{stop-1} exp(-decay (p - start)) f[:, p]`` per (start, stop).
 
     One backward recurrence ``G[p] = f[p] + q G[p + 1]``, q = exp(-decay),
-    over [min(starts), max(stops)], run from the end in blocks as a scaled
-    reverse cumulative sum with exact powers of q; a window is then
-    ``G[start] - q^(stop - start) G[stop]``.  Each row of ``f`` is summed
-    separately; the result is indexed (window, row).
+    over [min(starts), max(stops)], run from the top in recurrence blocks
+    of ``_TAIL_EXP / decay`` positions as a scaled reverse cumulative sum
+    with exact powers of q; a window is then ``G[start] - q^(stop - start)
+    G[stop]``.  The rows of f arrive label block by label block, top down
+    (``feed``), and only G at the starts and stops is kept.  A recurrence
+    block that spans label blocks folds its running reverse sum into the
+    next label block's first element; ``np.cumsum`` adds sequentially, so
+    G does not depend on where the label blocks fall.  ``sums`` is indexed
+    (window, row).
     """
-    lo, hi = int(starts.min()), int(stops.max())
-    block = max(1, int(_TAIL_EXP / decay))
-    G = np.zeros((f.shape[0], hi - lo + 1))
-    powers = np.exp(-decay * np.arange(min(block, hi - lo)))
-    for b1 in range(hi, lo, -block):
-        b0 = max(lo, b1 - block)
-        e, part = powers[:b1 - b0], G[:, b0 - lo:b1 - lo]
-        np.multiply(f[:, b0:b1], e, out=part)
-        np.cumsum(part[:, ::-1], axis=1, out=part[:, ::-1])
-        part += math.exp(-decay * (b1 - b0)) * G[:, b1 - lo, None]
-        part /= e
-    return (G[:, starts - lo] - np.exp(-decay * (stops - starts)) * G[:, stops - lo]).T
+
+    def __init__(self, starts, stops, decay: float, rows: int):
+        self.starts, self.stops, self.decay = starts, stops, decay
+        self.lo, self.hi = int(starts.min()), int(stops.max())
+        self.step = max(1, int(_TAIL_EXP / decay))
+        at = np.concatenate([starts, stops])
+        self.order = np.argsort(at, kind="stable")
+        self.at = at[self.order]
+        self.G = np.zeros((rows, at.size))
+        self.top = np.zeros(rows)  # G at the top of the current recurrence block
+        self.run = None            # its reverse cumulative sum so far
+
+    def feed(self, b0: int, f, scratch):
+        """Take rows ``f`` of the labels from b0 up; the labels above came before."""
+        c1, lo = min(self.hi, b0 + f.shape[1]), max(self.lo, b0)
+        while c1 > lo:
+            r1 = self.hi - (self.hi - c1) // self.step * self.step
+            r0 = max(self.lo, r1 - self.step)
+            c0 = max(r0, lo)
+            e = np.exp(-self.decay * np.arange(c0 - r0, c1 - r0))
+            part = scratch[:f.shape[0], :c1 - c0]
+            np.multiply(f[:, c0 - b0:c1 - b0], e, out=part)
+            if c1 < r1:
+                part[:, -1] += self.run
+            np.cumsum(part[:, ::-1], axis=1, out=part[:, ::-1])
+            self.run = part[:, 0].copy()
+            part += math.exp(-self.decay * (r1 - r0)) * self.top[:, None]
+            part /= e
+            i0, i1 = self.at.searchsorted((c0, c1))
+            self.G[:, self.order[i0:i1]] = part[:, self.at[i0:i1] - c0]
+            if c0 == r0:
+                self.top = part[:, 0].copy()
+            c1 = c0
+
+    def sums(self):
+        S = self.starts.size
+        return (self.G[:, :S] - np.exp(-self.decay * (self.stops - self.starts))
+                * self.G[:, S:]).T
 
 
-def _window_sums(f, offs, n: int, W, head: int, decay: float):
-    """``sum_j f[:, off + j] W[:, j]`` over the n nodes of each window.
+def _window_sums(tab: _LabelTable, fns, jobs):
+    """``sum_j f[rows, off + j] W[:, j]`` over the n nodes of each window of each job.
 
-    Indexed (window, row of f, row of W).  The first ``head`` nodes are
-    summed densely per window; past them each row of W is ``W[:, head]``
-    times a power of exp(-decay), so the rest is one blocked geometric
-    recurrence over the labels for all windows at once.
+    A job is ``(rows, offs, n, W, head, decay)``: a slice of the table's
+    rows and the windows [off, off + n) of one snapshot grid; one array
+    per job is returned, indexed (window, row, row of W).  All jobs share
+    one top-down pass over the table's label blocks, which fills one row
+    buffer per block.  The first ``head`` nodes of a window are summed
+    densely from the block its offset falls in, plus the labels carried
+    over from the block above; past them each row of W is ``W[:, head]``
+    times a power of exp(-decay), so the rest is one ``_GeometricSums``
+    recurrence over the labels for all of the job's windows at once.
     """
-    z = np.zeros((offs.size, f.shape[0], W.shape[0]))
-    if head:
-        Wh = W[:, :head].T
-        for s, off in enumerate(offs):
-            z[s] = f[:, off:off + head] @ Wh
-    if head < n and W[:, head].any():
-        z += _geometric_sums(f, offs + head, offs + n, decay)[:, :, None] * W[:, head]
-    return z
+    lo = min(int(offs.min()) for _, offs, *_ in jobs)
+    hi = max(int(offs.max()) + n for _, offs, n, *_ in jobs)
+    carry = max(head for *_, head, _ in jobs)
+    width = min(_BLOCK, hi - lo)
+    buf = np.empty((len(fns) + tab.distances, width + carry))
+    scratch = np.empty((len(fns), width))
+    zs, tails, order = [], [], []
+    for rows, offs, n, W, head, decay in jobs:
+        zs.append(np.zeros((offs.size, rows.stop - rows.start, W.shape[0])))
+        tail = head < n and W[:, head].any()
+        tails.append(_GeometricSums(offs + head, offs + n, decay, zs[-1].shape[1])
+                     if tail else None)
+        order.append(np.argsort(offs, kind="stable"))
+    for b0, b1 in _blocks(lo, hi):
+        m = b1 - b0
+        if b1 < hi:
+            buf[:, m:m + carry] = above
+        tab.fill(fns, b0, b1, buf)
+        for (rows, offs, n, W, head, _), z, tail, o in zip(jobs, zs, tails, order):
+            if head:
+                Wh = W[:, :head].T
+                for s in o[offs[o].searchsorted(b0):offs[o].searchsorted(b1)]:
+                    z[s] = buf[rows, offs[s] - b0:offs[s] - b0 + head] @ Wh
+            if tail:
+                tail.feed(b0, buf[rows, :m], scratch)
+        above = buf[:, :carry].copy()
+    for (_, _, _, W, head, _), z, tail in zip(jobs, zs, tails):
+        if tail:
+            z += tail.sums()[:, :, None] * W[:, head]
+    return zs
 
 
 def sample_diagnostics(traj: Trajectory, times, integrands=(), etas=None) -> dict:
@@ -229,17 +327,22 @@ def sample_diagnostics(traj: Trajectory, times, integrands=(), etas=None) -> dic
     density/N, which is constant along characteristics: per grid stride the
     ratio of every snapshot is one window of the time-invariant label
     arrays of ``characteristic_labels``, and each H is applied once to
-    them.  Per grid spacing the node weights ``w phi N``, ``w B N / N(0)``
+    each label, in one top-down pass over blocks of ``_BLOCK`` labels
+    that every grid of the stride reads.  Per grid spacing the node weights ``w phi N``, ``w B N / N(0)``
     and ``w eta N`` are built once, and only the pairs a column uses are
     summed: the ratio and each H against the first two, |ratio - m0|
     against the etas.  Each weight is ``w N g``, and g is constant past
     its head (past the birth law's last breakpoint phi and B are, and so is
     eta for ``phi`` and the unit weight; an arbitrary eta has a head as
-    long as the window).  The head is summed per sample, and the geometric
-    rest of every window comes from one blocked backward recurrence over
-    the labels.  So the sweep costs O(L F) for labels of length L and F row
-    functions, plus O(S P) for S samples with heads of P nodes: nothing
-    for a constant law, the law's support for a table law.  Offsets, the
+    long as the window).  The head is summed per sample from the block its
+    window starts in, and the geometric rest of every window comes from one
+    blocked backward recurrence over the labels, which keeps only its
+    values at the window ends.  So the sweep costs O(L F) time for labels
+    of length L and F row functions, plus O(S P) for S samples with heads
+    of P nodes: nothing for a constant law, the law's support for a table
+    law.  Its memory is the labels, O(L), plus O(F (block + P)) for the
+    row buffers and O(R P) for the head columns of the R weight rows; no
+    row function is held over all the labels.  Offsets, the
     overflow check, the window ends and the atoms are array operations per
     grid, and the sign-change cells of ``D_<name>`` are folded into the
     labels.
@@ -274,7 +377,7 @@ def sample_diagnostics(traj: Trajectory, times, integrands=(), etas=None) -> dic
         idx = np.flatnonzero(spacings == spacings[i0])
         d = int(ds[i0])
         if d not in tables:
-            tables[d] = _LabelTable(characteristic_labels(traj, d), fns, m0, lam, bool(etas))
+            tables[d] = _LabelTable(characteristic_labels(traj, d), m0, lam, bool(etas))
         tab, n = tables[d], n_max // d + 1
         offs = tab.lab.offset(ks[idx])
         bad = idx[tab.overflows(offs, offs + n)]
@@ -302,22 +405,30 @@ def sample_diagnostics(traj: Trajectory, times, integrands=(), etas=None) -> dic
     dist = np.empty((S, len(etas)))
     trapezoid_ends = np.empty((S, 2))
     wsums = np.empty(S)
-    for (idx, offs, n, tab, spacing), (W, wsum, head, dhead) in zip(grids, weights):
-        lab, ends = tab.lab, offs + n - 1
-        decay = lam * spacing
-        with np.errstate(all="ignore"):
-            first = np.stack([np.asarray(f(lab.right[offs]), dtype=float) for f in fns], 1)
-            last = np.stack([np.asarray(f(lab.left[ends]), dtype=float) for f in fns], 1)
-        sums[idx] = (_window_sums(tab.fsum, offs, n, W[:2], head, decay)
-                     - first[:, :, None] * W[:2, 0] - last[:, :, None] * W[:2, -1])
-        if etas:
-            right, left = tab.distance_ends(offs, ends)
-            dist[idx] = (_window_sums(tab.dsum, offs, n, W[2:], dhead, decay)[:, 0]
-                         - right[:, None] * W[2:, 0] - left[:, None] * W[2:, -1])
-        node0 = np.where(ks[idx] == 0, traj.initial.density[0] / lam - lab.left[offs], 0.0)
-        node_end = 0.5 * (lab.left[ends] - lab.right[ends])
-        trapezoid_ends[idx] = node0[:, None] * W[:2, 0] + node_end[:, None] * W[:2, -1]
-        wsums[idx] = wsum
+    F = len(fns)
+    for tab in tables.values():
+        mine = [(grid, w) for grid, w in zip(grids, weights) if grid[3] is tab]
+        jobs = []
+        for (_, offs, n, _, spacing), (W, _, head, dhead) in mine:
+            jobs.append((slice(0, F), offs, n, W[:2], head, lam * spacing))
+            if etas:
+                jobs.append((slice(F, F + 1), offs, n, W[2:], dhead, lam * spacing))
+        zs = iter(_window_sums(tab, fns, jobs))
+        for (idx, offs, n, _, _), (W, wsum, _, _) in mine:
+            lab, ends = tab.lab, offs + n - 1
+            with np.errstate(all="ignore"):
+                first = np.stack([np.asarray(f(lab.right[offs]), dtype=float) for f in fns], 1)
+                last = np.stack([np.asarray(f(lab.left[ends]), dtype=float) for f in fns], 1)
+            sums[idx] = (next(zs) - first[:, :, None] * W[:2, 0]
+                         - last[:, :, None] * W[:2, -1])
+            if etas:
+                right, left = tab.distance_ends(offs, ends)
+                dist[idx] = (next(zs)[:, 0] - right[:, None] * W[2:, 0]
+                             - left[:, None] * W[2:, -1])
+            node0 = np.where(ks[idx] == 0, traj.initial.density[0] / lam - lab.left[offs], 0.0)
+            node_end = 0.5 * (lab.left[ends] - lab.right[ends])
+            trapezoid_ends[idx] = node0[:, None] * W[:2, 0] + node_end[:, None] * W[:2, -1]
+            wsums[idx] = wsum
 
     rows, locs, wts = _atoms_at(traj, ks)
 

@@ -14,16 +14,18 @@ arithmetic and must reproduce them bit for bit (``==``).
 import dataclasses
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import renewalsim as rs
-from renewalsim import HybridMeasure
+from renewalsim import HybridMeasure, convergence
 from renewalsim.cli import main
-from renewalsim.convergence import _TAIL_EXP, _node_weights
+from renewalsim.convergence import _BLOCK, _TAIL_EXP, _node_weights
 from renewalsim.errors import EntropyError, TransportError
 from renewalsim.measures import _panel_sides
+from renewalsim.transport import characteristic_labels
 
 from oracles import linear_combination, stationary_measure, weighted_variation
 
@@ -200,18 +202,71 @@ def test_callable_eta_has_no_tail(sweep_cases):
     assert_sweep_matches_oracles(traj, times, {"wavy": wavy, "one": None})
 
 
-def test_tail_recurrence_over_several_blocks(const_spectral):
-    # 800 e-folds of N between the oldest label and the newest: the scaled
-    # reverse sums run in at least three blocks on both snapshot grids
+@pytest.fixture(scope="module")
+def long_tail(const_spectral):
+    """800 e-folds of N between the oldest label and the newest."""
     B, sp = const_spectral
     x_max, T = 400.0, 400.0
     assert sp.lambda0 * (T + x_max) > 2.0 * _TAIL_EXP + sp.lambda0 * 0.2
     n0 = rs.HybridMeasure.from_function(lambda x: 0.5 * np.exp(-x) + 0.3 * np.exp(-0.2 * x),
                                         x_max, 0.2, atoms=((0.5, 0.4),), nonnegative=True)
-    traj = rs.birth_series(n0, B, sp, 0.1, T)
-    times = (0.0, 3.1, 50.0, 123.3, 200.0, 333.3, 399.9, 400.0)
+    return (rs.birth_series(n0, B, sp, 0.1, T),
+            (0.0, 3.1, 50.0, 123.3, 200.0, 333.3, 399.9, 400.0))
+
+
+def test_tail_recurrence_over_several_blocks(long_tail):
+    # the scaled reverse sums run in at least three blocks on both snapshot grids
+    traj, times = long_tail
     assert {rs.evolve(traj, t).h for t in times} == {0.1, 0.2}
     assert_sweep_matches_oracles(traj, times)
+
+
+def test_label_blocks_leave_every_column_unchanged(sweep_cases, long_tail, monkeypatch):
+    # the pass over label blocks carries each head window and each running
+    # reverse sum across block edges: no bit may depend on the block size
+    cases = [*sweep_cases.values(), long_tail]
+
+    def columns():
+        return [rs.sample_diagnostics(traj, times, INTEGRANDS,
+                                      {"phi": traj.spectral.phi, "one": None, "ones": ones})
+                for traj, times in cases]
+
+    default = columns()
+    longest = max(characteristic_labels(traj, 1).left.size for traj, _ in cases)
+    for block in (7, 100, 4097, longest):
+        monkeypatch.setattr(convergence, "_BLOCK", block)
+        for want, got in zip(default, columns()):
+            assert want.keys() == got.keys()
+            for key in want:
+                assert np.array_equal(want[key], got[key]), (block, key)
+
+
+def test_sweep_memory_is_labels_plus_blocks(ind_spectral):
+    # K = 40 000 steps and 48 001 nodes, with three atoms: one label array
+    # pair of L = 88 001, and no row function held over all of it.  The
+    # bound counts the labels three times (they and the O(L) transients of
+    # building them and the node weights), two row buffers of a block plus
+    # the longest head, and the weights' head columns
+    B, sp = ind_spectral
+    h, n = 0.00025, 48001
+    xs = np.arange(n) * h
+    dens = np.where((xs > 0.3) & (xs < 1.2), 1.0 / 0.9, 0.0)
+    n0 = HybridMeasure(h, dens, ((0.2, 0.3), (0.45, 0.5), (0.8, 0.2)), nonnegative=True)
+    traj = rs.birth_series(n0, B, sp, h, 10.0)
+    times = np.arange(21) * 0.5
+    etas = {"phi": sp.phi, "one": None}
+    L = characteristic_labels(traj, 1).left.size
+    W, _, head, dhead = _node_weights(sp, B, etas, n, h, True)
+    P, F = max(head, dhead), 1 + len(INTEGRANDS)
+    words = 3 * 2 * L + 2 * (F + 1) * (_BLOCK + P) + W.shape[0] * (P + 2)
+    assert L == 88001 and W.shape[1] == P + 2
+    tracemalloc.start()
+    try:
+        rs.sample_diagnostics(traj, times, INTEGRANDS, etas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * words, (peak, 8 * words)
 
 
 def test_sweep_raises_where_evolve_does(sweep_cases):

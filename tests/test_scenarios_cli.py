@@ -401,6 +401,20 @@ class TestCli:
                              capture_output=True, text=True, timeout=120).stdout
         assert out.strip() == "[False, False]", out
 
+    def test_commands_leave_numpy_ma_unloaded(self, tmp_path):
+        # np.unique without return_index imports numpy.ma: about 9 ms and 1 MB
+        # that every command would pay for nothing
+        script = (
+            "import sys\nfrom renewalsim.cli import main\n"
+            f"ini, out = {os.path.join(SCENARIO_DIR, 'indicator_mixed.ini')!r}, {str(tmp_path)!r}\n"
+            "assert main(['run', '--scenario', ini, '--out', out, '--quiet']) == 0\n"
+            "assert main(['verify', '--scenario', ini]) == 0\n"
+            "assert main(['distance', out + '/snapshot_2.csv', out + '/snapshot_6.csv']) == 0\n"
+            "print('numpy.ma' in sys.modules)\n")
+        out = subprocess.run([sys.executable, "-c", script], env=SRC_ENV, check=True,
+                             capture_output=True, text=True, timeout=120).stdout
+        assert out.splitlines()[-1] == "False", out
+
     def test_dissipation_bound_carries_phi0_lambda0(self, tmp_path, capsys):
         # beta = 0.5: phi(0) N(0) = 0.5, so gre(0) - gre(T) = 0.5 int J and the
         # unscaled int J = 4.0000009 would exceed gre(0) + 1e-6 = 2.0000015
