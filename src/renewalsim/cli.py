@@ -45,6 +45,7 @@ _F = "{:.17g}".format
 
 
 def _sample_times(sc: Scenario):
+    """The sample times k * sample_dt, the grid column of diagnostics.csv."""
     count = int(math.floor(sc.horizon / sc.sample_dt + 1e-9)) + 1
     return [k * sc.sample_dt for k in range(count)]
 
@@ -68,12 +69,15 @@ def cmd_run(sc: Scenario, out_dir: str, quiet: bool) -> int:
     m0 = diag["m0"]
 
     # files are written after the sweep, whose labels and node weights set the
-    # run's peak memory on long traces (long_horizon.ini: 130 MB, the birth
-    # trace 94 MB): started on a heap the writers' block buffers have
-    # fragmented, the sweep peaks 10 MB higher
+    # run's peak memory on long traces (long_horizon.ini: 121 MB, the birth
+    # trace 94 MB, the writers 115 MB with the shared 1.02M-node grid text):
+    # started on a heap the writers' block buffers have fragmented, the sweep
+    # peaks 10 MB higher.  On short traces the snapshot writes set the peak
+    # (trace-atoms: 36.3 MB, the sweep 36.1 MB).  diagnostics.csv's sample
+    # grid replaces the shared grid text, so the fit runs after it is freed.
     with open(os.path.join(out_dir, "births.csv"), "w", encoding="ascii") as fh:
         fh.write("t,b\n")
-        _write_rows(fh, "%.17g,%.17g\n", traj.times, traj.births)
+        _write_rows(fh, "%.17g,%.17g\n", traj.dt, traj.births)
 
     for ts in sc.snapshot_times:
         snap = evolve(traj, ts)
@@ -84,7 +88,7 @@ def cmd_run(sc: Scenario, out_dir: str, quiet: bool) -> int:
     with open(os.path.join(out_dir, "diagnostics.csv"), "w", encoding="ascii") as fh:
         fh.write(",".join(["t", *names]) + "\n")
         _write_rows(fh, ",".join(["%.17g"] * (1 + len(names))) + "\n",
-                    times, *(diag[n] for n in names))
+                    sc.sample_dt, *(diag[n] for n in names))
 
     lo = 0.2 * sc.horizon
     window = [(t, d) for t, d in zip(times, diag["D_phi"]) if t >= lo]
@@ -117,7 +121,7 @@ def cmd_spectral(sc: Scenario) -> int:
     print(f"residual_normalization = {_F(spectral.residual_normalization)}")
     print("x,N,phi")
     xs = np.arange(int(round(sc.x_max / sc.h)) + 1) * sc.h
-    _write_rows(sys.stdout, "%.17g,%.17g,%.17g\n", xs, spectral.N(xs), spectral.phi(xs))
+    _write_rows(sys.stdout, "%.17g,%.17g,%.17g\n", sc.h, spectral.N(xs), spectral.phi(xs))
     return 0
 
 

@@ -475,12 +475,16 @@ def fit_decay_rate(samples, eta_name: str = "", m0: float = math.nan) -> DecayFi
         raise RenewalError("need at least 5 usable samples to fit a decay rate")
     ts = np.array([t for t, _ in usable])
     logd = np.log(np.array([d for _, d in usable]))
-    slope, intercept = np.polyfit(ts, logd, 1)
-    sigma = -float(slope)
-    y0 = float(intercept) / sigma if abs(sigma) > 1e-300 else math.nan
+    # centred two-parameter least squares, in closed form (no LAPACK call)
+    t_mean, y_mean = float(ts.mean()), float(logd.mean())
+    tc = ts - t_mean
+    slope = float(np.dot(tc, logd - y_mean) / np.dot(tc, tc))
+    intercept = y_mean - slope * t_mean
+    sigma = -slope
+    y0 = intercept / sigma if abs(sigma) > 1e-300 else math.nan
     fitted = slope * ts + intercept
     ss_res = float(np.sum((logd - fitted) ** 2))
-    ss_tot = float(np.sum((logd - logd.mean()) ** 2))
+    ss_tot = float(np.sum((logd - y_mean) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else (1.0 if ss_res < 1e-20 else 0.0)
     return DecayFit(eta_name, tuple(usable), sigma, y0, r2, m0)
 

@@ -464,20 +464,80 @@ def flat_distance(mu: HybridMeasure, nu: HybridMeasure) -> float:
 
 _BLOCK = 4096  # lines parsed or formatted per string operation
 _KINDS = ("density", "atom", "jump_lo", "jump_hi")
+# The grid text of one spacing per process: (g, node count, per block of
+# _BLOCK nodes the "\n"-joined %.17g strings of arange(n) * g).  It is a
+# function of g alone and is replaced whole, never changed in place, so
+# callers sharing it, threads included, write what they would without it.
+_grid = (math.nan, 0, ())
+
+
+def _format_grid(g: float, start: int, stop: int) -> str:
+    """The ``%.17g`` strings of grid nodes ``start .. stop - 1``, joined by newlines."""
+    return ("%.17g\n" * (stop - start))[:-1] % tuple((np.arange(start, stop) * g).tolist())
+
+
+def _grid_blocks(g: float, n: int) -> tuple:
+    """The grid text of ``arange(n) * g``, one string per block of ``_BLOCK`` nodes.
+
+    A spacing's text grows on demand (a partial last block is formatted
+    again) and holds at least n nodes; a new spacing replaces it.
+    """
+    global _grid
+    spacing, size, blocks = _grid
+    if spacing != g:
+        size, blocks = 0, ()
+    if size < n:
+        first = size // _BLOCK
+        blocks = blocks[:first] + tuple(_format_grid(g, s, min(s + _BLOCK, n))
+                                        for s in range(first * _BLOCK, n, _BLOCK))
+        _grid = (g, n, blocks)
+    return blocks
+
+
+def _block_field(v: np.ndarray):
+    """The ``%`` field and arguments of one column's block of values.
+
+    Runs of equal bits (so ``-0.0`` keeps writing ``-0``) have their first
+    value formatted once and its string repeated through a ``%s`` field; a
+    block without repeats passes its floats to ``%.17g``.
+    """
+    bits = v.view(np.int64)
+    starts = np.flatnonzero(bits[1:] != bits[:-1]) + 1
+    if starts.size + 1 == v.size:
+        return "%.17g", v.tolist()
+    starts = np.concatenate(([0], starts))
+    text = ("%.17g\n" * starts.size)[:-1] % tuple(v[starts].tolist())
+    lengths = np.diff(starts, append=v.size)
+    return "%s", np.repeat(np.array(text.split("\n"), dtype=object), lengths).tolist()
 
 
 def _write_rows(fh, row: str, *columns) -> None:
     """Write ``row % values`` for every index of the equal-length ``columns``.
 
-    ``row`` is a ``%``-template holding one field per column and ending in a
-    newline (it may span several lines).  Each block of rows is formatted by
-    one ``%`` on the repeated template, so every CSV artifact shares this one
-    ``%.17g`` float formatting.
+    ``row`` is a ``%``-template holding one ``%.17g`` field per column and
+    ending in a newline (it may span several lines).  A column given as a
+    number g stands for the grid ``arange(n) * g``, n being the length of
+    the other columns; its text comes from ``_grid_blocks``, so files with
+    the same grid spacing format it once per process.  Each block of rows
+    is formatted by one ``%`` on the repeated template, with every column's
+    field chosen per block by ``_block_field``.  The text is the same as
+    ``%.17g`` on every value: every CSV artifact shares this one writer.
     """
-    columns = [np.asarray(c, dtype=float) for c in columns]
-    for s in range(0, columns[0].size, _BLOCK):
-        block = np.column_stack([c[s:s + _BLOCK] for c in columns])
-        fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
+    parts = row.split("%.17g")
+    n = next(np.size(c) for c in columns if np.ndim(c))
+    columns = [np.ascontiguousarray(c, dtype=float) if np.ndim(c) else _grid_blocks(c, n)
+               for c in columns]
+    width = len(columns)
+    for s in range(0, n, _BLOCK):
+        m = min(_BLOCK, n - s)
+        fields, args = [], [None] * (m * width)
+        for k, c in enumerate(columns):
+            if isinstance(c, tuple):
+                field, args[k::width] = "%s", c[s // _BLOCK].split("\n")[:m]
+            else:
+                field, args[k::width] = _block_field(c[s:s + m])
+            fields.append(parts[k] + field)
+        fh.write(("".join(fields) + parts[-1]) * m % tuple(args))
 
 
 def write_snapshot(mu: HybridMeasure, path) -> None:
@@ -492,8 +552,7 @@ def write_snapshot(mu: HybridMeasure, path) -> None:
     atoms = np.array(mu.atoms, dtype=float).reshape(-1, 2)
     with open(path, "w", encoding="ascii") as fh:
         fh.write("kind,x,value\n")
-        _write_rows(fh, "density,%.17g,%.17g\n", np.arange(mu.node_count) * mu.h,
-                    mu.density)
+        _write_rows(fh, "density,%.17g,%.17g\n", mu.h, mu.density)
         _write_rows(fh, "atom,%.17g,%.17g\n", atoms[:, 0], atoms[:, 1])
         _write_rows(fh, "jump_lo,%.17g,%.17g\njump_hi,%.17g,%.17g\n",
                     jumps[:, 0], jumps[:, 1], jumps[:, 0], jumps[:, 2])

@@ -6,13 +6,15 @@ the density and is the D_eta oracle of ``tests/test_diagnostics.py``;
 ``stationary_measure`` samples the profile ``mass * N dx``.  No command
 needs any of them: the diagnostic sweep (``convergence.sample_diagnostics``)
 computes its distances from the characteristic labels instead.
+``reference_write_rows`` is the one-template CSV writer that formats every
+value with ``%.17g``, the byte-for-byte oracle of ``measures._write_rows``.
 """
 from fractions import Fraction
 
 import numpy as np
 
 from renewalsim.errors import MeasureError
-from renewalsim.measures import _SNAP, HybridMeasure, _evaluate, _panel_sides
+from renewalsim.measures import _BLOCK, _SNAP, HybridMeasure, _evaluate, _panel_sides
 from renewalsim.spectral import SpectralData
 
 
@@ -134,3 +136,17 @@ def stationary_measure(spectral: SpectralData, x_max: float, h: float,
     return HybridMeasure.from_function(
         lambda x: mass * spectral.N(x), x_max, h, nonnegative=mass >= 0.0
     )
+
+
+def reference_write_rows(fh, row: str, *columns) -> None:
+    """Write ``row % values`` for every index of the equal-length ``columns``.
+
+    ``row`` is a ``%``-template holding one field per column and ending in a
+    newline (it may span several lines).  Each block of rows is formatted by
+    one ``%`` on the repeated template, so every CSV artifact shares this one
+    ``%.17g`` float formatting.
+    """
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    for s in range(0, columns[0].size, _BLOCK):
+        block = np.column_stack([c[s:s + _BLOCK] for c in columns])
+        fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))

@@ -80,6 +80,22 @@ class TestFitDecayRate:
         assert abs(fit.sigma_hat - 1.0) <= 1e-10
         assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_closed_form_matches_polyfit(self, seed):
+        # noisy decay over an uneven, shifted time window; np.polyfit is the oracle
+        rng = np.random.default_rng(seed)
+        ts = np.sort(rng.uniform(2.0, 40.0, 60))
+        ds = 0.3 * np.exp(-0.05 * ts + 0.002 * rng.normal(size=ts.size))
+        fit = rs.fit_decay_rate(list(zip(ts, ds)))
+        slope, intercept = np.polyfit(ts, np.log(ds), 1)
+        resid = np.log(ds) - (slope * ts + intercept)
+        dev = np.log(ds) - np.log(ds).mean()
+        assert len(fit.samples) == ts.size
+        assert fit.sigma_hat == pytest.approx(-slope, rel=1e-12, abs=0.0)
+        assert fit.y0_hat == pytest.approx(-intercept / slope, rel=1e-12, abs=0.0)
+        assert fit.r_squared == pytest.approx(1.0 - resid @ resid / (dev @ dev),
+                                              rel=0.0, abs=1e-12)
+
     def test_floor_filtering(self):
         ts = np.arange(1.0, 12.0)
         samples = [(t, math.exp(-t)) for t in ts] + [(20.0, 1e-16)]
