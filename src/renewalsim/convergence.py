@@ -84,7 +84,7 @@ def _blocks(lo: int, hi: int):
 
 
 class _LabelTable:
-    """One stride's labels and the row functions a sweep reads from them.
+    """The sweep's labels and the row functions it reads from them.
 
     No row function is held over all the labels: ``fill`` writes the rows
     of one label block into a buffer.  Row r is ``f_r(left[p]) +
@@ -268,46 +268,45 @@ class _GeometricSums:
                 * self.G[:, S:]).T
 
 
-def _window_sums(tab: _LabelTable, fns, jobs):
-    """``sum_j f[rows, off + j] W[:, j]`` over the n nodes of each window of each job.
+def _window_sums(tab: _LabelTable, fns, offs, n: int, decay: float, jobs):
+    """``sum_j f[rows, off + j] W[:, j]`` over the windows [off, off + n), per job.
 
-    A job is ``(rows, offs, n, W, head, decay)``: a slice of the table's
-    rows and the windows [off, off + n) of one snapshot grid; one array
-    per job is returned, indexed (window, row, row of W).  All jobs share
-    one top-down pass over the table's label blocks, which fills one row
-    buffer per block.  The first ``head`` nodes of a window are summed
-    densely from the block its offset falls in, plus the labels carried
-    over from the block above; past them each row of W is ``W[:, head]``
-    times a power of exp(-decay), so the rest is one ``_GeometricSums``
-    recurrence over the labels for all of the job's windows at once.
+    A job is ``(rows, W, head)``: a slice of the table's rows and the node
+    weights it pairs with; one array per job is returned, indexed (window,
+    row, row of W).  All jobs share the windows and one top-down pass over
+    the table's label blocks, which fills one row buffer per block.  The
+    first ``head`` nodes of a window are summed densely from the block its
+    offset falls in, plus the labels carried over from the block above;
+    past them each row of W is ``W[:, head]`` times a power of
+    exp(-decay), so the rest is one ``_GeometricSums`` recurrence over the
+    labels for all windows at once.
     """
-    lo = min(int(offs.min()) for _, offs, *_ in jobs)
-    hi = max(int(offs.max()) + n for _, offs, n, *_ in jobs)
-    carry = max(head for *_, head, _ in jobs)
+    order = np.argsort(offs, kind="stable")
+    ascending = offs[order]
+    lo, hi = (int(ascending[0]), int(ascending[-1]) + n) if offs.size else (0, 0)
+    carry = max(head for *_, head in jobs)
     width = min(_BLOCK, hi - lo)
     buf = np.empty((len(fns) + tab.distances, width + carry))
     scratch = np.empty((len(fns), width))
-    zs, tails, order = [], [], []
-    for rows, offs, n, W, head, decay in jobs:
-        zs.append(np.zeros((offs.size, rows.stop - rows.start, W.shape[0])))
-        tail = head < n and W[:, head].any()
-        tails.append(_GeometricSums(offs + head, offs + n, decay, zs[-1].shape[1])
-                     if tail else None)
-        order.append(np.argsort(offs, kind="stable"))
+    zs = [np.zeros((offs.size, rows.stop - rows.start, W.shape[0])) for rows, W, _ in jobs]
+    tails = [_GeometricSums(offs + head, offs + n, decay, z.shape[1])
+             if offs.size and head < n and W[:, head].any() else None
+             for (_, W, head), z in zip(jobs, zs)]
     for b0, b1 in _blocks(lo, hi):
         m = b1 - b0
         if b1 < hi:
             buf[:, m:m + carry] = above
         tab.fill(fns, b0, b1, buf)
-        for (rows, offs, n, W, head, _), z, tail, o in zip(jobs, zs, tails, order):
+        starts = order[ascending.searchsorted(b0):ascending.searchsorted(b1)]
+        for (rows, W, head), z, tail in zip(jobs, zs, tails):
             if head:
                 Wh = W[:, :head].T
-                for s in o[offs[o].searchsorted(b0):offs[o].searchsorted(b1)]:
+                for s in starts:
                     z[s] = buf[rows, offs[s] - b0:offs[s] - b0 + head] @ Wh
             if tail:
                 tail.feed(b0, buf[rows, :m], scratch)
         above = buf[:, :carry].copy()
-    for (_, _, _, W, head, _), z, tail in zip(jobs, zs, tails):
+    for (_, W, head), z, tail in zip(jobs, zs, tails):
         if tail:
             z += tail.sums()[:, :, None] * W[:, head]
     return zs
@@ -323,77 +322,77 @@ def sample_diagnostics(traj: Trajectory, times, integrands=(), etas=None) -> dic
     ``conserved_phi_mass``, the dual mass plus the leak past x_max; and
     ``gre_<H>``, ``J_<H>`` per integrand.
 
+    All samples lie on the sweep's one grid: stride ``d = gcd(h / dt, k_1,
+    ..., k_S)`` for the samples' time indices k_i, the coarsest grid that
+    holds every seam and the datum's nodes, so the checks that compare
+    samples compare sums on one grid.  With d < h / dt, sample 0 and ``m0``
+    see the datum's piecewise-linear density at the finer nodes, with its
+    atoms and jump records.
+
     No snapshot is built.  Every column is a weighted sum of the ratio
-    density/N, which is constant along characteristics: per grid stride the
-    ratio of every snapshot is one window of the time-invariant label
-    arrays of ``characteristic_labels``, and each H is applied once to
-    each label, in one top-down pass over blocks of ``_BLOCK`` labels
-    that every grid of the stride reads.  Per grid spacing the node weights ``w phi N``, ``w B N / N(0)``
-    and ``w eta N`` are built once, and only the pairs a column uses are
-    summed: the ratio and each H against the first two, |ratio - m0|
-    against the etas.  Each weight is ``w N g``, and g is constant past
-    its head (past the birth law's last breakpoint phi and B are, and so is
-    eta for ``phi`` and the unit weight; an arbitrary eta has a head as
-    long as the window).  The head is summed per sample from the block its
-    window starts in, and the geometric rest of every window comes from one
-    blocked backward recurrence over the labels, which keeps only its
-    values at the window ends.  So the sweep costs O(L F) time for labels
-    of length L and F row functions, plus O(S P) for S samples with heads
-    of P nodes: nothing for a constant law, the law's support for a table
-    law.  Its memory is the labels, O(L), plus O(F (block + P)) for the
-    row buffers and O(R P) for the head columns of the R weight rows; no
-    row function is held over all the labels.  Offsets, the
-    overflow check, the window ends and the atoms are array operations per
-    grid, and the sign-change cells of ``D_<name>`` are folded into the
-    labels.
+    density/N, which is constant along characteristics: the ratio of every
+    sample is one window of the time-invariant label arrays of
+    ``characteristic_labels(traj, d)``, and each H is applied once to each
+    label, in one top-down pass over blocks of ``_BLOCK`` labels.  The node
+    weights ``w phi N``, ``w B N / N(0)`` and ``w eta N`` are built once,
+    and only the pairs a column uses are summed: the ratio and each H
+    against the first two, |ratio - m0| against the etas.  Each weight is
+    ``w N g``, and g is constant past its head (past the birth law's last
+    breakpoint phi and B are, and so is eta for ``phi`` and the unit
+    weight; an arbitrary eta has a head as long as the window).  The head
+    is summed per sample from the block its window starts in, and the
+    geometric rest of every window comes from one blocked backward
+    recurrence over the labels, which keeps only its values at the window
+    ends.  So the sweep costs O(L F) time for labels of length L and F row
+    functions, plus O(S P) for S samples with heads of P nodes: nothing
+    for a constant law, the law's support for a table law.  Its memory is
+    the labels, O(L), plus O(F (block + P)) for the row buffers and O(R P)
+    for the head columns of the R weight rows; no row function is held
+    over all the labels.  Offsets, the overflow check, the window ends and
+    the atoms are array operations, and the sign-change cells of
+    ``D_<name>`` are folded into the labels.
 
     The values agree to rounding with the same sums taken over the nodes of
-    ``evolve(traj, t)`` (in another order; the tests keep those per-snapshot
-    sums as oracles).  A sample raises where ``evolve`` or
-    ``gre_functional`` would, in sample order; where density/N overflows
-    this is an ``EntropyError`` even without integrands, because every
-    column is a sum over density/N.
+    the snapshots on the sweep's grid (in another order; the tests keep
+    those per-snapshot sums as oracles).  Errors are raised in this order:
+    the node weights' normalization checks, then in sample order
+    ``evolve``'s negativity guard at a trace jump whose left limit was
+    clipped and the first overflow of density/N (an ``EntropyError`` even
+    without integrands: every column is a sum over density/N), then the
+    first time outside [0, horizon].
     """
     spectral, B = traj.spectral, traj.birth_law
     lam = spectral.lambda0
     if etas is None:
         etas = {"phi": spectral.phi}
-    m0 = integrate(traj.initial, spectral.phi)
     # row functions of the ratio that pair with w phi N and w B N / N(0)
     fns = [lambda r: r] + [H.H for H in integrands]
+    F = len(fns)
     times = np.asarray(times, dtype=float)
-    outside, ks, ds = _snap(traj, times)
+    outside, ks = _snap(traj, times)
     S = int(outside.argmax()) if outside.any() else times.size  # before the first outside
-    ks, ds = ks[:S], ds[:S]
-    spacings = np.where(ks == 0, traj.initial.h, ds * traj.dt)  # sample 0 is the datum
-    n_max = traj._grid_ints()[1]
-
-    # Per grid spacing, the checks a sample's snapshot would fail, raised in
-    # sample order: the first sample on a grid builds its weights (which
-    # may raise), then the overflow check, then evolve's negativity guard
-    # where a clipped trace jump makes it decide whether the snapshot exists.
-    tables, grids, events = {}, [], []
-    for i0 in np.sort(np.unique(spacings, return_index=True)[1]):
-        idx = np.flatnonzero(spacings == spacings[i0])
-        d = int(ds[i0])
-        if d not in tables:
-            tables[d] = _LabelTable(characteristic_labels(traj, d), m0, lam, bool(etas))
-        tab, n = tables[d], n_max // d + 1
-        offs = tab.lab.offset(ks[idx])
-        bad = idx[tab.overflows(offs, offs + n)]
-        events.append((int(i0), 0, len(grids)))
-        events += [(int(i), 1, -1) for i in bad[:1]]
-        events += [(int(i), 2, -1) for i in idx[np.isin(ks[idx], list(tab.lab.clipped))]]
-        grids.append((idx, offs, n, tab, float(spacings[i0])))
-    weights = []
-    for i, kind, g in sorted(events):
-        if kind == 0:
-            _, _, n, _, spacing = grids[g]
-            weights.append(_node_weights(spectral, B, etas, n, spacing, bool(integrands)))
-        elif kind == 1:
-            raise EntropyError("density/N overflows: domain too long for this rate")
-        else:
+    ks = ks[:S]
+    m, M = traj._grid_ints()
+    d = math.gcd(m, *ks.tolist())  # the one grid: every seam and the datum's nodes
+    n, spacing = M // d + 1, d * traj.dt
+    n0 = traj.initial
+    if d < m:
+        x = np.minimum(np.arange(n) * spacing, n0.x_max)  # as characteristic_labels
+        n0 = HybridMeasure(spacing, n0.density_at(x), n0.atoms, n0.jumps,
+                           nonnegative=n0.nonnegative)
+    m0 = integrate(n0, spectral.phi)
+    tab = _LabelTable(characteristic_labels(traj, d), m0, lam, bool(etas))
+    lab = tab.lab
+    W, wsum, head, dhead = _node_weights(spectral, B, etas, n, spacing, bool(integrands))
+    offs = lab.offset(ks)
+    ends = offs + n - 1
+    clipped = np.isin(ks, list(lab.clipped))
+    over = tab.overflows(offs, ends + 1)
+    for i in np.flatnonzero(clipped | over):
+        if clipped[i]:
             evolve(traj, times[i])
+        if over[i]:
+            raise EntropyError("density/N overflows: domain too long for this rate")
     if S < times.size:
         snapshot_index(traj, times[S])  # raises: outside [0, horizon]
 
@@ -401,34 +400,17 @@ def sample_diagnostics(traj: Trajectory, times, integrands=(), etas=None) -> dic
     # window sums drop those sides.  The trapezoid sums (dual mass, birth
     # integral) take the node value there instead of the one-sided one: the
     # mean of a jump record, and at sample 0 the datum's own stored value.
-    sums = np.empty((S, len(fns), 2))  # row function x (w phi N, w B N / N(0))
-    dist = np.empty((S, len(etas)))
-    trapezoid_ends = np.empty((S, 2))
-    wsums = np.empty(S)
-    F = len(fns)
-    for tab in tables.values():
-        mine = [(grid, w) for grid, w in zip(grids, weights) if grid[3] is tab]
-        jobs = []
-        for (_, offs, n, _, spacing), (W, _, head, dhead) in mine:
-            jobs.append((slice(0, F), offs, n, W[:2], head, lam * spacing))
-            if etas:
-                jobs.append((slice(F, F + 1), offs, n, W[2:], dhead, lam * spacing))
-        zs = iter(_window_sums(tab, fns, jobs))
-        for (idx, offs, n, _, _), (W, wsum, _, _) in mine:
-            lab, ends = tab.lab, offs + n - 1
-            with np.errstate(all="ignore"):
-                first = np.stack([np.asarray(f(lab.right[offs]), dtype=float) for f in fns], 1)
-                last = np.stack([np.asarray(f(lab.left[ends]), dtype=float) for f in fns], 1)
-            sums[idx] = (next(zs) - first[:, :, None] * W[:2, 0]
-                         - last[:, :, None] * W[:2, -1])
-            if etas:
-                right, left = tab.distance_ends(offs, ends)
-                dist[idx] = (next(zs)[:, 0] - right[:, None] * W[2:, 0]
-                             - left[:, None] * W[2:, -1])
-            node0 = np.where(ks[idx] == 0, traj.initial.density[0] / lam - lab.left[offs], 0.0)
-            node_end = 0.5 * (lab.left[ends] - lab.right[ends])
-            trapezoid_ends[idx] = node0[:, None] * W[:2, 0] + node_end[:, None] * W[:2, -1]
-            wsums[idx] = wsum
+    jobs = [(slice(0, F), W[:2], head)]
+    if etas:
+        jobs.append((slice(F, F + 1), W[2:], dhead))
+    zs = _window_sums(tab, fns, offs, n, lam * spacing, jobs)
+    with np.errstate(all="ignore"):
+        first = np.stack([np.asarray(f(lab.right[offs]), dtype=float) for f in fns], 1)
+        last = np.stack([np.asarray(f(lab.left[ends]), dtype=float) for f in fns], 1)
+    sums = zs[0] - first[:, :, None] * W[:2, 0] - last[:, :, None] * W[:2, -1]
+    node0 = np.where(ks == 0, n0.density[0] / lam - lab.left[offs], 0.0)
+    node_end = 0.5 * (lab.left[ends] - lab.right[ends])
+    trapezoid_ends = node0[:, None] * W[:2, 0] + node_end[:, None] * W[:2, -1]
 
     rows, locs, wts = _atoms_at(traj, ks)
 
@@ -437,17 +419,20 @@ def sample_diagnostics(traj: Trajectory, times, integrands=(), etas=None) -> dic
 
     phis, psis = spectral.phi(locs), B.quad_values(locs) / lam
     out = {}
+    if etas:
+        right, left = tab.distance_ends(offs, ends)
+        dist = zs[1][:, 0] - right[:, None] * W[2:, 0] - left[:, None] * W[2:, -1]
     for e, (name, eta) in enumerate(etas.items()):
         etax = 1.0 if eta is None or not locs.size else _evaluate(eta, locs)
         out[f"D_{name}"] = dist[:, e] + per_sample(etax * np.abs(wts))
     out["m_k"] = sums[:, 0, 1] + trapezoid_ends[:, 1] + per_sample(psis * wts)
     out["conserved_phi_mass"] = (sums[:, 0, 0] + trapezoid_ends[:, 0] + per_sample(phis * wts)
                                  + tail_phi_mass(traj, times))
-    arg = sums[:, 0, 1] / wsums + per_sample(psis * wts)
+    arg = sums[:, 0, 1] / wsum + per_sample(psis * wts)
     for r, H in enumerate(integrands, start=1):
         cost = np.where(wts > 0.0, H.H_inf_plus, H.H_inf_minus) * np.abs(wts)
         out[f"gre_{H.name}"] = sums[:, r, 0] + per_sample(phis * cost)
-        out[f"J_{H.name}"] = (sums[:, r, 1] / wsums + per_sample(psis * cost)
+        out[f"J_{H.name}"] = (sums[:, r, 1] / wsum + per_sample(psis * cost)
                               - np.asarray(H.H(arg), dtype=float))
     out["m0"] = m0
     return out

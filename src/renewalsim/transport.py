@@ -293,32 +293,31 @@ def _right_limit_at_zero(mu: HybridMeasure) -> float:
 
 
 def _snap(traj: Trajectory, times):
-    """The time-snapping rule: ``(outside, k, d)`` arrays for an array of times.
+    """The time-snapping rule: ``(outside, k)`` arrays for an array of times.
 
     ``outside`` marks the times outside [0, horizon] (nan included), whose
-    ``k`` and ``d`` are meaningless; see ``snapshot_index`` for k and d.
+    ``k`` is meaningless; every other time snaps to its nearest node k.
     """
     t = np.asarray(times, dtype=float)
     outside = ~((t >= -_SNAP) & (t <= traj.horizon * (1.0 + _SNAP) + _SNAP))
     k = np.rint(np.where(outside, 0.0, t) / traj.dt)
-    k = np.clip(k, 0, traj.births.size - 1).astype(int)
-    m, M = traj._grid_ints()
-    return outside, k, np.gcd(k, math.gcd(M, m))
+    return outside, np.clip(k, 0, traj.births.size - 1).astype(int)
 
 
 def snapshot_index(traj: Trajectory, t: float):
     """Time index k and grid stride d of the snapshot at time t.
 
     ``t`` is snapped to the nearest time node.  The snapshot spacing is
-    ``d * dt`` with ``d = gcd(k, x_max / dt, h / dt)``: the coarsest
-    refinement of the time grid that puts nodes exactly at x = t and at
-    every node of the initial grid image.  At k = 0 that is the datum's own
-    spacing.
+    ``d * dt`` with ``d = gcd(k, h / dt)``: the coarsest refinement of the
+    time grid that puts nodes exactly at x = t and at every node of the
+    initial grid image (h divides x_max).  At k = 0 that is the datum's own
+    spacing.  It is the one-sample case of the diagnostic sweep's grid,
+    ``gcd(h / dt, k_1, ..., k_S)`` (``convergence.sample_diagnostics``).
     """
-    outside, k, d = _snap(traj, t)
+    outside, k = _snap(traj, t)
     if outside:
         raise TransportError("snapshot time outside [0, horizon]")
-    return int(k), int(d)
+    return int(k), math.gcd(int(k), traj._grid_ints()[0])
 
 
 def _atoms_at(traj: Trajectory, ks):
@@ -411,14 +410,17 @@ def evolve(traj: Trajectory, t: float) -> HybridMeasure:
 
 @dataclass(frozen=True)
 class CharacteristicLabels:
-    """The ratio density/N of every snapshot with one grid stride, as one array.
+    """The ratio density/N of every snapshot on the grid of one stride, as one array.
 
     The ratio is carried unchanged along characteristics, so it is a
     function of the birth time tau = t - x alone.  Position ``p`` holds
     tau = (origin - p) * spacing: the newborn label ``b(tau) / lambda0`` for
     p < origin, the seam at p = origin, and the shifted datum
-    ``n0(-tau) / N(-tau)`` beyond.  The snapshot at time index k (a multiple
-    of ``stride``) has the ratio ``labels[offset(k) + j]`` at its node j.
+    ``n0(-tau) / N(-tau)`` beyond, the datum's piecewise-linear density
+    where ``stride`` is finer than h / dt.  The snapshot at time index k (a
+    multiple of ``stride``), on this grid, has the ratio ``labels[offset(k)
+    + j]`` at its node j.  The diagnostic sweep builds one such array for
+    all of its samples.
 
     Both arrays are one-sided: ``left[p]`` is the value seen from the panel
     to the right of the node (the panel's left end, as in ``_panel_sides``),
@@ -441,15 +443,15 @@ class CharacteristicLabels:
 
 
 def characteristic_labels(traj: Trajectory, stride: int) -> CharacteristicLabels:
-    """The label arrays shared by every snapshot whose grid stride is ``stride``."""
+    """The label arrays shared by every snapshot on the grid of stride ``stride``."""
     n0, N = traj.initial, traj.spectral.N
     lam = traj.spectral.lambda0
     _, M = traj._grid_ints()
     g = stride * traj.dt
     origin = (traj.births.size - 1) // stride
     u = np.arange(1, M // stride + 1) * g
-    with np.errstate(all="ignore"):
-        datum = n0.density_at(u) / N(u)
+    with np.errstate(all="ignore"):  # the last u may pass x_max by a rounding error
+        datum = n0.density_at(np.minimum(u, n0.x_max)) / N(u)
     right = np.concatenate([traj.births[origin * stride::-stride] / lam, datum])
     left = right.copy()
     left[origin] = _right_limit_at_zero(n0) / lam

@@ -3,12 +3,16 @@
 ``weighted_variation`` splits every panel exactly at the sign changes of
 the density and is the D_eta oracle of ``tests/test_diagnostics.py``;
 ``linear_combination`` forms ``a mu + b nu`` on a common refinement grid;
-``stationary_measure`` samples the profile ``mass * N dx``.  No command
+``stationary_measure`` samples the profile ``mass * N dx``;
+``on_sweep_grid`` re-samples a trajectory's datum on the diagnostic
+sweep's grid, so that ``evolve`` builds every sample there.  No command
 needs any of them: the diagnostic sweep (``convergence.sample_diagnostics``)
 computes its distances from the characteristic labels instead.
 ``reference_write_rows`` is the one-template CSV writer that formats every
 value with ``%.17g``, the byte-for-byte oracle of ``measures._write_rows``.
 """
+import dataclasses
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -136,6 +140,28 @@ def stationary_measure(spectral: SpectralData, x_max: float, h: float,
     return HybridMeasure.from_function(
         lambda x: mass * spectral.N(x), x_max, h, nonnegative=mass >= 0.0
     )
+
+
+def on_sweep_grid(traj, times):
+    """``traj`` with its datum re-sampled on the diagnostic sweep's grid for ``times``.
+
+    The sweep puts all of its samples on the stride ``d = gcd(h / dt, k_1,
+    ..., k_S)``.  The datum re-sampled at spacing ``d * dt`` (its
+    piecewise-linear density at the finer nodes, its atoms and jump
+    records kept) has ``h / dt = d``, so ``evolve`` of the returned
+    trajectory builds every sample, sample 0 included, on that grid, and
+    ``integrate`` of its datum is the sweep's ``m0``.  The birth trace is
+    the original one.
+    """
+    n0 = traj.initial
+    m = round(n0.h / traj.dt)
+    d = math.gcd(m, *(round(t / traj.dt) for t in times))
+    if d == m:
+        return traj
+    g = d * traj.dt
+    dens = n0.density_at(np.minimum(np.arange(round(n0.x_max / g) + 1) * g, n0.x_max))
+    datum = HybridMeasure(g, dens, n0.atoms, n0.jumps, nonnegative=n0.nonnegative)
+    return dataclasses.replace(traj, initial=datum)
 
 
 def reference_write_rows(fh, row: str, *columns) -> None:

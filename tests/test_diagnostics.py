@@ -7,7 +7,9 @@ without its input checks), applied to ``evolve(traj, t)``.  The sweep
 builds no snapshot: it sums weights against windows of the time-invariant
 label arrays density/N (``transport.characteristic_labels``), which adds
 the same terms in another order, so every column must agree with the
-oracles to ``TOL * max(1, |oracle|)``.  The one-measure functionals left
+oracles to ``TOL * max(1, |oracle|)``.  The sweep puts all of its samples
+on one grid, and the oracles see the snapshots on that grid
+(``oracles.on_sweep_grid``).  The one-measure functionals left
 in ``src/`` (``gre_functional``, ``jensen_defect``) share the oracles'
 arithmetic and must reproduce them bit for bit (``==``).
 """
@@ -27,7 +29,7 @@ from renewalsim.errors import EntropyError, TransportError
 from renewalsim.measures import _panel_sides
 from renewalsim.transport import characteristic_labels
 
-from oracles import linear_combination, stationary_measure, weighted_variation
+from oracles import linear_combination, on_sweep_grid, stationary_measure, weighted_variation
 
 INTEGRANDS = [rs.builtin_integrand(n) for n in ("abs", "sqrt1p", "pospart")]
 
@@ -117,6 +119,7 @@ def assert_sweep_matches_oracles(traj, times, etas=None):
     sp, B = traj.spectral, traj.birth_law
     etas = etas or {"phi": sp.phi, "one": None, "ones": ones}
     diag = rs.sample_diagnostics(traj, times, INTEGRANDS, etas)
+    traj = on_sweep_grid(traj, times)
     assert diag["m0"] == rs.integrate(traj.initial, sp.phi)
     for i, t in enumerate(times):
         snap = rs.evolve(traj, t)
@@ -155,10 +158,31 @@ def test_signed_datum(sweep_cases):
 
 
 def test_two_snapshot_grids(sweep_cases):
-    # the sweep keeps one label array per stride and one weight set per spacing
+    # evolve puts these samples on two grids; the sweep puts them all on the
+    # finer one, sample 0 and m0 included
     traj, times = sweep_cases["two_grids"]
     assert len({rs.evolve(traj, t).h for t in times}) == 2
+    assert {rs.evolve(on_sweep_grid(traj, times), t).h for t in times} == {0.025}
     assert_sweep_matches_oracles(traj, times)
+
+
+def test_one_label_table_and_one_weight_set(sweep_cases, monkeypatch):
+    # however many grids evolve would use, one call builds one of each
+    calls = []
+    for name in ("characteristic_labels", "_LabelTable", "_node_weights", "_window_sums"):
+        original = getattr(convergence, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(convergence, name, counted)
+    for case in ("two_grids", "datum_jumps", "table_law"):
+        traj, times = sweep_cases[case]
+        calls.clear()
+        rs.sample_diagnostics(traj, times, INTEGRANDS, {"phi": traj.spectral.phi, "one": None})
+        assert sorted(calls) == ["_LabelTable", "_node_weights", "_window_sums",
+                                 "characteristic_labels"], case
 
 
 def test_datum_jump_records(sweep_cases):
@@ -166,6 +190,17 @@ def test_datum_jump_records(sweep_cases):
     assert [x for x, _, _ in traj.initial.jumps] == [0.0, 1.5, 10.5]
     assert len({rs.evolve(traj, t).h for t in times}) == 2
     assert_sweep_matches_oracles(traj, times)
+
+
+def test_datum_last_node_past_rounded_x_max(const_spectral):
+    # the datum ends at 20000 * 0.0003 = 5.999999999999999, but the label
+    # grids' last nodes, 20000 * (3 * 0.0001) and 60000 * 0.0001, round above
+    # it: sample 0 and m0 still read the datum's last node value
+    B, sp = const_spectral
+    n0 = HybridMeasure.from_function(lambda x: np.exp(-0.1 * x), 6.0, 0.0003, nonnegative=True)
+    traj = rs.birth_series(n0, B, sp, 0.0001, 0.6)
+    for times in ((0.0, 0.3, 0.6), (0.0, 0.3001, 0.6)):
+        assert_sweep_matches_oracles(traj, times)
 
 
 def test_atom_leaving_the_domain(sweep_cases):
@@ -178,7 +213,8 @@ def test_atom_leaving_the_domain(sweep_cases):
 def test_table_law_tail_with_nonzero_constant():
     # B ends at 1.5 with the value 0.5 and jumps to 0 there; past it the unit
     # weight is w N times 1, a geometric tail.  The 0.04 grid (stride 4) has
-    # no node at the support end; the other two do
+    # no node at the support end; the other two do.  The sweep puts every
+    # sample on the 0.01 grid
     B = rs.BirthLaw.table([0.0, 0.3, 1.5], [2.0, 1.0, 0.5])
     sp = rs.solve_spectral(B)
     n0 = rs.HybridMeasure.from_function(lambda x: np.exp(-2.0 * x), 8.0, 0.04,
@@ -215,9 +251,11 @@ def long_tail(const_spectral):
 
 
 def test_tail_recurrence_over_several_blocks(long_tail):
-    # the scaled reverse sums run in at least three blocks on both snapshot grids
+    # the scaled reverse sums run in at least three blocks on the sweep's
+    # grid, the finer of the two that evolve uses
     traj, times = long_tail
     assert {rs.evolve(traj, t).h for t in times} == {0.1, 0.2}
+    assert on_sweep_grid(traj, times).initial.h == 0.1
     assert_sweep_matches_oracles(traj, times)
 
 
@@ -273,6 +311,8 @@ def test_sweep_raises_where_evolve_does(sweep_cases):
     traj, times = sweep_cases["trace_jumps"]
     with pytest.raises(TransportError, match="outside"):
         rs.sample_diagnostics(traj, (0.0, traj.horizon + 0.5))
+    empty = rs.sample_diagnostics(traj, (), INTEGRANDS, {"phi": traj.spectral.phi})
+    assert all(empty[key].shape == (0,) for key in empty if key != "m0")
     # a trace jump over twice the trace leaves a negative left limit, which
     # evolve rejects at the jump instant and clips at every later time
     (j, _), = [jd for jd in traj.birth_jumps if jd[0] == 40]

@@ -208,6 +208,15 @@ class TestCli:
         p.write_text(text)
         return str(p)
 
+    def mixed(self, tmp_path, **values):
+        """``indicator_mixed.ini`` with the given ``key = value`` lines replaced."""
+        with open(os.path.join(SCENARIO_DIR, "indicator_mixed.ini"), encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        for key, value in values.items():
+            lines = [f"{key} = {value}" if line.startswith(f"{key} =") else line
+                     for line in lines]
+        return self.write(tmp_path, "\n".join(lines))
+
     def test_spectral_prints_growth_rate(self, tmp_path, capsys):
         path = self.write(tmp_path, GOLDEN)
         assert main(["spectral", "--scenario", path]) == 0
@@ -319,6 +328,30 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 0 and "FAIL" not in out, out
 
+    @pytest.mark.parametrize("h, sample_dt", [("0.002", "0.05025"), ("0.00125", "0.0505")])
+    def test_verify_samples_on_mixed_strides(self, tmp_path, capsys, h, sample_dt):
+        # dt = 0.00025: the samples' own strides gcd(k, h/dt) are 1, 2, 4 and 8
+        # (h = 0.002) or 1 and 5 (h = 0.00125); the checks compare samples, so
+        # the sweep puts them all on one grid
+        code = main(["verify", "--scenario", self.mixed(tmp_path, h=h, sample_dt=sample_dt)])
+        out = capsys.readouterr().out
+        assert code == 0 and "FAIL" not in out, out
+
+    @pytest.mark.parametrize("values, skipped", [
+        ({"integrands": ""}, ["gre_monotonicity: skipped: no integrands",
+                              "dissipation: skipped: no integrands",
+                              "mollification: skipped: no integrands"]),
+        ({"T": "0.04", "snapshot_times": "0.04"}, ["gre_monotonicity: skipped: one sample",
+                                                   "birth_integral_limit: skipped: one sample"]),
+    ])
+    def test_verify_skips_checks_without_their_data(self, tmp_path, capsys, values, skipped):
+        # no integrand, or a single sample (T < sample_dt): the checks that need
+        # them say so, and the other checks still run
+        code = main(["verify", "--scenario", self.mixed(tmp_path, **values)])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0 and len(lines) == 6, lines
+        assert [line for line in lines if "skipped" in line] == [f"PASS {s}" for s in skipped]
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         path = self.write(tmp_path, GOLDEN.replace("dt = 0.002", "dt = 0.02"))
         assert main(["run", "--scenario", path]) == 1
@@ -348,10 +381,7 @@ class TestCli:
     ])
     def test_non_finite_values_are_config_errors(self, tmp_path, capsys, key, value):
         # each validator reports its own message instead of a traceback
-        with open(os.path.join(SCENARIO_DIR, "indicator_mixed.ini"), encoding="utf-8") as fh:
-            text = "\n".join(f"{key} = {value}" if line.startswith(f"{key} =") else line
-                             for line in fh.read().splitlines())
-        assert main(["verify", "--scenario", self.write(tmp_path, text)]) == 1
+        assert main(["verify", "--scenario", self.mixed(tmp_path, **{key: value})]) == 1
         err = capsys.readouterr().err
         assert "config error: " in err and "Traceback" not in err, err
 
