@@ -3,7 +3,8 @@
 Subcommands
 -----------
 run       simulate a scenario and write births.csv, diagnostics.csv,
-          decayfit.json and the requested snapshot files
+          decayfit.json and the requested snapshot files (each CSV with
+          its binary twin, which distance and file = restarts read)
 spectral  print the growth rate, residuals and an x,N,phi table
 distance  print the flat distance between two snapshot files
 verify    run the invariant suite for a scenario, exit nonzero on failure
@@ -70,11 +71,12 @@ def cmd_run(sc: Scenario, out_dir: str, quiet: bool) -> int:
 
     # files are written after the sweep, whose labels and node weights set the
     # run's peak memory on long traces (long_horizon.ini: 121 MB, the birth
-    # trace 94 MB, the writers 115 MB with the shared 1.02M-node grid text):
-    # started on a heap the writers' block buffers have fragmented, the sweep
-    # peaks 10 MB higher.  On short traces the snapshot writes set the peak
-    # (trace-atoms: 36.3 MB, the sweep 36.1 MB).  diagnostics.csv's sample
-    # grid replaces the shared grid text, so the fit runs after it is freed.
+    # trace 94 MB, the writers 108 MB with the shared 1.02M-node grid text and
+    # the snapshot twins): started on a heap the writers' block buffers have
+    # fragmented, the sweep peaks 19 MB higher.  On short traces the snapshot
+    # writes set the peak (trace-atoms: 36.2 MB, the sweep 35.9 MB).
+    # diagnostics.csv's sample grid replaces the shared grid text, so the fit
+    # runs after it is freed.
     with open(os.path.join(out_dir, "births.csv"), "w", encoding="ascii") as fh:
         fh.write("t,b\n")
         _write_rows(fh, "%.17g,%.17g\n", traj.dt, traj.births)

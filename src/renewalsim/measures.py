@@ -16,7 +16,9 @@ consult the one-sided limits instead.
 from __future__ import annotations
 
 import math
+import os
 import warnings
+import zlib
 from collections import deque
 from dataclasses import dataclass
 from itertools import islice
@@ -540,22 +542,106 @@ def _write_rows(fh, row: str, *columns) -> None:
         fh.write(("".join(fields) + parts[-1]) * m % tuple(args))
 
 
+class _TaggedFile:
+    """A binary file that takes text, keeping the byte count and CRC-32 of what it wrote."""
+
+    def __init__(self, fh):
+        self.fh, self.size, self.crc = fh, 0, 0
+
+    def write(self, text: str) -> None:
+        data = text.encode("ascii")
+        self.fh.write(data)
+        self.size += len(data)
+        self.crc = zlib.crc32(data, self.crc)
+
+
+# A snapshot's twin is the file ``<snapshot>.bin``: three little-endian
+# uint64 (the CSV's byte length, the CSV's CRC-32, the payload's CRC-32),
+# then the float64 payload h, atom count, jump count, density, atoms
+# (location, weight) and jumps (x, left, right).
+_TWIN_SUFFIX = ".bin"
+_TAG_BYTES = 24
+_CHUNK = 1 << 20  # CSV bytes per CRC read
+
+
 def write_snapshot(mu: HybridMeasure, path) -> None:
-    """Write the measure as ``kind,x,value`` CSV (17 significant digits).
+    """Write the measure as ``kind,x,value`` CSV (17 significant digits), plus its twin.
 
     One ``density`` row per grid node (the stored node value), then one
     ``atom`` row per atom, then each jump record as a ``jump_lo`` row and a
     ``jump_hi`` row holding its left and right limit.  Every row has three
     fields, and :func:`read_snapshot` rebuilds the measure exactly.
+
+    The binary twin ``<path>.bin`` is written after the CSV.  It holds the
+    measure's float64 values and a tag: the CSV's byte length and CRC-32,
+    taken from the bytes as they are written, and the CRC-32 of the values.
+    :func:`read_snapshot` loads the twin in place of parsing the CSV while
+    the tag matches the CSV.
     """
     jumps = np.array(mu.jumps, dtype=float).reshape(-1, 3)
     atoms = np.array(mu.atoms, dtype=float).reshape(-1, 2)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("kind,x,value\n")
-        _write_rows(fh, "density,%.17g,%.17g\n", mu.h, mu.density)
-        _write_rows(fh, "atom,%.17g,%.17g\n", atoms[:, 0], atoms[:, 1])
-        _write_rows(fh, "jump_lo,%.17g,%.17g\njump_hi,%.17g,%.17g\n",
+    with open(path, "wb") as fh:
+        out = _TaggedFile(fh)
+        out.write("kind,x,value\n")
+        _write_rows(out, "density,%.17g,%.17g\n", mu.h, mu.density)
+        _write_rows(out, "atom,%.17g,%.17g\n", atoms[:, 0], atoms[:, 1])
+        _write_rows(out, "jump_lo,%.17g,%.17g\njump_hi,%.17g,%.17g\n",
                     jumps[:, 0], jumps[:, 1], jumps[:, 0], jumps[:, 2])
+    payload = np.concatenate(([mu.h, len(atoms), len(jumps)], mu.density,
+                              atoms.ravel(), jumps.ravel())).astype("<f8", copy=False)
+    tag = np.array([out.size, out.crc, zlib.crc32(payload)], dtype="<u8").tobytes()
+    with open(os.fspath(path) + _TWIN_SUFFIX, "wb") as fh:
+        fh.write(tag)
+        fh.write(payload)
+
+
+def _twin_measure(path):
+    """The measure in the twin of the snapshot ``path``, or None.
+
+    None unless the twin exists, its payload's CRC-32 matches, its counts
+    fit its size, and the CSV's byte length and CRC-32 match the tag.  The
+    CSV is read in chunks of ``_CHUNK`` bytes for its CRC and not parsed.
+    """
+    try:
+        with open(os.fspath(path) + _TWIN_SUFFIX, "rb") as fh:
+            raw = fh.read()
+    except OSError:
+        return None
+    if len(raw) < _TAG_BYTES + 3 * 8 or len(raw) % 8:
+        return None
+    size, crc, payload_crc = np.frombuffer(raw, "<u8", 3).tolist()
+    if payload_crc != zlib.crc32(memoryview(raw)[_TAG_BYTES:]):
+        return None
+    payload = np.frombuffer(raw, "<f8", offset=_TAG_BYTES)
+    h, n_atoms, n_jumps = payload[:3].tolist()
+    if not (n_atoms.is_integer() and n_jumps.is_integer() and n_atoms >= 0 and n_jumps >= 0):
+        return None
+    n_atoms, n_jumps = int(n_atoms), int(n_jumps)
+    nodes = payload.size - 3 - 2 * n_atoms - 3 * n_jumps
+    if nodes < 2:
+        return None
+    got_size = got_crc = 0
+    with open(path, "rb") as fh:
+        while chunk := fh.read(_CHUNK):
+            got_size += len(chunk)
+            got_crc = zlib.crc32(chunk, got_crc)
+    if (got_size, got_crc) != (size, crc):
+        return None
+    a = 3 + nodes
+    j = a + 2 * n_atoms
+    return HybridMeasure(h, payload[3:a], payload[a:j].reshape(-1, 2).tolist(),
+                         payload[j:].reshape(-1, 3).tolist())
+
+
+def _check_ascii(line: str, ln: int) -> None:
+    """Raise the ``MeasureError`` of a line holding a non-ASCII byte.
+
+    Snapshots are decoded as ASCII with ``surrogateescape``, so a byte b
+    above 0x7f reads as the character U+DC00 + b, which no check accepts.
+    """
+    if not line.isascii():
+        bad = next(c for c in line if not c.isascii())
+        raise MeasureError(f"line {ln}: non-ASCII byte {ord(bad) - 0xDC00:#04x}")
 
 
 def _raise_bad_line(lines, first: int):
@@ -569,6 +655,7 @@ def _raise_bad_line(lines, first: int):
         line = line.strip()
         if not line:
             continue
+        _check_ascii(line, ln)
         parts = line.split(",")
         if len(parts) != 3:
             raise MeasureError(f"line {ln}: expected 3 fields")
@@ -653,14 +740,25 @@ def read_snapshot(path) -> HybridMeasure:
     of different kinds may come in any order, and files without jump rows
     read as measures without jump records.  Values are parsed as Python
     ``float`` does, and a round trip through :func:`write_snapshot` is exact.
+    A line holding a byte outside ASCII is a bad line.
+
+    When the snapshot's binary twin (``<path>.bin``, written by
+    :func:`write_snapshot`) is intact and its tag matches the CSV's byte
+    length and CRC-32, the measure is built from the twin's values, which
+    are the ones the parser would read.  Otherwise (no twin, a short or
+    damaged twin, a CSV rewritten or edited since) the CSV is parsed.
 
     Lines are read and parsed in blocks of ``_BLOCK``; a block that fails a
     check is rescanned only to raise the ``MeasureError`` naming its first
     bad line.
     """
+    mu = _twin_measure(path)
+    if mu is not None:
+        return mu
     xs, vs, atoms, jump_rows = [], [], [], []
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         header = fh.readline().strip()
+        _check_ascii(header, 1)
         if header != "kind,x,value":
             raise MeasureError(f"bad snapshot header: {header!r}")
         first = 2

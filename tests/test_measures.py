@@ -1,11 +1,19 @@
+import glob
 import math
+import os
+import shutil
+import tempfile
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import renewalsim as rs
-from renewalsim import HybridMeasure
+from renewalsim import HybridMeasure, measures
 from renewalsim.errors import MeasureError
+from renewalsim.scenarios import load_scenario
 
 from oracles import linear_combination, weighted_variation
 
@@ -525,6 +533,21 @@ class TestSnapshotIO:
         assert mu.density[10] == -0.125
         assert mu.atoms == ((3.0, 2.0),)
 
+    @pytest.mark.parametrize("data, message", [
+        (b"kind,x,value\ndensity,0,1\xc3\xa9\n", "line 2: non-ASCII byte 0xc3"),
+        (b"kind,x,value\xff\ndensity,0,1\ndensity,1,1\n", "line 1: non-ASCII byte 0xff"),
+        (b"kind,x,value\ndensity,0,1\ndensity,0.5\ndensity,1,\xa01\n",
+         "line 3: expected 3 fields"),
+        ("kind,x,value\n".encode() + "\n".join(_long_file(4500, "atom,1\u00b7125,1")).encode(),
+         "line 4500: non-ASCII byte 0xc2"),
+    ], ids=["in a value", "in the header", "after a bad line", "in the second block"])
+    def test_non_ascii_byte_is_a_bad_line(self, tmp_path, data, message):
+        p = tmp_path / "s.csv"
+        p.write_bytes(data)
+        with pytest.raises(MeasureError) as err:
+            rs.read_snapshot(p)
+        assert str(err.value) == message
+
     def test_bad_header_rejected(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("x,y\n")
@@ -536,6 +559,148 @@ class TestSnapshotIO:
         p.write_text("kind,x,value\ndensity,0,1\ndensity,1,1\ndensity,3,1\n")
         with pytest.raises(MeasureError):
             rs.read_snapshot(p)
+
+
+SHIPPED_SCENARIOS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), os.pardir,
+                                                  "scenarios", "**", "*.ini"), recursive=True))
+
+
+def _bits(mu):
+    """Everything a measure holds, as integers: ``-0.0`` and ``0.0`` differ."""
+    return (np.float64(mu.h).view(np.int64), mu.density.view(np.int64).tolist(),
+            np.array(mu.atoms, dtype=float).view(np.int64).tolist(),
+            np.array(mu.jumps, dtype=float).view(np.int64).tolist(), mu.nonnegative)
+
+
+def _parsed(path):
+    """``read_snapshot`` of a copy of the CSV that has no twin: the parser's result."""
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = os.path.join(tmp, "copy.csv")
+        shutil.copyfile(path, copy)
+        return _read_or_error(rs.read_snapshot, copy)
+
+
+def _twin_matches_parse(mu, path):
+    """Write ``mu``; its twin and the parser give the same measure, bit for bit."""
+    rs.write_snapshot(mu, path)
+    twin = measures._twin_measure(path)
+    assert twin is not None
+    parsed = _parsed(path)
+    assert _bits(twin) == _bits(parsed) == _bits(rs.read_snapshot(path))
+
+
+FINITE = st.one_of(st.sampled_from((0.0, -0.0, 5e-324, -1e-300, 1.0, 1e300)),
+                   st.floats(min_value=-1e300, max_value=1e300))
+
+
+@st.composite
+def measures_with_jumps(draw):
+    """Measures with ``-0.0`` values, off-grid atoms and jump records."""
+    h = draw(st.sampled_from((0.25, 0.1, 1.0 / 3.0, 0.00025)))
+    n = draw(st.integers(2, 40))
+    dens = draw(st.lists(FINITE, min_size=n, max_size=n))
+    x_max = (n - 1) * h
+    locs = st.floats(min_value=0.0, max_value=x_max)
+    atoms = draw(st.lists(st.tuples(locs, FINITE), max_size=5))
+    nodes = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=4))
+    jumps = [(i * h, draw(FINITE), draw(FINITE)) for i in nodes]
+    return HybridMeasure(h, np.array(dens), tuple(atoms), tuple(jumps))
+
+
+def _edit_digit(csv, twin, to):
+    """Change the last digit of the CSV's second density value to ``to``."""
+    data = bytearray(csv.read_bytes())
+    end = data.index(b"\n", data.index(b"\ndensity,") + 1)
+    end = data.index(b"\n", end + 1) - 1
+    data[end] = ord(to) if data[end] != ord(to) else ord("1")
+    csv.write_bytes(bytes(data))
+
+
+def _truncate(csv, twin):
+    twin.write_bytes(twin.read_bytes()[:-8])
+
+
+def _flip_payload_byte(csv, twin):
+    raw = bytearray(twin.read_bytes())
+    raw[-3] ^= 0x10
+    twin.write_bytes(bytes(raw))
+
+
+def _counts_past_size(csv, twin):
+    # a well-formed tag around counts that claim more values than there are
+    raw = twin.read_bytes()
+    payload = np.frombuffer(raw, "<f8", offset=24).copy()
+    payload[1] = payload.size
+    tag = np.frombuffer(raw, "<u8", 3).copy()
+    tag[2] = zlib.crc32(payload.tobytes())
+    twin.write_bytes(tag.tobytes() + payload.tobytes())
+
+
+def _stale_tag(csv, twin):
+    # the CSV of another measure beside this measure's twin
+    mu = _seam_snapshot()
+    other = csv.with_name("other.csv")
+    rs.write_snapshot(HybridMeasure(mu.h, mu.density + 1.0, mu.atoms, mu.jumps), other)
+    shutil.copyfile(other, csv)
+
+
+class TestSnapshotTwin:
+    """``read_snapshot`` through the binary twin is the parser, bit for bit."""
+
+    @pytest.mark.parametrize("path", SHIPPED_SCENARIOS, ids=os.path.basename)
+    def test_shipped_scenario_snapshot(self, tmp_path, path):
+        # the first snapshot time, capped at t = 1 to keep long_horizon.ini's trace short
+        sc = load_scenario(path)
+        t = min(sc.snapshot_times[0], 1.0)
+        traj = rs.birth_series(sc.initial, sc.birth_law, rs.solve_spectral(sc.birth_law),
+                               sc.dt, t)
+        snap = rs.evolve(traj, t)
+        assert snap.jumps and snap.atoms
+        _twin_matches_parse(snap, tmp_path / "s.csv")
+
+    def test_seam_snapshot(self, tmp_path):
+        _twin_matches_parse(_seam_snapshot(), tmp_path / "s.csv")
+
+    @settings(max_examples=40, deadline=None)
+    @given(measures_with_jumps())
+    def test_generated_measures(self, mu):
+        with tempfile.TemporaryDirectory() as tmp:
+            _twin_matches_parse(mu, os.path.join(tmp, "s.csv"))
+
+    @pytest.mark.parametrize("damage", [
+        lambda csv, twin: _edit_digit(csv, twin, "7"),
+        lambda csv, twin: _edit_digit(csv, twin, "x"),
+        _truncate,
+        lambda csv, twin: twin.write_bytes(twin.read_bytes()[:20]),
+        lambda csv, twin: twin.write_bytes(b""),
+        _flip_payload_byte,
+        _counts_past_size,
+        _stale_tag,
+        lambda csv, twin: twin.unlink(),
+    ], ids=["digit edited", "digit to letter", "twin truncated", "twin shorter than its tag",
+            "twin empty", "payload byte flipped", "counts past size", "stale tag",
+            "no twin"])
+    def test_damage_falls_back_to_the_parser(self, tmp_path, damage):
+        csv = tmp_path / "s.csv"
+        twin = tmp_path / "s.csv.bin"
+        rs.write_snapshot(_seam_snapshot(), csv)
+        damage(csv, twin)
+        assert measures._twin_measure(csv) is None
+        got = _read_or_error(rs.read_snapshot, csv)
+        want = _parsed(csv)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert _bits(got) == _bits(want)
+
+    def test_edited_digit_changes_the_measure(self, tmp_path):
+        csv = tmp_path / "s.csv"
+        rs.write_snapshot(_seam_snapshot(), csv)
+        _edit_digit(csv, None, "7")
+        assert _bits(rs.read_snapshot(csv)) != _bits(_seam_snapshot())
+        _edit_digit(csv, None, "x")
+        with pytest.raises(MeasureError, match="^line 3: could not convert"):
+            rs.read_snapshot(csv)
 
 
 class TestAcCumulative:

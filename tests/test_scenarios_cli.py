@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import renewalsim as rs
-from renewalsim import scenarios
+from renewalsim import measures, scenarios
 from renewalsim.cli import main
 from renewalsim.errors import ScenarioError
 from renewalsim.measures import HybridMeasure
@@ -234,6 +234,12 @@ class TestCli:
         assert main(["distance", pa, pb]) == 0
         assert float(capsys.readouterr().out.strip()) == pytest.approx(0.5, abs=1e-12)
 
+    def test_distance_reports_a_non_ascii_byte(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"kind,x,value\ndensity,0,1\xc3\xa9\n")
+        assert main(["distance", str(bad), str(bad)]) == 2
+        assert capsys.readouterr().err == "numerical error: line 2: non-ASCII byte 0xc3\n"
+
     def test_run_writes_artifacts_deterministically(self, tmp_path, capsys):
         path = self.write(tmp_path, GOLDEN)
         out1 = tmp_path / "run1"
@@ -282,6 +288,16 @@ class TestCli:
         for name in header:
             if name.startswith(("gre_", "J_", "conserved_phi_mass")):
                 assert at_0[name] == pytest.approx(at_1[name], rel=1e-12, abs=1e-15), name
+        # the restart read the snapshot's twin; without it, the parsed CSV
+        # gives the same artifacts, byte for byte
+        assert measures._twin_measure(out / "snapshot_1.csv") is not None
+        (out / "snapshot_1.csv.bin").unlink()
+        out3 = tmp_path / "o3"
+        assert main(["--quiet", "run", "--scenario", restart, "--out", str(out3)]) == 0
+        names = sorted(os.listdir(out2))
+        assert names == sorted(os.listdir(out3)) and "snapshot_1.csv.bin" in names
+        for name in names:
+            assert (out2 / name).read_bytes() == (out3 / name).read_bytes(), name
 
     def test_run_writes_only_requested_eta_columns(self, tmp_path, capsys):
         path = self.write(tmp_path, GOLDEN.replace("eta = phi one", "eta = one"))
@@ -431,19 +447,24 @@ class TestCli:
                              capture_output=True, text=True, timeout=120).stdout
         assert out.strip() == "[False, False]", out
 
-    def test_commands_leave_numpy_ma_unloaded(self, tmp_path):
+    def test_commands_leave_numpy_ma_and_hashlib_unloaded(self, tmp_path):
         # np.unique without return_index imports numpy.ma: about 9 ms and 1 MB
-        # that every command would pay for nothing
+        # that every command would pay for nothing.  hashlib loads OpenSSL:
+        # about 2.6 ms and 3.6 MB; snapshot twins are checked with zlib's CRC-32
         script = (
             "import sys\nfrom renewalsim.cli import main\n"
+            "costly = ('numpy.ma', 'hashlib', '_hashlib')\n"
+            "print([m for m in costly if m in sys.modules])\n"
             f"ini, out = {os.path.join(SCENARIO_DIR, 'indicator_mixed.ini')!r}, {str(tmp_path)!r}\n"
             "assert main(['run', '--scenario', ini, '--out', out, '--quiet']) == 0\n"
             "assert main(['verify', '--scenario', ini]) == 0\n"
             "assert main(['distance', out + '/snapshot_2.csv', out + '/snapshot_6.csv']) == 0\n"
-            "print('numpy.ma' in sys.modules)\n")
+            "print([m for m in costly if m in sys.modules])\n")
         out = subprocess.run([sys.executable, "-c", script], env=SRC_ENV, check=True,
                              capture_output=True, text=True, timeout=120).stdout
-        assert out.splitlines()[-1] == "False", out
+        lines = out.splitlines()
+        assert lines[0] == lines[-1] == "[]", out
+        assert (tmp_path / "snapshot_6.csv.bin").exists()
 
     def test_dissipation_bound_carries_phi0_lambda0(self, tmp_path, capsys):
         # beta = 0.5: phi(0) N(0) = 0.5, so gre(0) - gre(T) = 0.5 int J and the
