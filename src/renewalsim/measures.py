@@ -21,7 +21,6 @@ import warnings
 import zlib
 from collections import deque
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -117,6 +116,8 @@ class HybridMeasure:
         for x, lo, hi in self.jumps:
             lo = float(lo)
             hi = float(hi)
+            if not math.isfinite(lo + hi):  # a limit is inf or nan, or the mean overflows
+                raise MeasureError("jump limits and their mean must be finite")
             if lo == hi:
                 continue
             i = int(round(float(x) / h))
@@ -464,8 +465,7 @@ def flat_distance(mu: HybridMeasure, nu: HybridMeasure) -> float:
 
 # -- CSV files ----------------------------------------------------------------
 
-_BLOCK = 4096  # lines parsed or formatted per string operation
-_KINDS = ("density", "atom", "jump_lo", "jump_hi")
+_BLOCK = 4096  # rows formatted per string operation
 # The grid text of one spacing per process: (g, node count, per block of
 # _BLOCK nodes the "\n"-joined %.17g strings of arange(n) * g).  It is a
 # function of g alone and is replaced whole, never changed in place, so
@@ -644,68 +644,6 @@ def _check_ascii(line: str, ln: int) -> None:
         raise MeasureError(f"line {ln}: non-ASCII byte {ord(bad) - 0xDC00:#04x}")
 
 
-def _raise_bad_line(lines, first: int):
-    """Raise the ``MeasureError`` of the first bad line in a block.
-
-    Only for error reporting: a block that fails a vectorized check in
-    :func:`read_snapshot` is rescanned here line by line, in the order of
-    the per-line checks, so the message names the first offending line.
-    """
-    for ln, line in enumerate(lines, start=first):
-        line = line.strip()
-        if not line:
-            continue
-        _check_ascii(line, ln)
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise MeasureError(f"line {ln}: expected 3 fields")
-        kind, x, v = parts
-        try:
-            x, v = float(x), float(v)
-        except ValueError as exc:
-            raise MeasureError(f"line {ln}: {exc}") from exc
-        if not (math.isfinite(x) and math.isfinite(v)):
-            raise MeasureError(f"line {ln}: non-finite value")
-        if kind not in _KINDS:
-            raise MeasureError(f"line {ln}: unknown kind {kind!r}")
-    raise AssertionError("a rejected snapshot block holds no bad line")
-
-
-def _parse_block(lines):
-    """Kinds and x, value columns of a block of lines, or None if one is bad.
-
-    Blank lines are skipped and every line is stripped.  Joined as
-    ``"\\n" + ",\\n".join(rows)`` and split at commas, a block of m good
-    rows gives 3m fields with a ``"\\n"``-prefixed kind at every third one;
-    the block holds exactly m newlines, so that pattern also proves every
-    row has three fields.  Row positions index the nonblank lines.
-    """
-    rows = list(map(str.strip, lines))
-    pos = None
-    if "" in rows:
-        pos = [i for i, r in enumerate(rows) if r]
-        rows = [rows[i] for i in pos]
-    m = len(rows)
-    fields = ("\n" + ",\n".join(rows)).split(",")
-    if len(fields) != 3 * m:
-        return None
-    kinds = fields[0::3]
-    if kinds.count("\ndensity") == m:
-        kind = None  # every row is a density row
-    else:
-        kind = np.array(kinds)
-        if sum(np.count_nonzero(kind == "\n" + k) for k in _KINDS) != m:
-            return None
-    try:
-        x = np.array(fields[1::3], dtype=float)
-        v = np.array(fields[2::3], dtype=float)
-    except ValueError:
-        return None
-    if not (np.isfinite(x).all() and np.isfinite(v).all()):
-        return None
-    return kind, x, v, pos
-
-
 def _pair_jumps(rows):
     """``(x, left, right)`` records from ``(kind, x, value, line)`` jump rows.
 
@@ -746,11 +684,8 @@ def read_snapshot(path) -> HybridMeasure:
     :func:`write_snapshot`) is intact and its tag matches the CSV's byte
     length and CRC-32, the measure is built from the twin's values, which
     are the ones the parser would read.  Otherwise (no twin, a short or
-    damaged twin, a CSV rewritten or edited since) the CSV is parsed.
-
-    Lines are read and parsed in blocks of ``_BLOCK``; a block that fails a
-    check is rescanned only to raise the ``MeasureError`` naming its first
-    bad line.
+    damaged twin, a CSV rewritten or edited since) the CSV is parsed, one
+    line at a time, and the first bad line is the one reported.
     """
     mu = _twin_measure(path)
     if mu is not None:
@@ -761,33 +696,37 @@ def read_snapshot(path) -> HybridMeasure:
         _check_ascii(header, 1)
         if header != "kind,x,value":
             raise MeasureError(f"bad snapshot header: {header!r}")
-        first = 2
-        while lines := list(islice(fh, _BLOCK)):
-            parsed = _parse_block(lines)
-            if parsed is None:
-                _raise_bad_line(lines, first)
-            kind, x, v, pos = parsed
-            if kind is None:
+        for ln, line in enumerate(fh, start=2):
+            line = line.strip()
+            if not line:
+                continue
+            _check_ascii(line, ln)
+            parts = line.split(",")
+            if len(parts) != 3:
+                raise MeasureError(f"line {ln}: expected 3 fields")
+            kind, x, v = parts
+            try:
+                x, v = float(x), float(v)
+            except ValueError as exc:
+                raise MeasureError(f"line {ln}: {exc}") from exc
+            if not (math.isfinite(x) and math.isfinite(v)):
+                raise MeasureError(f"line {ln}: non-finite value")
+            if kind == "density":
                 xs.append(x)
                 vs.append(v)
+            elif kind == "atom":
+                atoms.append((x, v))
+            elif kind == "jump_lo" or kind == "jump_hi":
+                jump_rows.append((kind, x, v, ln))
             else:
-                dens = kind == "\ndensity"
-                xs.append(x[dens])
-                vs.append(v[dens])
-                at = kind == "\natom"
-                atoms += zip(x[at].tolist(), v[at].tolist())
-                jump = (kind == "\njump_lo") | (kind == "\njump_hi")
-                for i in np.flatnonzero(jump).tolist():
-                    ln = first + (i if pos is None else pos[i])
-                    jump_rows.append((kind[i][1:], float(x[i]), float(v[i]), ln))
-            first += len(lines)
+                raise MeasureError(f"line {ln}: unknown kind {kind!r}")
     jumps = _pair_jumps(jump_rows)
-    xs = np.concatenate(xs) if xs else np.empty(0)
-    if xs.size < 2:
+    if len(xs) < 2:
         raise MeasureError("snapshot needs at least two density nodes")
+    xs = np.array(xs)
     h = float(xs[1] - xs[0])
     if h <= 0.0:
         raise MeasureError("snapshot nodes must increase")
     if np.abs(xs - np.arange(xs.size) * h).max() > _SNAP * max(1.0, float(xs[-1])):
         raise MeasureError("snapshot grid is not uniform")
-    return HybridMeasure(h, np.concatenate(vs), tuple(atoms), jumps)
+    return HybridMeasure(h, np.array(vs), tuple(atoms), jumps)

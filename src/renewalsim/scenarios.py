@@ -16,7 +16,8 @@ A scenario file has five sections; keys are ``name = value`` lines and
     [outputs]         directory
 
 Validation reports every violated rule, not just the first.  Scenario data
-must be nonnegative; atom locations must lie strictly inside
+must be nonnegative; the horizon T may not exceed x_max, so no newborn
+ages past the grid; atom locations must lie strictly inside
 (0, x_max - T) so no atom can reach the window edge within the horizon.
 With a discontinuous birth law, its jump points and all atom locations must
 sit on the spatial grid, which keeps every kink of the solution on grid
@@ -255,6 +256,8 @@ def parse_scenario(text: str, base_dir: str = ".") -> Scenario:
         errs.append("x_max must be an integer multiple of the grid spacing")
     if not _is_multiple(T, dt):
         errs.append("horizon must be an integer multiple of the time step")
+    if T > x_max * (1.0 + _SNAP):
+        errs.append("horizon T exceeds x_max: newborns would age past the grid")
 
     if law is not None:
         window = x_max if law.support_end is None else min(law.support_end, x_max)

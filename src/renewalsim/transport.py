@@ -348,16 +348,19 @@ def evolve(traj: Trajectory, t: float) -> HybridMeasure:
 
     ``t`` is snapped to the nearest time node and the grid is the one
     ``snapshot_index`` names, so the newborn/shifted seam and all
-    transported kinks sit on nodes.
+    transported kinks sit on nodes.  A time past ``x_max`` raises
+    ``TransportError``: the seam would leave the grid.
     """
     k, d = snapshot_index(traj, t)
     if k == 0:
         return traj.initial
+    _, M = traj._grid_ints()
+    if k > M:
+        raise TransportError("snapshot time past x_max: the newborn seam leaves the grid")
 
     n0 = traj.initial
     lam = traj.spectral.lambda0
     dt = traj.dt
-    _, M = traj._grid_ints()
     g = d * dt
     seam = k // d
     n_new = M // d + 1

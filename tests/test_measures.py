@@ -48,6 +48,12 @@ class TestConstruction:
         assert mu.density[2] == 3.0
         assert mu.jumps == ((1.0, 2.0, 4.0),)
 
+    @pytest.mark.parametrize("limits", [(math.inf, 0.0), (1.5e308, 1.7e308)],
+                             ids=["infinite limit", "mean overflows"])
+    def test_non_finite_jump_rejected(self, limits):
+        with pytest.raises(MeasureError, match="jump limits and their mean must be finite"):
+            HybridMeasure(0.5, np.zeros(5), jumps=((1.0, *limits),))
+
     def test_density_immutable(self):
         mu = HybridMeasure(0.5, np.zeros(5))
         with pytest.raises(ValueError):
@@ -321,7 +327,7 @@ class TestLinearCombination:
 
 
 def reference_read_snapshot(path) -> HybridMeasure:
-    """Oracle: the line-by-line snapshot reader that ``read_snapshot`` replaced.
+    """Oracle: a line-by-line snapshot reader written apart from ``read_snapshot``.
 
     It knows only ``density`` and ``atom`` rows, so it is compared on files
     without jump rows.
@@ -521,9 +527,25 @@ class TestSnapshotIO:
             rs.read_snapshot(p)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("rows, message", [
+        (_density_rows(4) + ["jump_hi,0.25,1", "density,1.0"], "line 7: expected 3 fields"),
+        (["density,0,1", "jump_lo,0,1"], "line 3: jump_lo row without a jump_hi row at its x"),
+        (["density,0,1", "density,1,1", "density,3,1", "jump_hi,1,2"],
+         "line 5: jump_hi row without a jump_lo row"),
+    ], ids=["bad row after unpaired jump", "unpaired jump before one node",
+            "unpaired jump before non-uniform grid"])
+    def test_error_precedence(self, tmp_path, rows, message):
+        # every line is checked before jump rows are paired, and pairing
+        # comes before the grid checks
+        p = tmp_path / "s.csv"
+        _write_case(p, rows)
+        with pytest.raises(MeasureError) as err:
+            rs.read_snapshot(p)
+        assert str(err.value) == message
+
     def test_jump_pair_split_across_blocks(self, tmp_path):
-        # header + 4095 density rows: the jump_lo row is line 4097, the last
-        # line of the first block, and its jump_hi row starts the second
+        # header + 4095 density rows: the jump_lo row is line 4097, and a
+        # blank line separates it from its jump_hi row
         rows = _density_rows(4095)
         rows += ["jump_lo,2.5,0.75", "", "jump_hi,2.5,-1", "atom,3,2"]
         p = tmp_path / "s.csv"

@@ -8,6 +8,10 @@ surface, or in a top-level statement of ``src/`` other than its own
 definition and the definitions of unused names.  The package ``__init__``
 only re-exports, so it is no use.  Helpers that only tests need belong in
 ``tests/oracles.py``.
+
+The same scan catches the dead code a linter would flag: every
+name a module imports is used in that module, and every module-level
+private name is referenced somewhere in ``src/`` beyond its definition.
 """
 import ast
 import importlib
@@ -27,6 +31,18 @@ EXEMPT = {
 }
 
 
+# imported names that their module does not use, each with its reason
+UNUSED_IMPORTS = {
+    # benchmark/tests patches the span wrapper of integrate at this call site
+    ("cli", "integrate"),
+}
+
+
+def _sources() -> dict:
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in SRC.glob("*.py") if path.name != "__init__.py"}
+
+
 def _identifiers(tree) -> set:
     return {node.id if isinstance(node, ast.Name) else node.attr
             for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))}
@@ -41,8 +57,7 @@ def _public(module, tree) -> list:
 
 
 def test_every_public_name_is_used():
-    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
-             for path in SRC.glob("*.py") if path.name != "__init__.py"}
+    trees = _sources()
     # (name the statement defines, identifiers it uses) per top-level statement
     uses = [(getattr(stmt, "name", None), _identifiers(stmt))
             for tree in trees.values() for stmt in tree.body]
@@ -67,3 +82,35 @@ def test_every_public_name_is_used():
     assert sorted(f"{public[name]}.{name}" for name in unused) == []
     for stem, name in EXEMPT:
         assert hasattr(importlib.import_module(f"renewalsim.{stem}"), name), (stem, name)
+
+
+def _imported(tree) -> list:
+    """Every name an import statement of the module binds (``__future__`` aside)."""
+    return [alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names]
+
+
+def _defined(stmt) -> list:
+    """The names a top-level statement binds by ``def``, ``class`` or assignment."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def test_every_import_is_used():
+    unused = sorted((stem, name) for stem, tree in _sources().items()
+                    for name in _imported(tree) if name not in _identifiers(tree))
+    assert unused == sorted(UNUSED_IMPORTS)
+
+
+def test_every_private_name_is_used():
+    trees = _sources()
+    uses = [(stmt, _identifiers(stmt)) for tree in trees.values() for stmt in tree.body]
+    orphans = [f"{stem}.{name}" for stem, tree in trees.items() for stmt in tree.body
+               for name in _defined(stmt)
+               if name.startswith("_") and not name.startswith("__")
+               and not any(name in ids for other, ids in uses if other is not stmt)]
+    assert orphans == []

@@ -505,6 +505,19 @@ class TestCli:
         assert main(["verify", "--scenario", self.write(tmp_path, text)]) in (0, 3)
         assert len(capsys.readouterr().out.splitlines()) == 6
 
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_horizon_past_x_max_is_a_config_error(self, tmp_path, capsys, command):
+        # a constant law has no support end to bound T: newborns would age past x_max
+        text = STATIONARY.replace("h = 0.0005\ndt = 0.0005\nT = 2.0\nx_max = 20.0",
+                                  "h = 0.01\ndt = 0.01\nT = 3.0\nx_max = 2.0").replace(
+            "sample_dt = 0.1", "snapshot_times = 1 3")
+        out = tmp_path / "o"
+        args = [command, "--scenario", self.write(tmp_path, text)]
+        assert main(args + ["--out", str(out)] if command == "run" else args) == 1
+        assert capsys.readouterr().err == ("config error: horizon T exceeds x_max: "
+                                           "newborns would age past the grid\n")
+        assert not out.exists()
+
     def test_missing_file_exit_code(self, capsys):
         assert main(["run", "--scenario", "/nonexistent.ini"]) == 1
 

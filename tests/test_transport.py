@@ -573,6 +573,15 @@ class TestEvolve:
         with pytest.raises(TransportError):
             rs.evolve(traj, -1.0)
 
+    def test_time_past_x_max_rejected(self):
+        # a trace may run past x_max, but a snapshot's newborn seam may not
+        law = rs.BirthLaw.constant(1.0)
+        mu = HybridMeasure.from_function(lambda x: np.exp(-x), 2.0, 0.01, nonnegative=True)
+        traj = rs.birth_series(mu, law, rs.solve_spectral(law), 0.01, 3.0)
+        assert rs.evolve(traj, 2.0).x_max == 2.0
+        with pytest.raises(TransportError, match="past x_max"):
+            rs.evolve(traj, 2.01)
+
 
 class TestCharacteristicLabels:
     def test_windows_reproduce_evolve(self, sweep_cases, acceptance_trajectories):
