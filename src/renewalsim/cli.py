@@ -61,12 +61,11 @@ def cmd_run(sc: Scenario, out_dir: str, quiet: bool) -> int:
     spectral, traj = _simulate(sc)
     os.makedirs(out_dir, exist_ok=True)
 
-    integrands = sc.integrands()
     times = _sample_times(sc)
     weights = {"phi": spectral.phi, "one": None}
     # D_phi feeds decayfit.json whether or not it is a requested column
     etas = {eta: weights[eta] for eta in dict.fromkeys(("phi", *sc.eta_choices))}
-    diag = sample_diagnostics(traj, times, integrands, etas)
+    diag = sample_diagnostics(traj, times, sc.integrands, etas)
     m0 = diag["m0"]
 
     # files are written after the sweep, whose labels and node weights set the
@@ -86,7 +85,7 @@ def cmd_run(sc: Scenario, out_dir: str, quiet: bool) -> int:
         write_snapshot(snap, os.path.join(out_dir, f"snapshot_{ts:g}.csv"))
 
     names = [*(f"D_{eta}" for eta in sc.eta_choices), "m_k", "conserved_phi_mass"]
-    names += [f"{kind}_{H.name}" for kind in ("gre", "J") for H in integrands]
+    names += [f"{kind}_{H.name}" for kind in ("gre", "J") for H in sc.integrands]
     with open(os.path.join(out_dir, "diagnostics.csv"), "w", encoding="ascii") as fh:
         fh.write(",".join(["t", *names]) + "\n")
         _write_rows(fh, ",".join(["%.17g"] * (1 + len(names))) + "\n",
@@ -137,8 +136,7 @@ def cmd_distance(path_a: str, path_b: str) -> int:
 def _verify_checks(sc: Scenario):
     spectral, traj = _simulate(sc)
     times = _sample_times(sc)
-    integrands = sc.integrands()
-    diag = sample_diagnostics(traj, times, integrands)
+    diag = sample_diagnostics(traj, times, sc.integrands)
 
     def conservation():
         scale = max(abs(diag["m0"]), 1e-30)
@@ -146,21 +144,21 @@ def _verify_checks(sc: Scenario):
         return worst / scale <= 1e-6, f"max relative drift {worst / scale:.3e}"
 
     def gre_monotone():
-        if not integrands:
+        if not sc.integrands:
             return True, "skipped: no integrands"
         if len(times) < 2:
             return True, "skipped: one sample"
-        worst = max(float(np.diff(diag[f"gre_{H.name}"]).max()) for H in integrands)
+        worst = max(float(np.diff(diag[f"gre_{H.name}"]).max()) for H in sc.integrands)
         return worst <= 1e-8, f"max sampled increase {worst:.3e}"
 
     def dissipation():
-        if not integrands:
+        if not sc.integrands:
             return True, "skipped: no integrands"
         factor = spectral.phi0 * spectral.lambda0  # phi(0) N(0): d/dt gre = -factor J
         min_j = math.inf
         cum_ok = True
         detail = []
-        for H in integrands:
+        for H in sc.integrands:
             js = diag[f"J_{H.name}"]
             min_j = min(min_j, float(js.min()))
             total = factor * float(np.trapezoid(js, dx=sc.sample_dt))
@@ -173,9 +171,9 @@ def _verify_checks(sc: Scenario):
     def mollification():
         if not (traj.initial.atoms and sc.eps_list):
             return True, "skipped: no atoms or no eps ladder"
-        if not integrands:
+        if not sc.integrands:
             return True, "skipped: no integrands"
-        rep = reshetnyak_harness(traj.initial, spectral, integrands[0], sc.eps_list)
+        rep = reshetnyak_harness(traj.initial, spectral, sc.integrands[0], sc.eps_list)
         return rep.passed, (
             f"entropy gaps {rep.gre_gaps[0]:.3e} -> {rep.gre_gaps[-1]:.3e}"
         )

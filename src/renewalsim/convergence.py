@@ -316,23 +316,20 @@ def sample_diagnostics(traj: Trajectory, times, integrands=(), etas=None) -> dic
     ``conserved_phi_mass``, the dual mass plus the leak past x_max; and
     ``gre_<H>``, ``J_<H>`` per integrand.
 
-    All samples lie on the sweep's one grid: stride ``d = gcd(h / dt, k_1,
-    ..., k_S)`` for the samples' time indices k_i, the coarsest grid that
-    holds every seam and the datum's nodes, so the checks that compare
-    samples compare sums on one grid.  With d < h / dt, sample 0 and ``m0``
-    see the datum's piecewise-linear density at the finer nodes, with its
-    atoms and jump records.
+    All samples, and ``m0``, lie on one grid: the grid of
+    ``characteristic_labels(traj, ks)`` for the samples' time indices ks,
+    which also carries the datum on that grid.
 
     No snapshot is built.  Every column is a weighted sum of the ratio
     density/N, which is constant along characteristics: the ratio of every
-    sample is one window of the time-invariant label arrays of
-    ``characteristic_labels(traj, d)``, and each H is applied once to each
-    label, in one top-down pass over blocks of ``_BLOCK`` labels.  The node
-    weights ``w phi N``, ``w B N / N(0)`` and ``w eta N`` are built once,
-    and every column is one entry of one product: the table's rows (the
-    ratio, each H, then |ratio - m0|) against every weight row, less the
-    sides that node 0 and node n - 1 have outside the window, so every sum
-    reads one-sided values at both ends.  Each weight is ``w N g``, and g
+    sample is one window of those time-invariant label arrays, and each H
+    is applied once to each label, in one top-down pass over blocks of
+    ``_BLOCK`` labels.  The node weights ``w phi N``, ``w B N / N(0)`` and
+    ``w eta N`` are built once, and every column is one entry of one
+    product: the table's rows (the ratio, each H, then |ratio - m0|)
+    against every weight row, less the sides that node 0 and node n - 1
+    have outside the window, so every sum reads one-sided values at both
+    ends.  Each weight is ``w N g``, and g
     is constant past its head (past the birth law's last breakpoint phi
     and B are, and so is eta for ``phi`` and the unit weight; an arbitrary
     eta has a head as long as the window).  The longest head is summed per
@@ -368,17 +365,10 @@ def sample_diagnostics(traj: Trajectory, times, integrands=(), etas=None) -> dic
     outside, ks = _snap(traj, times)
     S = int(outside.argmax()) if outside.any() else times.size  # before the first outside
     ks = ks[:S]
-    m, M = traj._grid_ints()
-    d = math.gcd(m, *ks.tolist())  # the one grid: every seam and the datum's nodes
-    n, spacing = M // d + 1, d * traj.dt
-    n0 = traj.initial
-    if d < m:
-        x = np.minimum(np.arange(n) * spacing, n0.x_max)  # as characteristic_labels
-        n0 = HybridMeasure(spacing, n0.density_at(x), n0.atoms, n0.jumps,
-                           nonnegative=n0.nonnegative)
-    m0 = integrate(n0, spectral.phi)
-    tab = _LabelTable(characteristic_labels(traj, d), m0, lam, fns)
-    lab = tab.lab
+    lab = characteristic_labels(traj, ks)
+    m0 = integrate(lab.datum, spectral.phi)
+    n, spacing = lab.datum.node_count, lab.spacing
+    tab = _LabelTable(lab, m0, lam, fns)
     W, wsum, head = _node_weights(spectral, B, etas, n, spacing, bool(integrands))
     offs = lab.offset(ks)
     ends = offs + n - 1

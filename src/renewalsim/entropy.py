@@ -19,6 +19,7 @@ tolerance everywhere.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Callable
 
@@ -110,9 +111,14 @@ _BUILTINS = {
 
 
 def builtin_integrand(name: str) -> EntropyIntegrand:
+    """The integrand called ``name``: a key of ``_BUILTINS``, or ``abs_shift(k)`` for a number k.
+
+    Any other name, ``abs_shift(1e999)`` included, raises ``EntropyError``.
+    """
+    shift = re.fullmatch(r"abs_shift\(([-+0-9.eE]+)\)", name)
     try:
-        return _BUILTINS[name]()
-    except KeyError:
+        return abs_shift(float(shift.group(1))) if shift else _BUILTINS[name]()
+    except (KeyError, ValueError, EntropyError):
         raise EntropyError(f"unknown integrand {name!r}") from None
 
 

@@ -29,15 +29,14 @@ from __future__ import annotations
 
 import math
 import os
-import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ScenarioError, SpectralError
+from .errors import EntropyError, ScenarioError, SpectralError
 from .measures import _SNAP, HybridMeasure, _is_multiple, read_snapshot
 from .spectral import BirthLaw
-from .entropy import EntropyIntegrand, abs_shift, builtin_integrand
+from .entropy import builtin_integrand
 
 __all__ = ["Scenario", "parse_scenario", "load_scenario"]
 
@@ -53,7 +52,7 @@ _SECTIONS = {
 
 @dataclass(frozen=True)
 class Scenario:
-    """A validated simulation configuration."""
+    """A validated simulation configuration; ``integrands`` holds the built integrands."""
 
     birth_law: BirthLaw
     initial: HybridMeasure
@@ -61,28 +60,19 @@ class Scenario:
     dt: float
     horizon: float
     x_max: float
-    integrand_names: tuple
+    integrands: tuple
     eta_choices: tuple
     snapshot_times: tuple
     eps_list: tuple
     sample_dt: float
     out_dir: str
 
-    def integrands(self) -> tuple:
-        return tuple(_integrand_by_name(n) for n in self.integrand_names)
-
-
-def _integrand_by_name(name: str) -> EntropyIntegrand:
-    m = re.fullmatch(r"abs_shift\(([-+0-9.eE]+)\)", name)
-    if m:
-        return abs_shift(float(m.group(1)))
-    return builtin_integrand(name)
-
 
 class _Parser:
     def __init__(self, text: str):
         self.errors: list[str] = []
         self.sections: dict[str, dict[str, str]] = {}
+        self.read: set[tuple[str, str]] = set()  # every (section, key) asked for
         section = None
         for ln, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
@@ -113,6 +103,7 @@ class _Parser:
                 self.sections[section][key] = value
 
     def get(self, section, key, default=None):
+        self.read.add((section, key))
         return self.sections.get(section, {}).get(key, default)
 
     def number(self, section, key, default=None):
@@ -186,11 +177,11 @@ def _parse_atoms(p: _Parser):
 
 def _build_density(p: _Parser, x_max, h):
     kind = p.get("initial_measure", "density", "none")
-    mass = p.number("initial_measure", "mass", 1.0)
     n = int(round(x_max / h)) + 1
     xs = np.arange(n) * h
     if kind == "none":
         return np.zeros(n)
+    mass = p.number("initial_measure", "mass", 1.0)
     if kind == "exponential":
         rate = p.number("initial_measure", "rate", 1.0)
         return mass * rate * np.exp(-rate * xs)
@@ -246,7 +237,7 @@ def parse_scenario(text: str, base_dir: str = ".") -> Scenario:
     errs.extend(f"[numerics] {name} must be positive" for name in bad)
     # every rule below divides by the numerics
     if None in (h, dt, T, x_max) or bad or errs and law is None:
-        raise ScenarioError(errs or ["missing numerics"])
+        raise ScenarioError(errs)
 
     if dt > h * (1.0 + _SNAP):
         errs.append("time step exceeds grid spacing")
@@ -284,19 +275,24 @@ def parse_scenario(text: str, base_dir: str = ".") -> Scenario:
     if sample_dt:
         if not _is_multiple(sample_dt, dt) or sample_dt <= 0.0:
             errs.append("sample_dt must be a positive multiple of the time step")
+    named = {}  # run writes snapshot_{t:g}.csv
     for ts in snapshot_times:
         if not (0.0 <= ts <= T) or not _is_multiple(ts, dt):
             errs.append(f"snapshot time {ts} must be a time-grid point in [0, T]")
+        elif named.setdefault(f"{ts:g}", ts) != ts:
+            errs.append(f"snapshot times {named[f'{ts:g}']!r} and {ts!r} share "
+                        f"the file name snapshot_{ts:g}.csv")
     if eps_list:
         if any(b >= a for a, b in zip(eps_list[:-1], eps_list[1:])):
             errs.append("eps_list must be strictly decreasing")
         if not all(e >= h for e in eps_list):  # nan included
             errs.append("eps_list entries must be at least the grid spacing")
+    built = []
     for name in integrands:
         try:
-            _integrand_by_name(name)
-        except Exception:
-            errs.append(f"unknown integrand {name!r}")
+            built.append(builtin_integrand(name))
+        except EntropyError as exc:  # unknown integrand 'name'
+            errs.append(str(exc))
     for name in etas:
         if name not in ("phi", "one"):
             errs.append(f"unknown eta choice {name!r} (use phi or one)")
@@ -321,6 +317,10 @@ def parse_scenario(text: str, base_dir: str = ".") -> Scenario:
         if loc + widest > x_max * (1.0 + _SNAP):
             errs.append(f"eps_list: the kernel of width {widest:g} around the "
                         f"atom at {loc:g} leaves [0, x_max]")
+    # every builder has run: a key set but never read would be silently ignored
+    errs.extend(f"[{section}] {key!r} is not used by this configuration"
+                for section, keys in p.sections.items() for key in keys
+                if (section, key) not in p.read)
 
     if errs:
         raise ScenarioError(errs)
@@ -335,7 +335,7 @@ def parse_scenario(text: str, base_dir: str = ".") -> Scenario:
         sample_dt = dt * max(1, round((T / 200.0) / dt))
     return Scenario(
         law, measure, h, dt, T, x_max,
-        tuple(integrands), tuple(etas), tuple(snapshot_times), tuple(eps_list),
+        tuple(built), tuple(etas), tuple(snapshot_times), tuple(eps_list),
         sample_dt, out_dir,
     )
 

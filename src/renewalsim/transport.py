@@ -62,7 +62,6 @@ __all__ = [
     "birth_series",
     "evolve",
     "snapshot_index",
-    "snapshot_atoms",
     "CharacteristicLabels",
     "characteristic_labels",
     "tail_phi_mass",
@@ -304,20 +303,26 @@ def _snap(traj: Trajectory, times):
     return outside, np.clip(k, 0, traj.births.size - 1).astype(int)
 
 
+def _stride(traj: Trajectory, ks) -> int:
+    """The grid rule: stride ``gcd(h / dt, k_1, ..., k_S)`` for the time indices ``ks``.
+
+    The coarsest refinement of the time grid with a node at every seam
+    x = t_k and at every node of the initial grid image (h divides x_max).
+    """
+    return math.gcd(traj._grid_ints()[0], *(int(k) for k in ks))
+
+
 def snapshot_index(traj: Trajectory, t: float):
     """Time index k and grid stride d of the snapshot at time t.
 
-    ``t`` is snapped to the nearest time node.  The snapshot spacing is
-    ``d * dt`` with ``d = gcd(k, h / dt)``: the coarsest refinement of the
-    time grid that puts nodes exactly at x = t and at every node of the
-    initial grid image (h divides x_max).  At k = 0 that is the datum's own
-    spacing.  It is the one-sample case of the diagnostic sweep's grid,
-    ``gcd(h / dt, k_1, ..., k_S)`` (``convergence.sample_diagnostics``).
+    ``t`` is snapped to the nearest time node, and d is ``_stride`` of k
+    alone, so the snapshot spacing is ``d * dt``.  At k = 0 that is the
+    datum's own spacing.
     """
     outside, k = _snap(traj, t)
     if outside:
         raise TransportError("snapshot time outside [0, horizon]")
-    return int(k), math.gcd(int(k), traj._grid_ints()[0])
+    return int(k), _stride(traj, [k])
 
 
 def _atoms_at(traj: Trajectory, ks):
@@ -335,12 +340,6 @@ def _atoms_at(traj: Trajectory, ks):
     # math.exp, not np.exp: snapshot files keep their bytes
     decay = np.array([math.exp(v) for v in -traj.spectral.lambda0 * t])
     return rows, np.minimum(shifted[rows, cols], n0.x_max), wts[cols] * decay[rows]
-
-
-def snapshot_atoms(traj: Trajectory, k: int) -> tuple:
-    """Atoms of the snapshot at time index k: shifted by t, damped, cut at x_max."""
-    _, locs, wts = _atoms_at(traj, [k])
-    return tuple(zip(locs.tolist(), wts.tolist()))
 
 
 def evolve(traj: Trajectory, t: float) -> HybridMeasure:
@@ -407,23 +406,25 @@ def evolve(traj: Trajectory, t: float) -> HybridMeasure:
         np.clip(dens, 0.0, None, out=dens)
         jumps = [(x, max(lo, 0.0), max(hi, 0.0)) for x, lo, hi in jumps]
 
-    return HybridMeasure(g, dens, snapshot_atoms(traj, k), tuple(jumps),
+    _, locs, wts = _atoms_at(traj, [k])
+    return HybridMeasure(g, dens, tuple(zip(locs.tolist(), wts.tolist())), tuple(jumps),
                          nonnegative=n0.nonnegative)
 
 
 @dataclass(frozen=True)
 class CharacteristicLabels:
-    """The ratio density/N of every snapshot on the grid of one stride, as one array.
+    """The ratio density/N of every snapshot on one grid, as one array.
 
     The ratio is carried unchanged along characteristics, so it is a
     function of the birth time tau = t - x alone.  Position ``p`` holds
     tau = (origin - p) * spacing: the newborn label ``b(tau) / lambda0`` for
-    p < origin, the seam at p = origin, and the shifted datum
-    ``n0(-tau) / N(-tau)`` beyond, the datum's piecewise-linear density
-    where ``stride`` is finer than h / dt.  The snapshot at time index k (a
-    multiple of ``stride``), on this grid, has the ratio ``labels[offset(k)
-    + j]`` at its node j.  The diagnostic sweep builds one such array for
-    all of its samples.
+    p < origin, the seam at p = origin, and the shifted ``datum`` over N
+    beyond.  ``datum`` is the snapshot at k = 0: the datum itself at stride
+    h / dt, on a finer grid its piecewise-linear density at the finer
+    nodes, with its atoms and jump records.  The snapshot at time index k
+    (a multiple of ``stride``), on this grid, has the ratio
+    ``labels[offset(k) + j]`` at its node j.  The diagnostic sweep builds
+    one such array for all of its samples.
 
     Both arrays are one-sided: ``left[p]`` is the value seen from the panel
     to the right of the node (the panel's left end, as in ``_panel_sides``),
@@ -439,23 +440,28 @@ class CharacteristicLabels:
     origin: int
     left: np.ndarray
     right: np.ndarray
+    datum: HybridMeasure
     clipped: frozenset = frozenset()
 
     def offset(self, k: int) -> int:
         return self.origin - k // self.stride
 
 
-def characteristic_labels(traj: Trajectory, stride: int) -> CharacteristicLabels:
-    """The label arrays shared by every snapshot on the grid of stride ``stride``."""
+def characteristic_labels(traj: Trajectory, ks) -> CharacteristicLabels:
+    """The label arrays shared by the snapshots at time indices ``ks``, on their ``_stride``."""
     n0, N = traj.initial, traj.spectral.N
     lam = traj.spectral.lambda0
-    _, M = traj._grid_ints()
+    stride = _stride(traj, ks)
+    m, M = traj._grid_ints()
     g = stride * traj.dt
     origin = (traj.births.size - 1) // stride
-    u = np.arange(1, M // stride + 1) * g
-    with np.errstate(all="ignore"):  # the last u may pass x_max by a rounding error
-        datum = n0.density_at(np.minimum(u, n0.x_max)) / N(u)
-    right = np.concatenate([traj.births[origin * stride::-stride] / lam, datum])
+    u = np.arange(M // stride + 1) * g
+    # the last u may pass x_max by a rounding error
+    dens = n0.density_at(np.minimum(u, n0.x_max))
+    datum = n0 if stride == m else HybridMeasure(g, dens, n0.atoms, n0.jumps,
+                                                  nonnegative=n0.nonnegative)
+    with np.errstate(all="ignore"):
+        right = np.concatenate([traj.births[origin * stride::-stride] / lam, dens[1:] / N(u[1:])])
     left = right.copy()
     left[origin] = _right_limit_at_zero(n0) / lam
     for j, delta in traj.birth_jumps:
@@ -474,7 +480,7 @@ def characteristic_labels(traj: Trajectory, stride: int) -> CharacteristicLabels
                    if j % stride == 0 and left[origin - j // stride] < 0.0]
         np.maximum(left, 0.0, out=left)
         np.maximum(right, 0.0, out=right)
-    return CharacteristicLabels(stride, g, origin, left, right, frozenset(clipped))
+    return CharacteristicLabels(stride, g, origin, left, right, datum, frozenset(clipped))
 
 
 def tail_phi_mass(traj: Trajectory, t):

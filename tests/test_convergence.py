@@ -211,7 +211,7 @@ class TestLazyMollificationReport:
             text = text.replace(old, new)
         sc = parse_scenario(text)
         n0, sp = sc.initial, rs.solve_spectral(sc.birth_law)
-        rep = rs.reshetnyak_harness(n0, sp, sc.integrands()[0], sc.eps_list)
+        rep = rs.reshetnyak_harness(n0, sp, sc.integrands[0], sc.eps_list)
         assert calls == {"flat_distance": 0, "angle_bracket": 0}
 
         rungs = [rs.mollify(n0, e) for e in sc.eps_list]

@@ -284,7 +284,7 @@ def test_label_blocks_leave_every_column_unchanged(sweep_cases, long_tail, monke
                 for traj, times in cases]
 
     default = columns()
-    longest = max(characteristic_labels(traj, 1).left.size for traj, _ in cases)
+    longest = max(characteristic_labels(traj, [1]).left.size for traj, _ in cases)
     for block in (7, 100, 4097, longest):
         monkeypatch.setattr(convergence, "_BLOCK", block)
         for want, got in zip(default, columns()):
@@ -307,7 +307,7 @@ def test_sweep_memory_is_labels_plus_blocks(ind_spectral):
     traj = rs.birth_series(n0, B, sp, h, 10.0)
     times = np.arange(21) * 0.5
     etas = {"phi": sp.phi, "one": None}
-    L = characteristic_labels(traj, 1).left.size
+    L = characteristic_labels(traj, [1]).left.size
     W, _, P = _node_weights(sp, B, etas, n, h, True)
     F = 1 + len(INTEGRANDS)
     words = 3 * 2 * L + 2 * (F + 1) * (_BLOCK + P) + W.shape[0] * (P + 2)

@@ -1,6 +1,8 @@
+import ast
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -200,6 +202,156 @@ class TestParsing:
         with pytest.raises(ScenarioError) as err:
             parse_scenario(text)
         assert any("negative" in m for m in err.value.errors)
+
+
+LAW, ATOMS = "kind = constant\nbeta = 1.0", "atoms = 0.5:1.0"
+INTEGRANDS = "integrands = abs sqrt1p pospart"
+# 10000.2 and 10000.25 are distinct grid times with one "{t:g}" name
+COLLIDING = {"beta = 1.0": "beta = 0.001",
+             "h = 0.01\ndt = 0.002\nT = 2.0\nx_max = 8.0":
+                 "h = 0.05\ndt = 0.05\nT = 10001\nx_max = 10002",
+             "snapshot_times = 1.0 2.0": "snapshot_times = 10000.2 10000.25"}
+
+# (edits of GOLDEN, a message parse_scenario reports for it); None: it parses.
+# coarse.csv and bad.csv are written by the parser_files fixture
+PARSER_MESSAGES = [
+    ({"[outputs]": "[output]"}, "line 23: unknown section [output]"),
+    ({"[outputs]": "[output]"}, "line 24: key outside any section"),
+    ({"directory = out": "directory = out\n[outputs]"}, "line 25: duplicate section [outputs]"),
+    ({"directory = out": "directory = out\nbogus"}, "line 25: expected 'key = value'"),
+    ({"beta = 1.0": "beta = 1.0\nbogus = 3"}, "line 6: unknown key 'bogus' in [birth_law]"),
+    ({"beta = 1.0": "beta = 1.0\nbeta = 2.0"}, "line 6: duplicate key 'beta'"),
+    ({"beta = 1.0\n": ""}, "[birth_law] missing required key 'beta'"),
+    ({"beta = 1.0": "beta = one"}, "[birth_law] beta: not a number: 'one'"),
+    ({"snapshot_times = 1.0 2.0": "snapshot_times = 1.0 two"},
+     "[diagnostics] snapshot_times: not a number list: '1.0 two'"),
+    ({"kind = constant\n": ""}, "[birth_law] missing required key 'kind'"),
+    ({LAW: "kind = table"}, "[birth_law] table law needs 'x' and 'values'"),
+    ({"kind = constant": "kind = bogus"}, "[birth_law] unknown kind 'bogus'"),
+    ({"beta = 1.0": "beta = -1"}, "[birth_law] constant birth rate must be positive and finite"),
+    ({"beta = 1.0": "beta = 1.0\na = 0.0"}, "[birth_law] 'a' is not used by this configuration"),
+    ({ATOMS: "atoms = 0.5"}, "[initial_measure] bad atom token '0.5'"),
+    ({ATOMS: ATOMS + "\ndensity = gaussian-bump\ncenter = 1.0\nwidth = 0"},
+     "[initial_measure] gaussian-bump needs center and width > 0"),
+    ({ATOMS: ATOMS + "\ndensity = uniform\nlo = 0.005\nhi = 1.0"},
+     "[initial_measure] uniform edges must sit on the grid"),
+    ({ATOMS: ATOMS + "\ndensity = uniform\nlo = 1.0\nhi = 9.0"},
+     "[initial_measure] uniform support must lie in [0, x_max]"),
+    ({ATOMS: ATOMS + "\ndensity = bogus"}, "[initial_measure] unknown density 'bogus'"),
+    ({"h = 0.01": "h = -0.01"}, "[numerics] h must be positive"),
+    ({"dt = 0.002": "dt = 0.02"}, "time step exceeds grid spacing"),
+    ({"dt = 0.002": "dt = 0.003"}, "grid spacing must be an integer multiple of the time step"),
+    ({"x_max = 8.0": "x_max = 8.005"}, "x_max must be an integer multiple of the grid spacing"),
+    ({"T = 2.0": "T = 2.001"}, "horizon must be an integer multiple of the time step"),
+    ({"T = 2.0": "T = 9.0"}, "horizon T exceeds x_max: newborns would age past the grid"),
+    ({"beta = 1.0": "beta = 0.1"}, "net reproduction below one"),
+    ({LAW: "kind = indicator\nbeta = 2.0\na = 0.0\nb = 7.0"},
+     "truncation certificate violated: support_end + T exceeds x_max"),
+    ({LAW: "kind = indicator\nbeta = 2.0\na = 0.0\nb = 1.0035"},
+     "birth-law discontinuity at 1.0035 is not on the spatial grid"),
+    ({ATOMS: "atoms = 7.5:1.0"}, "atom location 7.5 outside (0, x_max - T)"),
+    ({ATOMS: "atoms = 0.5:-1.0"}, "atom at 0.5 has negative weight"),
+    ({LAW: "kind = indicator\nbeta = 2.0\na = 0.0\nb = 1.0", ATOMS: "atoms = 0.505:1.0"},
+     "atom at 0.505 is not on the spatial grid (required with a discontinuous birth law)"),
+    ({"sample_dt = 0.1": "sample_dt = 0.003"},
+     "sample_dt must be a positive multiple of the time step"),
+    ({"snapshot_times = 1.0 2.0": "snapshot_times = 1.0 3.0"},
+     "snapshot time 3.0 must be a time-grid point in [0, T]"),
+    (COLLIDING, "snapshot times 10000.2 and 10000.25 share the file name snapshot_10000.2.csv"),
+    ({"eps_list = 0.4 0.2 0.1 0.05": "eps_list = 0.2 0.4"}, "eps_list must be strictly decreasing"),
+    ({"eps_list = 0.4 0.2 0.1 0.05": "eps_list = 0.4 0.005"},
+     "eps_list entries must be at least the grid spacing"),
+    ({INTEGRANDS: "integrands = abs bogus"}, "unknown integrand 'bogus'"),
+    ({INTEGRANDS: "integrands = abs_shift(2)"}, None),
+    ({INTEGRANDS: "integrands = abs_shift(x)"}, "unknown integrand 'abs_shift(x)'"),
+    ({INTEGRANDS: "integrands = abs_shift(1e999)"}, "unknown integrand 'abs_shift(1e999)'"),
+    ({"eta = phi one": "eta = psi"}, "unknown eta choice 'psi' (use phi or one)"),
+    ({ATOMS: "file = coarse.csv"}, "initial measure file grid does not match the numerics"),
+    ({ATOMS: "file = bad.csv"}, "initial measure file: bad snapshot header: 'nonsense'"),
+    ({"T = 2.0": "T = 0.2", "snapshot_times = 1.0 2.0": "snapshot_times = 0.2",
+      ATOMS: "atoms = 7.7:1.0"},
+     "eps_list: the kernel of width 0.4 around the atom at 7.7 leaves [0, x_max]"),
+    ({ATOMS: ATOMS + "\ndensity = exponential\nmass = -1"},
+     "initial measure: nonnegative measure has a negative density node"),
+]
+
+
+@pytest.fixture(scope="module")
+def parser_files(tmp_path_factory):
+    path = tmp_path_factory.mktemp("parser_files")
+    rs.write_snapshot(HybridMeasure.from_function(lambda x: np.exp(-x), 8.0, 0.02),
+                      path / "coarse.csv")
+    (path / "bad.csv").write_text("nonsense\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("edits, message", PARSER_MESSAGES)
+def test_parser_message(parser_files, edits, message):
+    text = GOLDEN
+    for old, new in edits.items():
+        assert text.count(old) == 1, old
+        text = text.replace(old, new)
+    if message is None:
+        parse_scenario(text, base_dir=parser_files)
+        return
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(text, base_dir=parser_files)
+    assert message in err.value.errors
+
+
+def _message_templates() -> dict:
+    """Each message ``scenarios.py`` writes into its error list, as a regex per source text.
+
+    A message is a string literal or f-string inside the arguments of an
+    ``errors``/``errs`` ``append`` or ``extend``, or of ``ScenarioError``;
+    each f-string field matches any text.
+    """
+    with open(scenarios.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    found = {}
+
+    def collect(node):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found[node.value] = re.escape(node.value)
+        elif isinstance(node, ast.JoinedStr):
+            parts = [re.escape(v.value) if isinstance(v, ast.Constant) else ".+"
+                     for v in node.values]
+            found[ast.unparse(node)] = "".join(parts)
+        else:
+            for child in ast.iter_child_nodes(node):
+                collect(child)
+
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if isinstance(f, ast.Attribute):
+            owner = getattr(f.value, "attr", getattr(f.value, "id", None))
+            sink = f.attr in ("append", "extend") and owner in ("errors", "errs")
+        else:
+            sink = getattr(f, "id", None) == "ScenarioError"
+        if sink:
+            for arg in node.args:
+                collect(arg)
+    return found
+
+
+def test_every_parser_message_has_a_row():
+    # a row covers the template that matches its message with the most
+    # literal text, so "[birth_law] {exc}" needs a row of its own
+    templates = _message_templates()
+    assert len(templates) >= 40, sorted(templates)
+
+    def literal(pattern):
+        return len(re.sub(r"\\(.)", r"\1", pattern.replace(".+", "")))
+
+    covered = set()
+    for _, message in PARSER_MESSAGES:
+        hits = [src for src, pattern in templates.items()
+                if message is not None and re.fullmatch(pattern, message, re.S)]
+        if hits:
+            covered.add(max(hits, key=lambda src: literal(templates[src])))
+    assert sorted(templates.keys() - covered) == []
 
 
 class TestCli:
@@ -517,6 +669,42 @@ class TestCli:
         assert capsys.readouterr().err == ("config error: horizon T exceeds x_max: "
                                            "newborns would age past the grid\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("case", ["density kind", "law kind", "file with density"])
+    def test_unread_keys_are_config_errors(self, tmp_path, capsys, case):
+        # each key here was parsed and then ignored: rate under density =
+        # uniform, beta under kind = table, the density keys beside file =
+        if case == "density kind":
+            with open(os.path.join(SCENARIO_DIR, "indicator_mixed.ini"), encoding="utf-8") as fh:
+                text = fh.read().replace("mass = 1.0", "mass = 1.0\nrate = 3.0")
+            unread = [("initial_measure", "rate")]
+        elif case == "law kind":
+            text = GOLDEN.replace(LAW, "kind = table\nbeta = 1.0\nx = 0 0.5 1.5\nvalues = 1 3 0")
+            unread = [("birth_law", "beta")]
+        else:
+            rs.write_snapshot(HybridMeasure.from_function(lambda x: np.exp(-x), 8.0, 0.01),
+                              tmp_path / "datum.csv")
+            text = GOLDEN.replace(ATOMS, "file = datum.csv\ndensity = exponential\nrate = 2.0")
+            unread = [("initial_measure", "density"), ("initial_measure", "rate")]
+        assert main(["verify", "--scenario", self.write(tmp_path, text)]) == 1
+        assert capsys.readouterr().err == "".join(
+            f"config error: [{section}] {key!r} is not used by this configuration\n"
+            for section, key in unread)
+
+    def test_snapshot_times_sharing_a_file_name(self, tmp_path, capsys):
+        # run writes snapshot_{t:g}.csv, and :g keeps six significant digits
+        text = GOLDEN
+        for old, new in COLLIDING.items():
+            text = text.replace(old, new)
+        out = tmp_path / "o"
+        assert main(["run", "--scenario", self.write(tmp_path, text), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "config error: snapshot times 10000.2 and 10000.25 share the file name "
+            "snapshot_10000.2.csv\n")
+        assert not out.exists()
+        # equal times name one file with one snapshot: still allowed
+        text = text.replace("10000.2 10000.25", "10000.25 10000.250 10000.3")
+        assert parse_scenario(text).snapshot_times == (10000.25, 10000.25, 10000.3)
 
     def test_missing_file_exit_code(self, capsys):
         assert main(["run", "--scenario", "/nonexistent.ini"]) == 1

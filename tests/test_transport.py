@@ -15,8 +15,8 @@ from renewalsim.transport import (
     _GREGORY_ENDS,
     _LOCAL,
     _SNAP,
+    _atoms_at,
     characteristic_labels,
-    snapshot_atoms,
     snapshot_index,
 )
 
@@ -596,7 +596,7 @@ class TestCharacteristicLabels:
                 snap = rs.evolve(traj, t)
                 k, d = snapshot_index(traj, t)
                 if d not in labels:
-                    labels[d] = characteristic_labels(traj, d)
+                    labels[d] = characteristic_labels(traj, [k])
                 lab = labels[d]
                 off, n = lab.offset(k), snap.node_count
                 Nx = traj.spectral.N(snap.nodes)
@@ -605,7 +605,8 @@ class TestCharacteristicLabels:
                                            rtol=1e-14, atol=0.0)
                 np.testing.assert_allclose(lab.right[off + 1:off + n] * Nx[1:], R,
                                            rtol=1e-14, atol=0.0)
-                assert snapshot_atoms(traj, k) == snap.atoms
+                _, locs, wts = _atoms_at(traj, [k])
+                assert tuple(zip(locs.tolist(), wts.tolist())) == snap.atoms
 
 
 class TestUnrenormalize:
