@@ -68,14 +68,14 @@ def cmd_run(sc: Scenario, out_dir: str, quiet: bool) -> int:
     diag = sample_diagnostics(traj, times, sc.integrands, etas)
     m0 = diag["m0"]
 
-    # files are written after the sweep, whose labels and node weights set the
-    # run's peak memory on long traces (long_horizon.ini: 121 MB, the birth
-    # trace 94 MB, the writers 108 MB with the shared 1.02M-node grid text and
-    # the snapshot twins): started on a heap the writers' block buffers have
-    # fragmented, the sweep peaks 19 MB higher.  On short traces the snapshot
+    # files are written after the sweep: started on a heap the writers' block
+    # buffers have fragmented, the sweep peaks 19 MB higher.  On long traces
+    # the two peak alike (long_horizon.ini: the birth trace 94 MB, the sweep
+    # 120 MB, the writers 122 MB with the shared 1.02M-node formatted grid at
+    # 24 bytes per node and the snapshot twins).  On short traces the snapshot
     # writes set the peak (trace-atoms: 36.2 MB, the sweep 35.9 MB).
-    # diagnostics.csv's sample grid replaces the shared grid text, so the fit
-    # runs after it is freed.
+    # diagnostics.csv's sample grid replaces the shared grid, so the fit runs
+    # after it is freed.
     with open(os.path.join(out_dir, "births.csv"), "w", encoding="ascii") as fh:
         fh.write("t,b\n")
         _write_rows(fh, "%.17g,%.17g\n", traj.dt, traj.births)

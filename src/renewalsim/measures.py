@@ -473,23 +473,209 @@ def flat_distance(mu: HybridMeasure, nu: HybridMeasure) -> float:
 
 # -- CSV files ----------------------------------------------------------------
 
-_BLOCK = 4096  # rows formatted per string operation
-# The grid text of one spacing per process: (g, node count, per block of
-# _BLOCK nodes the "\n"-joined %.17g strings of arange(n) * g).  It is a
-# function of g alone and is replaced whole, never changed in place, so
-# callers sharing it, threads included, write what they would without it.
+_BLOCK = 4096  # rows formatted per block
+_WIDTH = 24  # bytes of the longest %.17g text, as in "-1.2345678901234567e-300"
+_FAST = (1e-280, 1e280)  # |x| the scaling handles without overflow or underflow
+_E_LO, _E_HI = -281, 281  # decimal exponents it scales by, its correction included
+_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitting constant
+_TIE = 1e-9  # a fraction this close to 1/2 is left to %
+_DEFER = 1 << 12  # group key of the rows that % formats, above every exponent's key
+_tables = None  # built by _format_tables on first use
+# The formatted grid of one spacing per process: (g, node count, per block
+# of _BLOCK nodes the _format17 matrix of arange(n) * g).  It is a function
+# of g alone and is replaced whole, never changed in place, so callers
+# sharing it, threads included, write what they would without it.
 _grid = (math.nan, 0, ())
 
 
-def _format_grid(g: float, start: int, stop: int) -> str:
-    """The ``%.17g`` strings of grid nodes ``start .. stop - 1``, joined by newlines."""
-    return ("%.17g\n" * (stop - start))[:-1] % tuple((np.arange(start, stop) * g).tolist())
+def _format_tables():
+    """The formatter's lookup tables, built once per process.
+
+    ``quads[i]`` is the four ASCII digits of ``i < 10**4`` as one uint32
+    (first digit in the lowest byte) and ``zeros[i]`` their trailing zero
+    count.  Column ``j`` of ``powers`` is, for ``k = 16 - (_E_HI - j)``,
+    the float ``hi`` nearest ``10**k``, its Veltkamp halves, and the float
+    nearest the remainder ``10**k - hi``, all found with Python integers.
+    Row L of ``masks`` keeps the first L bytes of a ``_WIDTH``-byte row.
+    """
+    global _tables
+    if _tables is None:
+        digits = np.indices((10,) * 4).reshape(4, -1).T
+        quads = (digits + 48).astype(np.uint8, order="C").view("<u4").ravel()
+        zeros = np.cumprod(digits[:, ::-1] == 0, axis=1).sum(axis=1)
+        powers = []
+        for k in range(16 - _E_HI, 17 - _E_LO):
+            if k >= 0:
+                hi = float(10 ** k)
+                lo = float(10 ** k - int(hi))
+            else:
+                hi = 1 / 10 ** -k
+                num, den = hi.as_integer_ratio()
+                lo = (den - num * 10 ** -k) / (den * 10 ** -k)
+            c = hi * _SPLIT
+            head = c - (c - hi)
+            powers.append((hi, head, hi - head, lo))
+        keep = np.arange(_WIDTH) < np.arange(_WIDTH + 1)[:, None]
+        masks = (keep * 255).astype(np.uint8).view(np.uint64)
+        _tables = quads, zeros, np.array(powers).T.copy(), masks
+    return _tables
+
+
+def _scale(a: np.ndarray, E: np.ndarray):
+    """``a * 10**(16 - E)`` as an int64 D plus a fraction f in [-1/2, 1/2].
+
+    The product is ``p + q``: p is the float product with the head ``hi``
+    of the power, q its exact error (Dekker's TwoProduct) plus ``a`` times
+    the power's remainder.  For ``a * 10**(16 - E)`` in [1e16, 1e17], p is
+    an integer below 2**57, and q is within 1e-14 of the exact rest, so D =
+    p + rint(q) is the nearest integer unless f lies within that of 1/2.
+    """
+    hi, head, tail, lo = _format_tables()[2][:, _E_HI - E]
+    p = a * hi
+    c = a * _SPLIT
+    ah = c - (c - a)
+    al = a - ah
+    q = ((ah * head - p) + ah * tail + al * head) + al * tail + a * lo
+    r = np.rint(q)
+    return p.astype(np.int64) + r.astype(np.int64), q - r
+
+
+def _out_of_range(D: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Whether D + f lies below 1e16 or D above 1e17, each a wrong exponent."""
+    return (D < 10 ** 16) | ((D == 10 ** 16) & (f < 0.0)) | (D > 10 ** 17)
+
+
+def _decimal17(v: np.ndarray):
+    """The 17-digit decimal of every x of ``v``: mantissa D, exponent E, and the rows left to ``%``.
+
+    For a nonzero x that is not deferred, D in [1e16, 1e17) and E are the
+    digits and exponent that ``'%.17g' % x`` prints: |x| rounded to 17
+    significant digits is D * 10**(E - 16).  A zero has D = E = 0.
+
+    **Exactness.**  E = floor(log10|x|) comes from ``np.log10``, and
+    ``_scale`` rounds |x| * 10**(16 - E) to the integer D, exact to 1e-14 of
+    a unit.  When D + f falls below 1e16 or D above 1e17, ``log10`` was off
+    by one: E moves once and the row is scaled again.  D = 1e17 is a
+    rounding carry into the next decade, and becomes 1e16 with E + 1.
+
+    **Deferral.**  A row is left to ``%`` when x is inf or nan, when |x|
+    lies outside [1e-280, 1e280] (where the scaling could overflow or
+    underflow), when the corrected exponent is still out of range, or when
+    f lies within 1e-9 of 1/2: ties and near-ties, which ``%`` rounds half
+    to even and where 1e-14 could decide the side.  Both zeros stay.
+    """
+    a = np.abs(v)
+    fast = (a >= _FAST[0]) & (a <= _FAST[1])
+    a = np.where(fast, a, 1.0)
+    E = np.floor(np.log10(a)).astype(np.int64)
+    D, f = _scale(a, E)
+    bad = _out_of_range(D, f)
+    redo = np.flatnonzero(bad)
+    if redo.size:
+        E[redo] += np.where(D[redo] > 10 ** 17, 1, -1)
+        D[redo], f[redo] = _scale(a[redo], E[redo])
+        bad[redo] = _out_of_range(D[redo], f[redo])
+    carry = D == 10 ** 17
+    D[carry] = 10 ** 16
+    E[carry] += 1
+    zero = v == 0.0
+    defer = ~zero & (~fast | bad | (np.abs(np.abs(f) - 0.5) < _TIE))
+    D[zero | defer] = E[zero | defer] = 0
+    return D, E, defer
+
+
+def _format17(v: np.ndarray) -> np.ndarray:
+    """The NUL-padded ASCII of ``'%.17g' % x`` for every x of ``v``, as an (n, 24) uint8 matrix.
+
+    The digits and exponent come from ``_decimal17``; ``%`` formats only
+    the rows it defers.  Rows are grouped by (E, sign), and each group is
+    laid out with slice copies in ``%g``'s form: fixed notation for -4 <=
+    E < 17, else ``d.ddde±XX``, with trailing zeros and a bare ``.``
+    dropped; a zero is ``0`` or ``-0``.  The digits come from the 4-digit
+    tables of ``_format_tables``.  The bytes past each row's length are
+    zeroed, then the exponent suffix is written at that length.
+    """
+    v = np.ascontiguousarray(v, dtype=float)
+    m = v.size
+    out = np.zeros((m, _WIDTH), np.uint8)
+    if not m:
+        return out
+    quads, zeros, _, masks = _format_tables()
+    D, E, defer = _decimal17(v)
+    neg = np.signbit(v)
+    key = np.where(D == 0, neg, (E - _E_LO + 1) * 2 + neg)  # (E, sign); 0 and 1 for zeros
+    key[defer] = _DEFER
+    order = None
+    if not (key[1:] >= key[:-1]).all():
+        order = np.argsort(key, kind="stable")
+        key, D = key[order], D[order]
+
+    d0 = D // 10 ** 16
+    r = D - d0 * 10 ** 16
+    groups = np.empty((m, 4), np.int64)
+    for j, unit in enumerate((10 ** 12, 10 ** 8, 10 ** 4)):
+        groups[:, j] = r // unit
+        r -= groups[:, j] * unit
+    groups[:, 3] = r
+    digits = np.empty((m, 17), np.uint8)
+    digits[:, 0] = d0 + 48
+    digits[:, 1:] = quads[groups].view(np.uint8)
+    tz = zeros[groups]  # 4 for an all-zero group; D's first digit is never 0
+    nd = 17 - (tz[:, 3] + (tz[:, 3] == 4) * (tz[:, 2] + (tz[:, 2] == 4) * (
+        tz[:, 1] + (tz[:, 1] == 4) * tz[:, 0])))  # significant digits
+
+    length = np.empty(m, np.int64)
+    suffixes = []
+    cuts = (np.flatnonzero(key[1:] != key[:-1]) + 1).tolist()
+    for lo, hi in zip([0, *cuts], [*cuts, m]):
+        k = int(key[lo])
+        o, d, n = out[lo:hi], digits[lo:hi], nd[lo:hi]
+        if k == _DEFER:
+            rows = v[lo:hi] if order is None else v[order[lo:hi]]
+            for i, x in enumerate(rows.tolist()):
+                text = ("%.17g" % x).encode("ascii")
+                o[i, :len(text)] = np.frombuffer(text, np.uint8)
+                length[lo + i] = len(text)
+            continue
+        s = k & 1
+        if s:
+            o[:, 0] = 45
+        if k < 2:
+            o[:, s] = 48
+            length[lo:hi] = s + 1
+            continue
+        e = k // 2 + _E_LO - 1
+        if 0 <= e < 17:  # ddd.ddd
+            o[:, s:s + e + 1] = d[:, :e + 1]
+            o[:, s + e + 1] = 46
+            o[:, s + e + 2:s + 18] = d[:, e + 1:]
+            kept = np.maximum(n, e + 1)
+            length[lo:hi] = s + kept + (kept > e + 1)
+        elif -4 <= e < 0:  # 0.000ddd
+            o[:, s:s + 1 - e] = 48
+            o[:, s + 1] = 46
+            o[:, s + 1 - e:s + 18 - e] = d
+            length[lo:hi] = s + 1 - e + n
+        else:  # d.ddde±XX
+            o[:, s] = d[:, 0]
+            o[:, s + 1] = 46
+            o[:, s + 2:s + 18] = d[:, 1:]
+            length[lo:hi] = s + n + (n > 1)
+            suffixes.append((lo, hi, e))
+    out.view(np.uint64)[...] &= np.take(masks, length, axis=0)
+    for lo, hi, e in suffixes:
+        suffix = np.frombuffer(b"e%+03d" % e, np.uint8)
+        cols = length[lo:hi, None] + np.arange(suffix.size)
+        out[np.arange(lo, hi)[:, None], cols] = suffix
+    if order is not None:
+        out[order] = out.copy()
+    return out
 
 
 def _grid_blocks(g: float, n: int) -> tuple:
-    """The grid text of ``arange(n) * g``, one string per block of ``_BLOCK`` nodes.
+    """The ``_format17`` matrices of ``arange(n) * g``, one per block of ``_BLOCK`` nodes.
 
-    A spacing's text grows on demand (a partial last block is formatted
+    A spacing's entry grows on demand (a partial last block is formatted
     again) and holds at least n nodes; a new spacing replaces it.
     """
     global _grid
@@ -498,27 +684,10 @@ def _grid_blocks(g: float, n: int) -> tuple:
         size, blocks = 0, ()
     if size < n:
         first = size // _BLOCK
-        blocks = blocks[:first] + tuple(_format_grid(g, s, min(s + _BLOCK, n))
+        blocks = blocks[:first] + tuple(_format17(np.arange(s, min(s + _BLOCK, n)) * g)
                                         for s in range(first * _BLOCK, n, _BLOCK))
         _grid = (g, n, blocks)
     return blocks
-
-
-def _block_field(v: np.ndarray):
-    """The ``%`` field and arguments of one column's block of values.
-
-    Runs of equal bits (so ``-0.0`` keeps writing ``-0``) have their first
-    value formatted once and its string repeated through a ``%s`` field; a
-    block without repeats passes its floats to ``%.17g``.
-    """
-    bits = v.view(np.int64)
-    starts = np.flatnonzero(bits[1:] != bits[:-1]) + 1
-    if starts.size + 1 == v.size:
-        return "%.17g", v.tolist()
-    starts = np.concatenate(([0], starts))
-    text = ("%.17g\n" * starts.size)[:-1] % tuple(v[starts].tolist())
-    lengths = np.diff(starts, append=v.size)
-    return "%s", np.repeat(np.array(text.split("\n"), dtype=object), lengths).tolist()
 
 
 def _write_rows(fh, row: str, *columns) -> None:
@@ -527,27 +696,27 @@ def _write_rows(fh, row: str, *columns) -> None:
     ``row`` is a ``%``-template holding one ``%.17g`` field per column and
     ending in a newline (it may span several lines).  A column given as a
     number g stands for the grid ``arange(n) * g``, n being the length of
-    the other columns; its text comes from ``_grid_blocks``, so files with
-    the same grid spacing format it once per process.  Each block of rows
-    is formatted by one ``%`` on the repeated template, with every column's
-    field chosen per block by ``_block_field``.  The text is the same as
-    ``%.17g`` on every value: every CSV artifact shares this one writer.
+    the other columns; its matrices come from ``_grid_blocks``, so files
+    with the same grid spacing format it once per process.  Every other
+    column is formatted by ``_format17``, which writes the bytes of
+    ``%.17g`` for every value (``%`` itself formats only the rows it
+    cannot decide).  Each block of ``_BLOCK`` rows is the template's
+    literal bytes and the columns' matrices side by side, with the NUL
+    padding dropped, written at once: every CSV artifact shares this one
+    writer.
     """
-    parts = row.split("%.17g")
+    literals = [np.frombuffer(part.encode("ascii"), np.uint8) for part in row.split("%.17g")]
     n = next(np.size(c) for c in columns if np.ndim(c))
     columns = [np.ascontiguousarray(c, dtype=float) if np.ndim(c) else _grid_blocks(c, n)
                for c in columns]
-    width = len(columns)
     for s in range(0, n, _BLOCK):
         m = min(_BLOCK, n - s)
-        fields, args = [], [None] * (m * width)
-        for k, c in enumerate(columns):
-            if isinstance(c, tuple):
-                field, args[k::width] = "%s", c[s // _BLOCK].split("\n")[:m]
-            else:
-                field, args[k::width] = _block_field(c[s:s + m])
-            fields.append(parts[k] + field)
-        fh.write(("".join(fields) + parts[-1]) * m % tuple(args))
+        pieces = [np.broadcast_to(literals[0], (m, literals[0].size))]
+        for c, literal in zip(columns, literals[1:]):
+            pieces.append(c[s // _BLOCK][:m] if isinstance(c, tuple) else _format17(c[s:s + m]))
+            pieces.append(np.broadcast_to(literal, (m, literal.size)))
+        block = np.concatenate(pieces, axis=1)
+        fh.write(block[block != 0].tobytes().decode("ascii"))
 
 
 class _TaggedFile:

@@ -175,6 +175,7 @@ def _parse_atoms(p: _Parser):
     return atoms
 
 
+@np.errstate(all="ignore")  # values that overflow fail the finiteness check, one error
 def _build_density(p: _Parser, x_max, h):
     kind = p.get("initial_measure", "density", "none")
     n = int(round(x_max / h)) + 1

@@ -641,6 +641,19 @@ class TestCli:
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert len(lines) == 6 and all(line.startswith("PASS ") for line in lines)
 
+    def test_overflowing_density_is_one_config_error_line(self, tmp_path):
+        # mass * rate overflows: numpy must not print warnings before the error
+        with open(os.path.join(SCENARIO_DIR, "indicator_mixed.ini"), encoding="utf-8") as fh:
+            text = fh.read()
+        text = text.replace("density = uniform\nlo = 0.0\nhi = 2.0\nmass = 1.0",
+                            "density = exponential\nmass = 10\nrate = 1e308")
+        assert "rate = 1e308" in text
+        proc = subprocess.run(
+            [sys.executable, "-m", "renewalsim", "verify", "--scenario", self.write(tmp_path, text)],
+            env=SRC_ENV, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stderr == "config error: initial measure: density values must be finite\n"
+
     def test_eps_list_kernel_past_x_max_is_a_config_error(self, tmp_path, capsys):
         # the widest kernel around the atom at 11.45 would reach 12.25 > x_max = 12
         with open(os.path.join(SCENARIO_DIR, "indicator_mixed.ini"), encoding="utf-8") as fh:
