@@ -35,8 +35,9 @@ from .transport import (
     Trajectory,
     characteristic_labels,
     _atoms_at,
+    _overflows,
     _snap,
-    evolve,
+    _window,
     snapshot_index,
     tail_phi_mass,
 )
@@ -109,8 +110,7 @@ class _LabelTable:
         bad, cross = [], []
         with np.errstate(all="ignore"):
             for b0, b1 in _blocks(0, L.size):
-                ok = (np.abs(L[b0:b1]) <= 1e300) & (np.abs(R[b0:b1]) <= 1e300)
-                bad.append(b0 + np.flatnonzero(~ok))
+                bad.append(b0 + np.flatnonzero(_overflows(L[b0:b1], R[b0:b1])))
                 a = L[b0:min(b1, L.size - 1)] - m0
                 cross.append(b0 + np.flatnonzero(a * (R[b0 + 1:b1 + 1] - m0) < 0.0))
             self.bad = np.concatenate(bad[::-1])
@@ -348,11 +348,12 @@ def sample_diagnostics(traj: Trajectory, times, integrands=(), etas=None) -> dic
     The values agree to rounding with the same sums taken over the nodes of
     the snapshots on the sweep's grid (in another order; the tests keep
     those per-snapshot sums as oracles).  Errors are raised in this order:
-    the node weights' normalization checks, then in sample order
-    ``evolve``'s negativity guard at a trace jump whose left limit was
-    clipped and the first overflow of density/N (an ``EntropyError`` even
-    without integrands: every column is a sum over density/N), then the
-    first time outside [0, horizon].
+    the node weights' normalization checks, then in sample order the
+    checks of ``transport._window``, the one reading of a snapshot off the
+    labels that ``evolve`` makes too: an overflow of density/N (an
+    ``EntropyError`` even without integrands: every column is a sum over
+    density/N), then the negativity guard at a trace jump whose left limit
+    was clipped; then the first time outside [0, horizon].
     """
     spectral, B = traj.spectral, traj.birth_law
     lam = spectral.lambda0
@@ -372,13 +373,8 @@ def sample_diagnostics(traj: Trajectory, times, integrands=(), etas=None) -> dic
     W, wsum, head = _node_weights(spectral, B, etas, n, spacing, bool(integrands))
     offs = lab.offset(ks)
     ends = offs + n - 1
-    clipped = np.isin(ks, list(lab.clipped))
-    over = tab.overflows(offs, ends + 1)
-    for i in np.flatnonzero(clipped | over):
-        if clipped[i]:
-            evolve(traj, times[i])
-        if over[i]:
-            raise EntropyError("density/N overflows: domain too long for this rate")
+    for i in np.flatnonzero(np.isin(ks, list(lab.clipped)) | tab.overflows(offs, ends + 1)):
+        _window(traj, lab, ks[i])  # raises at an overflow or a negative left limit
     if S < times.size:
         snapshot_index(traj, times[S])  # raises: outside [0, horizon]
 

@@ -2,14 +2,14 @@
 
 The solution is stored as the initial measure plus the boundary birth trace
 b(t); nothing is ever regridded during evolution, so atoms stay atoms with
-exactly known weights.  Snapshots are materialized on demand: newborn mass
-appears as the density ``b(t - x) exp(-lam x)`` on (0, t), the initial
-datum is shifted by t and damped by ``exp(-lam t)``, and the seam at x = t
-is a grid node carrying both one-sided limits.  The ratio of a snapshot to
-the stable profile N is carried unchanged along characteristics, so the
-ratios of all snapshots on one grid stride are windows of one array indexed
-by birth time (``characteristic_labels``); the diagnostic sweep sums over
-those windows instead of building snapshots.
+exactly known weights.  The ratio of the solution to the stable profile N
+is carried unchanged along characteristics, so the ratios of all snapshots
+on one grid stride are windows of one array indexed by birth time
+(``characteristic_labels``): ``b / lam`` on the newborn side, the datum
+over N beyond, and both one-sided limits where they differ (the seam at
+x = t and every transported jump).  A snapshot is its window times N
+(``evolve``); the diagnostic sweep sums over the windows instead of
+building snapshots.
 
 The birth trace solves the renewal integral equation
 
@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TransportError
+from .errors import EntropyError, TransportError
 from .measures import _SNAP, HybridMeasure, _is_multiple, ac_cumulative
 from .spectral import BirthLaw, SpectralData
 
@@ -342,75 +342,6 @@ def _atoms_at(traj: Trajectory, ks):
     return rows, np.minimum(shifted[rows, cols], n0.x_max), wts[cols] * decay[rows]
 
 
-def evolve(traj: Trajectory, t: float) -> HybridMeasure:
-    """Snapshot of the renormalized solution at time t.
-
-    ``t`` is snapped to the nearest time node and the grid is the one
-    ``snapshot_index`` names, so the newborn/shifted seam and all
-    transported kinks sit on nodes.  A time past ``x_max`` raises
-    ``TransportError``: the seam would leave the grid.
-    """
-    k, d = snapshot_index(traj, t)
-    if k == 0:
-        return traj.initial
-    _, M = traj._grid_ints()
-    if k > M:
-        raise TransportError("snapshot time past x_max: the newborn seam leaves the grid")
-
-    n0 = traj.initial
-    lam = traj.spectral.lambda0
-    dt = traj.dt
-    g = d * dt
-    seam = k // d
-    n_new = M // d + 1
-    t_k = k * dt
-    decay = math.exp(-lam * t_k)
-
-    dens = np.empty(n_new)
-    js = np.arange(seam)
-    dens[:seam] = traj.births[k - js * d] * np.exp(-lam * g * js)
-    for j, delta in traj.birth_jumps:
-        if j == k:
-            # snapshot taken at the jump instant: every age x > 0 was born
-            # strictly before it, so the boundary node takes the left limit
-            dens[0] = traj.births[k] - 0.5 * delta
-    left = traj.births[0] * decay
-    right = _right_limit_at_zero(n0) * decay
-    dens[seam] = 0.5 * (left + right)
-    if seam + 1 < n_new:
-        u = (np.arange(seam + 1, n_new) - seam) * g
-        dens[seam + 1:] = decay * n0.density_at(u)
-
-    jumps = []
-    if left != right:
-        jumps.append((t_k, left, right))
-    for j, delta in traj.birth_jumps:
-        if not (0 < k - j < k) or (k - j) % d != 0:
-            continue
-        xj = (k - j) * dt
-        damp = math.exp(-lam * xj)
-        mean = traj.births[j] * damp
-        half = 0.5 * delta * damp
-        # x below the kink maps to times above the trace jump and vice versa
-        jumps.append((xj, mean + half, mean - half))
-    for x, lo, hi in n0.jumps:
-        if x == 0.0:
-            continue  # folded into the seam's right limit
-        if x + t_k <= n0.x_max * (1.0 + _SNAP):
-            jumps.append((x + t_k, lo * decay, hi * decay))
-
-    if n0.nonnegative:
-        floor = -1e-12 * max(1.0, float(np.abs(dens).max()))
-        if dens.min() < floor:
-            raise TransportError("snapshot density went negative beyond tolerance")
-        np.clip(dens, 0.0, None, out=dens)
-        jumps = [(x, max(lo, 0.0), max(hi, 0.0)) for x, lo, hi in jumps]
-
-    _, locs, wts = _atoms_at(traj, [k])
-    return HybridMeasure(g, dens, tuple(zip(locs.tolist(), wts.tolist())), tuple(jumps),
-                         nonnegative=n0.nonnegative)
-
-
 @dataclass(frozen=True)
 class CharacteristicLabels:
     """The ratio density/N of every snapshot on one grid, as one array.
@@ -424,15 +355,16 @@ class CharacteristicLabels:
     nodes, with its atoms and jump records.  The snapshot at time index k
     (a multiple of ``stride``), on this grid, has the ratio
     ``labels[offset(k) + j]`` at its node j.  The diagnostic sweep builds
-    one such array for all of its samples.
+    one such array for all of its samples, and ``evolve`` one per snapshot.
 
     Both arrays are one-sided: ``left[p]`` is the value seen from the panel
     to the right of the node (the panel's left end, as in ``_panel_sides``),
     ``right[p]`` the value seen from the panel to its left.  They differ at
     the seam, at the trace-jump records and at the datum's jump records.
-    For nonnegative data both are clipped at zero, as ``evolve`` clips;
-    ``clipped`` holds the trace-jump indices whose left limit was negative:
-    the only time indices at which ``evolve``'s negativity guard can fire.
+    For nonnegative data both are clipped at zero.  ``clipped`` maps each
+    trace-jump index whose left limit was negative to that limit before
+    clipping: the only time indices at which the negativity guard of
+    ``_window`` can fire.
     """
 
     stride: int
@@ -441,7 +373,7 @@ class CharacteristicLabels:
     left: np.ndarray
     right: np.ndarray
     datum: HybridMeasure
-    clipped: frozenset = frozenset()
+    clipped: dict
 
     def offset(self, k: int) -> int:
         return self.origin - k // self.stride
@@ -474,13 +406,68 @@ def characteristic_labels(traj: Trajectory, ks) -> CharacteristicLabels:
             p = origin + int(round(x / g))
             with np.errstate(all="ignore"):
                 left[p], right[p] = hi / N(x), lo / N(x)
-    clipped = ()
+    clipped = {}
     if n0.nonnegative:
-        clipped = [j for j, _ in traj.birth_jumps
-                   if j % stride == 0 and left[origin - j // stride] < 0.0]
+        clipped = {j: float(left[origin - j // stride]) for j, _ in traj.birth_jumps
+                   if j % stride == 0 and left[origin - j // stride] < 0.0}
         np.maximum(left, 0.0, out=left)
         np.maximum(right, 0.0, out=right)
-    return CharacteristicLabels(stride, g, origin, left, right, datum, frozenset(clipped))
+    return CharacteristicLabels(stride, g, origin, left, right, datum, clipped)
+
+
+def evolve(traj: Trajectory, t: float) -> HybridMeasure:
+    """Snapshot of the renormalized solution at time t.
+
+    ``t`` is snapped to the nearest time node and the grid is the one
+    ``snapshot_index`` names, so the newborn/shifted seam and all
+    transported kinks sit on nodes.  The snapshot is the window of
+    ``characteristic_labels(traj, [k])`` times N, read by ``_window``.  A
+    time past ``x_max`` raises ``TransportError``: the seam would leave the
+    grid.  So does a negative left limit at a trace-jump instant, and an
+    overflow of density/N raises ``EntropyError``.
+    """
+    k, _ = snapshot_index(traj, t)
+    if k == 0:
+        return traj.initial
+    if k > traj._grid_ints()[1]:
+        raise TransportError("snapshot time past x_max: the newborn seam leaves the grid")
+    lab = characteristic_labels(traj, [k])
+    dens, jumps = _window(traj, lab, k)
+    _, locs, wts = _atoms_at(traj, [k])
+    return HybridMeasure(lab.spacing, dens, tuple(zip(locs.tolist(), wts.tolist())), jumps,
+                         nonnegative=traj.initial.nonnegative)
+
+
+def _overflows(left, right):
+    """Where density/N overflows: a label on either side is not finite or exceeds 1e300."""
+    return ~((np.abs(left) <= 1e300) & (np.abs(right) <= 1e300))
+
+
+def _window(traj: Trajectory, lab: CharacteristicLabels, k: int):
+    """Node values and jump records of the snapshot at time index k: ``lab``'s window times N.
+
+    Each node takes its side toward larger x.  So node 0 takes its limit
+    from x > 0, at a trace-jump instant the trace's left limit: every age
+    x > 0 was born strictly before it.  Where the two sides differ past
+    node 0, a record ``(x, left limit, right limit)`` is written, and
+    ``HybridMeasure`` sets that node to their mean.  Raises
+    ``EntropyError`` where density/N overflows, then ``TransportError`` at
+    a trace-jump instant whose left limit ``lab`` clipped from below
+    -1e-12 times the largest of 1, its own magnitude and the window's
+    one-sided values.
+    """
+    n = traj._grid_ints()[1] // lab.stride + 1
+    off = lab.offset(k)
+    left, right = lab.left[off:off + n], lab.right[off:off + n]
+    if _overflows(left, right).any():
+        raise EntropyError("density/N overflows: domain too long for this rate")
+    Nx = traj.spectral.N(np.arange(n) * lab.spacing)
+    L, R = left * Nx, right * Nx
+    low = lab.clipped.get(k, 0.0) * Nx[0]
+    if low < -1e-12 * max(1.0, -low, float(np.abs(L).max())):
+        raise TransportError("snapshot density went negative beyond tolerance")
+    p = np.flatnonzero(left[1:] != right[1:]) + 1
+    return L, tuple(zip((p * lab.spacing).tolist(), R[p].tolist(), L[p].tolist()))
 
 
 def tail_phi_mass(traj: Trajectory, t):

@@ -5,9 +5,16 @@ the density and is the D_eta oracle of ``tests/test_diagnostics.py``;
 ``linear_combination`` forms ``a mu + b nu`` on a common refinement grid;
 ``stationary_measure`` samples the profile ``mass * N dx``;
 ``on_sweep_grid`` re-samples a trajectory's datum on the diagnostic
-sweep's grid, so that ``evolve`` builds every sample there.  No command
+sweep's grid, so that a snapshot is built on that grid.  No command
 needs any of them: the diagnostic sweep (``convergence.sample_diagnostics``)
 computes its distances from the characteristic labels instead.
+``reference_evolve`` is the former snapshot assembly from the birth trace
+and the shifted, damped datum, kept unchanged: the oracle of ``evolve``,
+which reads each snapshot off the characteristic labels, and the snapshot
+the sweep's oracles sum over, so that the sweep is not checked against the
+labels it is built from.  ``lp_oracle`` solves the flat metric's
+bounded-Lipschitz maximization as a linear program (scipy, imported on
+call), the oracle of ``flat_distance``.
 ``reference_write_rows`` is the one-template CSV writer that formats every
 value with ``%.17g``, the byte-for-byte oracle of ``measures._write_rows``.
 """
@@ -17,9 +24,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from renewalsim.errors import MeasureError
+from renewalsim.errors import MeasureError, TransportError
 from renewalsim.measures import _BLOCK, _SNAP, HybridMeasure, _evaluate, _panel_sides
 from renewalsim.spectral import SpectralData
+from renewalsim.transport import _atoms_at, _right_limit_at_zero, snapshot_index
 
 
 def weighted_variation(mu: HybridMeasure, w=None, breakpoints=()) -> float:
@@ -148,10 +156,10 @@ def on_sweep_grid(traj, times):
     The sweep puts all of its samples on the stride ``d = gcd(h / dt, k_1,
     ..., k_S)``.  The datum re-sampled at spacing ``d * dt`` (its
     piecewise-linear density at the finer nodes, its atoms and jump
-    records kept) has ``h / dt = d``, so ``evolve`` of the returned
-    trajectory builds every sample, sample 0 included, on that grid, and
-    ``integrate`` of its datum is the sweep's ``m0``.  The birth trace is
-    the original one.
+    records kept) has ``h / dt = d``, so ``evolve`` (or ``reference_evolve``)
+    of the returned trajectory builds every sample, sample 0 included, on
+    that grid, and ``integrate`` of its datum is the sweep's ``m0``.  The
+    birth trace is the original one.
     """
     n0 = traj.initial
     m = round(n0.h / traj.dt)
@@ -162,6 +170,102 @@ def on_sweep_grid(traj, times):
     dens = n0.density_at(np.minimum(np.arange(round(n0.x_max / g) + 1) * g, n0.x_max))
     datum = HybridMeasure(g, dens, n0.atoms, n0.jumps, nonnegative=n0.nonnegative)
     return dataclasses.replace(traj, initial=datum)
+
+
+def reference_evolve(traj, t: float) -> HybridMeasure:
+    """Snapshot of the renormalized solution at time t, assembled from ``births`` and the datum.
+
+    ``t`` is snapped to the nearest time node and the grid is the one
+    ``snapshot_index`` names, so the newborn/shifted seam and all
+    transported kinks sit on nodes.  A time past ``x_max`` raises
+    ``TransportError``: the seam would leave the grid.
+    """
+    k, d = snapshot_index(traj, t)
+    if k == 0:
+        return traj.initial
+    _, M = traj._grid_ints()
+    if k > M:
+        raise TransportError("snapshot time past x_max: the newborn seam leaves the grid")
+
+    n0 = traj.initial
+    lam = traj.spectral.lambda0
+    dt = traj.dt
+    g = d * dt
+    seam = k // d
+    n_new = M // d + 1
+    t_k = k * dt
+    decay = math.exp(-lam * t_k)
+
+    dens = np.empty(n_new)
+    js = np.arange(seam)
+    dens[:seam] = traj.births[k - js * d] * np.exp(-lam * g * js)
+    for j, delta in traj.birth_jumps:
+        if j == k:
+            # snapshot taken at the jump instant: every age x > 0 was born
+            # strictly before it, so the boundary node takes the left limit
+            dens[0] = traj.births[k] - 0.5 * delta
+    left = traj.births[0] * decay
+    right = _right_limit_at_zero(n0) * decay
+    dens[seam] = 0.5 * (left + right)
+    if seam + 1 < n_new:
+        u = (np.arange(seam + 1, n_new) - seam) * g
+        dens[seam + 1:] = decay * n0.density_at(u)
+
+    jumps = []
+    if left != right:
+        jumps.append((t_k, left, right))
+    for j, delta in traj.birth_jumps:
+        if not (0 < k - j < k) or (k - j) % d != 0:
+            continue
+        xj = (k - j) * dt
+        damp = math.exp(-lam * xj)
+        mean = traj.births[j] * damp
+        half = 0.5 * delta * damp
+        # x below the kink maps to times above the trace jump and vice versa
+        jumps.append((xj, mean + half, mean - half))
+    for x, lo, hi in n0.jumps:
+        if x == 0.0:
+            continue  # folded into the seam's right limit
+        if x + t_k <= n0.x_max * (1.0 + _SNAP):
+            jumps.append((x + t_k, lo * decay, hi * decay))
+
+    if n0.nonnegative:
+        floor = -1e-12 * max(1.0, float(np.abs(dens).max()))
+        if dens.min() < floor:
+            raise TransportError("snapshot density went negative beyond tolerance")
+        np.clip(dens, 0.0, None, out=dens)
+        jumps = [(x, max(lo, 0.0), max(hi, 0.0)) for x, lo, hi in jumps]
+
+    _, locs, wts = _atoms_at(traj, [k])
+    return HybridMeasure(g, dens, tuple(zip(locs.tolist(), wts.tolist())), tuple(jumps),
+                         nonnegative=n0.nonnegative)
+
+
+def lp_oracle(locs, w):
+    """Brute-force LP for the bounded-Lipschitz maximization (scipy, imported here)."""
+    from scipy.optimize import linprog
+
+    locs = np.asarray(locs, dtype=float)
+    w = np.asarray(w, dtype=float)
+    n = locs.size
+    rows, rhs = [], []
+    for i in range(n - 1):
+        gap = locs[i + 1] - locs[i]
+        row = np.zeros(n)
+        row[i + 1], row[i] = 1.0, -1.0
+        rows.append(row.copy())
+        rhs.append(gap)
+        rows.append(-row)
+        rhs.append(gap)
+    res = linprog(
+        -w,
+        A_ub=np.array(rows) if rows else None,
+        b_ub=np.array(rhs) if rows else None,
+        bounds=[(-1.0, 1.0)] * n,
+        method="highs",
+    )
+    assert res.success
+    return -res.fun
 
 
 def reference_write_rows(fh, row: str, *columns) -> None:

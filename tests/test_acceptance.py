@@ -14,6 +14,8 @@ from renewalsim import HybridMeasure
 from renewalsim.errors import ScenarioError
 from renewalsim.scenarios import parse_scenario
 
+from oracles import lp_oracle
+
 
 def ones(x):
     return np.ones_like(np.asarray(x, dtype=float))
@@ -221,24 +223,7 @@ def test_criterion_8_jensen_defect():
 
 
 def test_criterion_9_flat_metric():
-    linprog = pytest.importorskip("scipy.optimize").linprog
-
-    def lp(locs, w):
-        n = len(locs)
-        rows, rhs = [], []
-        for i in range(n - 1):
-            gap = locs[i + 1] - locs[i]
-            row = np.zeros(n)
-            row[i + 1], row[i] = 1.0, -1.0
-            rows.append(row.copy())
-            rhs.append(gap)
-            rows.append(-row)
-            rhs.append(gap)
-        res = linprog(-np.asarray(w), A_ub=np.array(rows) if rows else None,
-                      b_ub=np.array(rhs) if rows else None,
-                      bounds=[(-1.0, 1.0)] * n, method="highs")
-        assert res.success
-        return -res.fun
+    pytest.importorskip("scipy.optimize")
 
     rng = np.random.default_rng(100)
     worst = 0.0
@@ -254,7 +239,7 @@ def test_criterion_9_flat_metric():
         uloc, inv = np.unique(locs, return_inverse=True)
         uw = np.bincount(inv, weights=np.asarray(wts))
         keep = uw != 0.0
-        want = lp(uloc[keep], uw[keep]) if keep.any() else 0.0
+        want = lp_oracle(uloc[keep], uw[keep]) if keep.any() else 0.0
         worst = max(worst, abs(rs.flat_distance(mu, nu) - want))
     lp_ok = worst <= 1e-6
 

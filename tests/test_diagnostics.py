@@ -3,15 +3,17 @@
 ``reference_gre_functional``, ``reference_dissipation_J``,
 ``reference_jensen_defect`` and ``reference_distance`` are the former
 one-measure implementations, kept verbatim as oracles (the jensen one
-without its input checks), applied to ``evolve(traj, t)``.  The sweep
-builds no snapshot: it sums weights against windows of the time-invariant
-label arrays density/N (``transport.characteristic_labels``), which adds
-the same terms in another order, so every column must agree with the
-oracles to ``TOL * max(1, |oracle|)``.  The sweep puts all of its samples
-on one grid, and the oracles see the snapshots on that grid
-(``oracles.on_sweep_grid``).  The one-measure functionals left
-in ``src/`` (``gre_functional``, ``jensen_defect``) share the oracles'
-arithmetic and must reproduce them bit for bit (``==``).
+without its input checks), applied to ``oracles.reference_evolve(traj,
+t)``: the snapshot assembled from the birth trace and the datum, not read
+off the labels the sweep sums.  The sweep builds no snapshot: it sums
+weights against windows of the time-invariant label arrays density/N
+(``transport.characteristic_labels``), which adds the same terms in
+another order, so every column must agree with the oracles to ``TOL *
+max(1, |oracle|)``.  The sweep puts all of its samples on one grid, and
+the oracles see the snapshots on that grid (``oracles.on_sweep_grid``).
+The one-measure functionals left in ``src/`` (``gre_functional``,
+``jensen_defect``) share the oracles' arithmetic and must reproduce them
+bit for bit (``==``).
 """
 import dataclasses
 import math
@@ -29,7 +31,8 @@ from renewalsim.errors import EntropyError, TransportError
 from renewalsim.measures import _panel_sides
 from renewalsim.transport import characteristic_labels
 
-from oracles import linear_combination, on_sweep_grid, stationary_measure, weighted_variation
+from oracles import (linear_combination, on_sweep_grid, reference_evolve, stationary_measure,
+                     weighted_variation)
 
 INTEGRANDS = [rs.builtin_integrand(n) for n in ("abs", "sqrt1p", "pospart")]
 
@@ -102,7 +105,7 @@ def reference_jensen_defect(mu, psi, f):
 def reference_distance(traj, t, eta):
     spectral = traj.spectral
     m0 = rs.integrate(traj.initial, spectral.phi)
-    snap = rs.evolve(traj, t)
+    snap = reference_evolve(traj, t)
     eq = stationary_measure(spectral, snap.x_max, snap.h, mass=m0)
     diff = linear_combination(1.0, snap, -1.0, eq)
     return weighted_variation(diff, eta, breakpoints=(t,))
@@ -122,7 +125,7 @@ def assert_sweep_matches_oracles(traj, times, etas=None):
     traj = on_sweep_grid(traj, times)
     assert diag["m0"] == rs.integrate(traj.initial, sp.phi)
     for i, t in enumerate(times):
-        snap = rs.evolve(traj, t)
+        snap = reference_evolve(traj, t)
         for name, eta in etas.items():
             assert_close(diag[f"D_{name}"][i], reference_distance(traj, t, eta), (name, t))
         m_k = rs.integrate(snap, B.quad_values) / sp.N(0.0)
@@ -339,6 +342,21 @@ def test_sweep_raises_where_evolve_does(sweep_cases):
     assert_sweep_matches_oracles(bad, times[np.abs(times - t_j) > 1e-9])
 
 
+def test_clipped_record_takes_the_mean_of_its_clipped_sides(sweep_cases):
+    # after the jump instant the negative left limit is clipped to 0, and
+    # the record's node holds the mean of the clipped sides, 1.25 b (not b)
+    traj, _ = sweep_cases["trace_jumps"]
+    (j, _), = [jd for jd in traj.birth_jumps if jd[0] == 40]
+    bad = dataclasses.replace(traj, birth_jumps=((j, 3.0 * traj.births[j]),))
+    damp = math.exp(-traj.spectral.lambda0 * 0.6)
+    for snap in (rs.evolve(bad, 1.0), reference_evolve(bad, 1.0)):
+        i = round(0.6 / snap.h)
+        (x, lo, hi), = [r for r in snap.jumps if abs(r[0] - 0.6) < 1e-12]
+        assert hi == 0.0 and lo == pytest.approx(2.5 * traj.births[j] * damp, rel=1e-14)
+        assert snap.density[i] == 0.5 * (lo + hi)
+        assert snap.density[i] == pytest.approx(1.25 * traj.births[j] * damp, rel=1e-14)
+
+
 def test_single_measure_wrappers_match_oracles(ind_spectral):
     _, sp = ind_spectral
     rng = np.random.default_rng(7)
@@ -377,6 +395,17 @@ def test_sweep_raises_on_density_overflow():
     traj = rs.birth_series(n0, B, sp, 0.05, 1.0)
     with pytest.raises(EntropyError, match="overflow"):
         rs.sample_diagnostics(traj, (0.0, 1.0), INTEGRANDS)
+
+
+def test_evolve_raises_on_density_overflow():
+    # N underflows where the datum does not vanish: density/N is not finite,
+    # so the snapshot is refused as the sweep refuses it
+    B = rs.BirthLaw.constant(20.0)
+    sp = rs.solve_spectral(B)
+    n0 = HybridMeasure.from_function(ones, 40.0, 0.05, nonnegative=True)
+    traj = rs.birth_series(n0, B, sp, 0.05, 1.0)
+    with pytest.raises(EntropyError, match="density/N overflows"):
+        rs.evolve(traj, 1.0)
 
 
 SMALL = """

@@ -9,18 +9,11 @@ import pytest
 import renewalsim as rs
 from renewalsim import HybridMeasure
 from renewalsim.errors import TransportError
-from renewalsim.measures import _panel_sides, ac_cumulative
+from renewalsim.measures import ac_cumulative
 from renewalsim.scenarios import load_scenario
-from renewalsim.transport import (
-    _GREGORY_ENDS,
-    _LOCAL,
-    _SNAP,
-    _atoms_at,
-    characteristic_labels,
-    snapshot_index,
-)
+from renewalsim.transport import _GREGORY_ENDS, _LOCAL, _SNAP
 
-from oracles import linear_combination, stationary_measure, weighted_variation
+from oracles import linear_combination, reference_evolve, stationary_measure, weighted_variation
 
 SCENARIOS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..",
                                           "scenarios", "*.ini")))
@@ -584,29 +577,23 @@ class TestEvolve:
 
 
 class TestCharacteristicLabels:
-    def test_windows_reproduce_evolve(self, sweep_cases, acceptance_trajectories):
-        # labels x N(x) are the one-sided node values of every snapshot the
-        # diagnostic sweep samples, jump records and atoms included
+    def test_windows_reproduce_evolve(self, sweep_cases, acceptance_trajectories,
+                                      seam_at_x_max):
+        # evolve reads each snapshot off the labels; the assembly from the
+        # birth trace and the datum lays out the same file, to the last bits
         cases = list(sweep_cases.values())
         cases += [(traj, np.arange(0, 201, 20) * 0.05)
                   for *_, traj in acceptance_trajectories]
+        cases.append((seam_at_x_max, (0.5, 1.99, 2.0)))
         for traj, times in cases:
-            labels = {}
             for t in times:
-                snap = rs.evolve(traj, t)
-                k, d = snapshot_index(traj, t)
-                if d not in labels:
-                    labels[d] = characteristic_labels(traj, [k])
-                lab = labels[d]
-                off, n = lab.offset(k), snap.node_count
-                Nx = traj.spectral.N(snap.nodes)
-                L, R = _panel_sides(snap)
-                np.testing.assert_allclose(lab.left[off:off + n - 1] * Nx[:-1], L,
-                                           rtol=1e-14, atol=0.0)
-                np.testing.assert_allclose(lab.right[off + 1:off + n] * Nx[1:], R,
-                                           rtol=1e-14, atol=0.0)
-                _, locs, wts = _atoms_at(traj, [k])
-                assert tuple(zip(locs.tolist(), wts.tolist())) == snap.atoms
+                snap, ref = rs.evolve(traj, t), reference_evolve(traj, t)
+                assert (snap.h, snap.node_count, snap.atoms) == (ref.h, ref.node_count, ref.atoms)
+                got = np.array(snap.jumps, dtype=float).reshape(-1, 3)
+                want = np.array(ref.jumps, dtype=float).reshape(-1, 3)
+                assert got[:, 0].tolist() == want[:, 0].tolist()
+                np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+                np.testing.assert_allclose(snap.density, ref.density, rtol=1e-14, atol=0.0)
 
 
 class TestUnrenormalize:
