@@ -62,9 +62,8 @@ def cmd_run(sc: Scenario, out_dir: str, quiet: bool) -> int:
     os.makedirs(out_dir, exist_ok=True)
 
     times = _sample_times(sc)
-    weights = {"phi": spectral.phi, "one": None}
     # D_phi feeds decayfit.json whether or not it is a requested column
-    etas = {eta: weights[eta] for eta in dict.fromkeys(("phi", *sc.eta_choices))}
+    etas = tuple(dict.fromkeys(("phi", *sc.eta_choices)))
     diag = sample_diagnostics(traj, times, sc.integrands, etas)
     m0 = diag["m0"]
 
@@ -98,7 +97,7 @@ def cmd_run(sc: Scenario, out_dir: str, quiet: bool) -> int:
         "r_squared": None, "m0": m0, "sample_count": 0,
     }
     try:
-        fit = fit_decay_rate(window, eta_name="phi", m0=m0)
+        fit = fit_decay_rate(window)
         fit_payload.update(
             sigma_hat=fit.sigma_hat, y0_hat=fit.y0_hat,
             r_squared=fit.r_squared, sample_count=len(fit.samples),
@@ -186,8 +185,7 @@ def _verify_checks(sc: Scenario):
         if len(times) < 2:
             return True, "skipped: one sample"
         idx = np.arange(0, len(times), max(1, len(times) // 20))  # sample 0 first
-        rep = birth_integral_report([times[i] for i in idx], diag["m0"],
-                                    diag["m_k"][idx], diag["D_phi"][idx])
+        rep = birth_integral_report(diag["m0"], diag["m_k"][idx], diag["D_phi"][idx])
         return rep.passed, f"final |m_k - m0| = {rep.final_deviation:.3e}"
 
     return [

@@ -6,29 +6,21 @@ dual-weighted mass of the initial datum.  ``sample_diagnostics`` computes
 it together with every other per-sample quantity (birth integral, dual
 mass, entropy, dissipation) in one pass over the sample times, as weighted
 window sums of the time-invariant ratio labels of the transport module.
-A log-linear fit of that distance estimates the empirical decay rate; the
-mollification harness checks that smoothing the initial datum moves the
-entropy functional by a gap that shrinks to zero with the kernel width,
-and reports the area functional and the flat distance on demand.
+The distance is weighted by phi or by 1, the two weights of the paper's
+convergence results.  A log-linear fit of that distance estimates the
+empirical decay rate; the mollification harness checks that smoothing the
+initial datum moves the entropy functional by a gap that shrinks to zero
+with the kernel width.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EntropyError, MeasureError, RenewalError
-from .measures import (
-    HybridMeasure,
-    _evaluate,
-    _panel_sides,
-    angle_bracket,
-    flat_distance,
-    integrate,
-    mollify,
-)
+from .errors import EntropyError, RenewalError
+from .measures import HybridMeasure, _panel_sides, integrate, mollify
 from .entropy import EntropyIntegrand, _entropy_grid, _gre, _ratio
 from .spectral import SpectralData
 from .transport import (
@@ -55,18 +47,17 @@ __all__ = [
 
 _FLOOR = 1e-13  # distances below this are floating noise, not signal
 _MK_SLACK, _MK_FLOOR, _MK_FINAL_TOL = 1e-7, 1e-6, 1e-4  # birth_integral_report
+_GRE_TOL = 1e-2  # reshetnyak_harness: the largest final entropy gap that passes
 
 
 @dataclass(frozen=True)
 class DecayFit:
     """Log-linear fit D(t) ~ exp(-sigma (t - y0)) of a distance series."""
 
-    eta_name: str
     samples: tuple
     sigma_hat: float
     y0_hat: float
     r_squared: float
-    m0: float
 
 
 # A tail block's scale q^block stays at least e^-_TAIL_EXP = 2^-512, a
@@ -163,11 +154,12 @@ def _node_weights(spectral, B, etas, n: int, spacing: float, entropy: bool):
     """Node weights of one snapshot grid, one row per weighted sum.
 
     Rows: ``w phi N`` (dual mass, gre), ``w B N / N(0)`` (birth integral,
-    dissipation) and ``w eta N`` per eta (distances), with w = spacing / 2
-    the weight of each panel end.  Each row is ``w N g`` with g = phi,
-    B / N(0) or eta; its head is 1 plus the last node where g differs from
-    its final value (the whole grid if that leaves one node), and past the
-    head the row is ``w N`` times that constant, a geometric sequence.
+    dissipation) and one per name in ``etas`` (distances): that row again
+    for ``"phi"``, ``w N`` for ``"one"``, with w = spacing / 2 the weight of
+    each panel end.  Each row is ``w N g`` with g = phi, B / N(0) or 1; its
+    head is 1 plus the last node where g differs from its final value (the
+    whole grid if that leaves one node), and past the head the row is
+    ``w N`` times that constant, a geometric sequence.
     Returns the weights at the nodes the sums read (the first head + 1 and
     the last), the unit-mass normalizer of the dissipation weight over both
     panel sides, and ``head``, the longest head of all rows: past it every
@@ -191,16 +183,7 @@ def _node_weights(spectral, B, etas, n: int, spacing: float, entropy: bool):
     g = B.quad_values(x) / spectral.lambda0  # N(0) = lambda0
     wsum = 2.0 * float((g * wN).sum()) - g[0] * wN[0] - g[-1] * wN[-1]
     add(g)
-    for eta in etas.values():
-        if eta is None:
-            rows.append((np.empty(0), 1.0))
-        elif eta is spectral.phi:
-            rows.append(rows[0])
-        else:
-            g = _evaluate(eta, x)
-            if g.min() < -1e-12:
-                raise MeasureError("variation weight must be nonnegative")
-            add(g)
+    rows += [rows[0] if eta == "phi" else (np.empty(0), 1.0) for eta in etas]
     if entropy and not wsum > 0.0:
         raise EntropyError("reference measure has no mass on this grid")
     head = max(g.size for g, _ in rows)
@@ -306,13 +289,13 @@ def _window_sums(tab: _LabelTable, offs, n: int, decay: float, W, head: int):
     return z
 
 
-def sample_diagnostics(traj: Trajectory, times, integrands=(), etas=None) -> dict:
+def sample_diagnostics(traj: Trajectory, times, integrands=(), etas=("phi",)) -> dict:
     """Every per-sample diagnostic of a trajectory in one pass over ``times``.
 
     Returns ``m0``, the dual mass of the datum, and one array per column:
-    ``D_<name>`` for each ``name: weight`` in ``etas`` (default
-    ``{"phi": phi}``, None is the unit weight), the weighted variation of
-    the snapshot minus ``m0 N dx``; ``m_k``, the birth integral over N(0);
+    ``D_<eta>`` for each weight name in ``etas`` (``phi``, or ``one`` for
+    the unit weight), the weighted variation of the snapshot minus
+    ``m0 N dx``; ``m_k``, the birth integral over N(0);
     ``conserved_phi_mass``, the dual mass plus the leak past x_max; and
     ``gre_<H>``, ``J_<H>`` per integrand.
 
@@ -325,40 +308,40 @@ def sample_diagnostics(traj: Trajectory, times, integrands=(), etas=None) -> dic
     sample is one window of those time-invariant label arrays, and each H
     is applied once to each label, in one top-down pass over blocks of
     ``_BLOCK`` labels.  The node weights ``w phi N``, ``w B N / N(0)`` and
-    ``w eta N`` are built once, and every column is one entry of one
-    product: the table's rows (the ratio, each H, then |ratio - m0|)
-    against every weight row, less the sides that node 0 and node n - 1
-    have outside the window, so every sum reads one-sided values at both
-    ends.  Each weight is ``w N g``, and g
-    is constant past its head (past the birth law's last breakpoint phi
-    and B are, and so is eta for ``phi`` and the unit weight; an arbitrary
-    eta has a head as long as the window).  The longest head is summed per
-    sample from the block its window starts in, and the geometric rest of
-    every window comes from one blocked backward recurrence over the
-    labels, which keeps only its values at the window ends.  So the sweep
-    costs O(L F) time for labels of length L and F row functions, plus
-    O(S P) for S samples with heads of P nodes: nothing for a constant
-    law, the law's support for a table law.  Its memory is
-    the labels, O(L), plus O(F (block + P)) for the row buffers and O(R P)
-    for the head columns of the R weight rows; no row function is held
-    over all the labels.  Offsets, the overflow check, the window ends and
-    the atoms are array operations, and the sign-change cells of
-    ``D_<name>`` are folded into the labels.
+    ``w N`` are built once, and every column is one entry of one product:
+    the table's rows (the ratio, each H, then |ratio - m0|) against every
+    weight row, less the sides that node 0 and node n - 1 have outside the
+    window, so every sum reads one-sided values at both ends.  Each weight
+    is ``w N g``, and g is constant past its head (past the birth law's
+    last breakpoint phi and B are, and 1 is everywhere).  The longest head
+    is summed per sample from the block its window starts in, and the
+    geometric rest of every window comes from one blocked backward
+    recurrence over the labels, which keeps only its values at the window
+    ends.  So the sweep costs O(L F) time for labels of length L
+    and F row functions, plus O(S P) for S samples with heads of P nodes:
+    nothing for a constant law, the law's support for a table law.  Its
+    memory is the labels, O(L), plus O(F (block + P)) for the row buffers
+    and O(R P) for the head columns of the R weight rows; no row function
+    is held over all the labels.  Offsets, the overflow check, the window
+    ends and the atoms are array operations, and the sign-change cells of
+    ``D_<eta>`` are folded into the labels.
 
     The values agree to rounding with the same sums taken over the nodes of
     the snapshots on the sweep's grid (in another order; the tests keep
     those per-snapshot sums as oracles).  Errors are raised in this order:
-    the node weights' normalization checks, then in sample order the
-    checks of ``transport._window``, the one reading of a snapshot off the
-    labels that ``evolve`` makes too: an overflow of density/N (an
+    a weight name other than ``phi`` or ``one``, the node weights'
+    normalization checks, then in sample order the checks of
+    ``transport._window``, the one reading of a snapshot off the labels
+    that ``evolve`` makes too: an overflow of density/N (an
     ``EntropyError`` even without integrands: every column is a sum over
     density/N), then the negativity guard at a trace jump whose left limit
     was clipped; then the first time outside [0, horizon].
     """
     spectral, B = traj.spectral, traj.birth_law
     lam = spectral.lambda0
-    if etas is None:
-        etas = {"phi": spectral.phi}
+    for eta in etas:
+        if eta not in ("phi", "one"):
+            raise RenewalError(f"unknown variation weight {eta!r} (use phi or one)")
     # row functions of the ratio; the table adds |ratio - m0| as its last row
     fns = [lambda r: r] + [H.H for H in integrands]
     F = len(fns)
@@ -391,9 +374,9 @@ def sample_diagnostics(traj: Trajectory, times, integrands=(), etas=None) -> dic
 
     phis, psis = spectral.phi(locs), B.quad_values(locs) / lam
     out = {}
-    for e, (name, eta) in enumerate(etas.items(), start=2):
-        etax = 1.0 if eta is None or not locs.size else _evaluate(eta, locs)
-        out[f"D_{name}"] = sums[:, F, e] + per_sample(etax * np.abs(wts))
+    for e, eta in enumerate(etas, start=2):
+        weight = phis if eta == "phi" else 1.0
+        out[f"D_{eta}"] = sums[:, F, e] + per_sample(weight * np.abs(wts))
     out["m_k"] = sums[:, 0, 1] + per_sample(psis * wts)
     out["conserved_phi_mass"] = (sums[:, 0, 0] + per_sample(phis * wts)
                                  + tail_phi_mass(traj, times))
@@ -407,13 +390,12 @@ def sample_diagnostics(traj: Trajectory, times, integrands=(), etas=None) -> dic
     return out
 
 
-def distance_to_equilibrium(traj: Trajectory, t: float, eta=None) -> float:
-    """Weighted variation distance (``eta`` defaults to phi) at t from m0 N dx."""
-    eta = traj.spectral.phi if eta is None else eta
-    return float(sample_diagnostics(traj, (t,), etas={"eta": eta})["D_eta"][0])
+def distance_to_equilibrium(traj: Trajectory, t: float, eta: str = "phi") -> float:
+    """Variation distance at t from m0 N dx, weighted by phi or (``"one"``) by 1."""
+    return float(sample_diagnostics(traj, (t,), etas=(eta,))[f"D_{eta}"][0])
 
 
-def fit_decay_rate(samples, eta_name: str = "", m0: float = math.nan) -> DecayFit:
+def fit_decay_rate(samples) -> DecayFit:
     """Least squares through (t, log D): slope gives the rate estimate.
 
     Samples at or below the floating floor are discarded, and so is every
@@ -440,64 +422,36 @@ def fit_decay_rate(samples, eta_name: str = "", m0: float = math.nan) -> DecayFi
     ss_res = float(np.sum((logd - fitted) ** 2))
     ss_tot = float(np.sum((logd - y_mean) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else (1.0 if ss_res < 1e-20 else 0.0)
-    return DecayFit(eta_name, tuple(usable), sigma, y0, r2, m0)
+    return DecayFit(tuple(usable), sigma, y0, r2)
 
 
 @dataclass(frozen=True)
 class MollificationReport:
-    """Per-epsilon table of functional gaps for a mollified datum.
+    """Per-epsilon entropy gaps of a mollified datum, from ``reshetnyak_harness``."""
 
-    The entropy ladder (``gre_*``, ``gap_decreased``, ``final_below_tol``)
-    is computed by ``reshetnyak_harness``.  The flat distances and the area
-    functional (``flat_distances``, ``angle_*``) are computed from ``datum``
-    and ``eps`` on first read and cached; ``passed`` reads neither.
-    """
-
-    eps: tuple
     gre_values: tuple
     gre_gaps: tuple
     gre_reference: float
-    functional_tol: float
     gap_decreased: bool
     final_below_tol: bool
-    datum: HybridMeasure = field(repr=False, compare=False)
 
     @property
     def passed(self) -> bool:
         return self.gap_decreased and self.final_below_tol
 
-    @cached_property
-    def flat_distances(self) -> tuple:
-        return tuple(flat_distance(mollify(self.datum, e), self.datum) for e in self.eps)
-
-    @cached_property
-    def angle_reference(self) -> float:
-        return angle_bracket(self.datum)
-
-    @cached_property
-    def angle_values(self) -> tuple:
-        return tuple(angle_bracket(mollify(self.datum, e)) for e in self.eps)
-
-    @cached_property
-    def angle_gaps(self) -> tuple:
-        return tuple(abs(av - self.angle_reference) for av in self.angle_values)
-
 
 def reshetnyak_harness(n0: HybridMeasure, spectral: SpectralData,
-                       H: EntropyIntegrand, eps_list,
-                       functional_tol: float = 1e-2) -> MollificationReport:
-    """Mollify the datum along a decreasing epsilon ladder and tabulate gaps.
+                       H: EntropyIntegrand, eps_list) -> MollificationReport:
+    """Mollify the datum along a decreasing epsilon ladder and tabulate entropy gaps.
 
     For each epsilon: the entropy functional of the mollified datum and its
     gap to the unmollified value.  Passing means the final entropy gap is no
-    larger than the first and below ``functional_tol``.  The report computes
-    the area functional and the flat distance to the original on first read.
+    larger than the first and at most ``_GRE_TOL``.
 
     Every rung lies on the datum's grid, so phi and N are evaluated once
     per node for the whole ladder.  A rung changes the datum only within
-    eps of its atoms: mollifying costs O(eps / h) per atom, the flat
-    distance's support is the changed nodes and the atoms, and H(density/N)
-    is evaluated anew only on the changed panel sides.
+    eps of its atoms: mollifying costs O(eps / h) per atom, and
+    H(density/N) is evaluated anew only on the changed panel sides.
     """
     eps = [float(e) for e in eps_list]
     if any(b >= a for a, b in zip(eps[:-1], eps[1:])):
@@ -521,19 +475,16 @@ def reshetnyak_harness(n0: HybridMeasure, spectral: SpectralData,
         gre_gaps.append(abs(gv - gre_ref))
 
     decreased = bool(gre_gaps and gre_gaps[-1] <= gre_gaps[0] + 1e-12)
-    below = bool(gre_gaps and gre_gaps[-1] <= functional_tol)
-    return MollificationReport(tuple(eps), tuple(gre_vals), tuple(gre_gaps), gre_ref,
-                               functional_tol, decreased, below, n0)
+    below = bool(gre_gaps and gre_gaps[-1] <= _GRE_TOL)
+    return MollificationReport(tuple(gre_vals), tuple(gre_gaps), gre_ref, decreased, below)
 
 
 @dataclass(frozen=True)
 class BirthIntegralReport:
     """Birth-integral series m_k and its convergence to m0."""
 
-    times: tuple
     m_values: tuple
     m0: float
-    start_index: int
     envelope_ok: bool
     final_deviation: float
     final_ok: bool
@@ -543,11 +494,11 @@ class BirthIntegralReport:
         return self.envelope_ok and self.final_ok
 
 
-def birth_integral_report(times, m0: float, m_k, d_phi) -> BirthIntegralReport:
+def birth_integral_report(m0: float, m_k, d_phi) -> BirthIntegralReport:
     """Check that m_k = (integral B d snapshot)/N(0) settles at m0.
 
-    ``m_k`` and ``d_phi`` are sweep columns sampled at ``times``, and
-    ``times[0]`` is 0: the datum's distance ``d_phi[0]`` sets the threshold
+    ``m_k`` and ``d_phi`` are sweep columns at the same sample times, the
+    first of them t = 0: the datum's distance ``d_phi[0]`` sets the threshold
     and the later samples are checked.  The deviation |m_k - m0|
     generically oscillates through zero while its envelope decays (the
     subdominant renewal roots are complex), so the check asserts that no
@@ -556,16 +507,13 @@ def birth_integral_report(times, m0: float, m_k, d_phi) -> BirthIntegralReport:
     final deviation is at most ``_MK_FINAL_TOL``.  Deviations below
     ``_MK_FLOOR`` count as converged quadrature jitter.
     """
-    times = tuple(float(t) for t in times[1:])
     mks, ds = np.asarray(m_k[1:], dtype=float), np.asarray(d_phi, dtype=float)
     start = 0
     if ds[0] > _FLOOR:
         below = np.flatnonzero(ds[1:] < 0.1 * ds[0])
-        start = int(below[0]) if below.size else len(times) - 1
+        start = int(below[0]) if below.size else mks.size - 1
     devs = np.maximum(np.abs(mks - m0), _MK_FLOOR)[start:]
     envelope_ok = bool(np.all(devs[1:] <= np.maximum.accumulate(devs)[:-1] + _MK_SLACK))
     final_dev = float(abs(mks[-1] - m0)) if mks.size else 0.0
-    return BirthIntegralReport(
-        times, tuple(mks.tolist()), m0, start, envelope_ok, final_dev,
-        final_dev <= _MK_FINAL_TOL,
-    )
+    return BirthIntegralReport(tuple(mks.tolist()), m0, envelope_ok, final_dev,
+                               final_dev <= _MK_FINAL_TOL)

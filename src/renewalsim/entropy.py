@@ -28,6 +28,7 @@ import numpy as np
 from .errors import EntropyError
 from .measures import HybridMeasure, _panel_sides
 from .spectral import BirthLaw, SpectralData
+from .transport import _overflows
 
 __all__ = [
     "EntropyIntegrand",
@@ -138,7 +139,7 @@ def _ratio(dens: np.ndarray, Nx: np.ndarray) -> np.ndarray:
     """density/N side by side; raises where it overflows."""
     with np.errstate(all="ignore"):
         ratio = dens / Nx
-    if not np.all(np.isfinite(ratio)) or np.any(np.abs(ratio) > 1e300):
+    if _overflows(ratio, ratio).any():
         raise EntropyError("density/N overflows: domain too long for this rate")
     return ratio
 

@@ -288,15 +288,20 @@ def parse_scenario(text: str, base_dir: str = ".") -> Scenario:
             errs.append("eps_list must be strictly decreasing")
         if not all(e >= h for e in eps_list):  # nan included
             errs.append("eps_list entries must be at least the grid spacing")
-    built = []
+    built = {}  # by built name: abs_shift(1) and abs_shift(1.0) are one integrand
     for name in integrands:
         try:
-            built.append(builtin_integrand(name))
+            H = builtin_integrand(name)
         except EntropyError as exc:  # unknown integrand 'name'
             errs.append(str(exc))
-    for name in etas:
+            continue
+        if built.setdefault(H.name, H) is not H:
+            errs.append(f"[diagnostics] integrand {H.name!r} is listed twice")
+    for i, name in enumerate(etas):
         if name not in ("phi", "one"):
             errs.append(f"unknown eta choice {name!r} (use phi or one)")
+        elif name in etas[:i]:
+            errs.append(f"[diagnostics] eta choice {name!r} is listed twice")
 
     initial = None
     file_ref = p.get("initial_measure", "file")
@@ -336,7 +341,7 @@ def parse_scenario(text: str, base_dir: str = ".") -> Scenario:
         sample_dt = dt * max(1, round((T / 200.0) / dt))
     return Scenario(
         law, measure, h, dt, T, x_max,
-        tuple(built), tuple(etas), tuple(snapshot_times), tuple(eps_list),
+        tuple(built.values()), tuple(etas), tuple(snapshot_times), tuple(eps_list),
         sample_dt, out_dir,
     )
 

@@ -54,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EntropyError, TransportError
-from .measures import _SNAP, HybridMeasure, _is_multiple, ac_cumulative
+from .measures import _SNAP, HybridMeasure, _is_multiple, _panel_sides, ac_cumulative
 from .spectral import BirthLaw, SpectralData
 
 __all__ = [
@@ -284,13 +284,6 @@ def birth_series(n0: HybridMeasure, B: BirthLaw, spectral: SpectralData,
                       clamps, clamp_max)
 
 
-def _right_limit_at_zero(mu: HybridMeasure) -> float:
-    for x, _, hi in mu.jumps:
-        if x == 0.0:
-            return hi
-    return float(mu.density[0])
-
-
 def _snap(traj: Trajectory, times):
     """The time-snapping rule: ``(outside, k)`` arrays for an array of times.
 
@@ -395,7 +388,7 @@ def characteristic_labels(traj: Trajectory, ks) -> CharacteristicLabels:
     with np.errstate(all="ignore"):
         right = np.concatenate([traj.births[origin * stride::-stride] / lam, dens[1:] / N(u[1:])])
     left = right.copy()
-    left[origin] = _right_limit_at_zero(n0) / lam
+    left[origin] = _panel_sides(n0)[0][0] / lam
     for j, delta in traj.birth_jumps:
         if j % stride == 0:
             p = origin - j // stride

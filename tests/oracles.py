@@ -27,7 +27,7 @@ import numpy as np
 from renewalsim.errors import MeasureError, TransportError
 from renewalsim.measures import _BLOCK, _SNAP, HybridMeasure, _evaluate, _panel_sides
 from renewalsim.spectral import SpectralData
-from renewalsim.transport import _atoms_at, _right_limit_at_zero, snapshot_index
+from renewalsim.transport import _atoms_at, snapshot_index
 
 
 def weighted_variation(mu: HybridMeasure, w=None, breakpoints=()) -> float:
@@ -205,7 +205,7 @@ def reference_evolve(traj, t: float) -> HybridMeasure:
             # strictly before it, so the boundary node takes the left limit
             dens[0] = traj.births[k] - 0.5 * delta
     left = traj.births[0] * decay
-    right = _right_limit_at_zero(n0) * decay
+    right = _panel_sides(n0)[0][0] * decay
     dens[seam] = 0.5 * (left + right)
     if seam + 1 < n_new:
         u = (np.arange(seam + 1, n_new) - seam) * g

@@ -37,7 +37,7 @@ def suite(acceptance_trajectories):
     integrands = [rs.builtin_integrand(n) for n in ("abs", "sqrt1p", "pospart")]
     out = []
     for name, B, sp, traj in acceptance_trajectories:
-        diag = rs.sample_diagnostics(traj, SAMPLE_TIMES, integrands, etas={})
+        diag = rs.sample_diagnostics(traj, SAMPLE_TIMES, integrands, etas=())
         gre = {H.name: diag[f"gre_{H.name}"] for H in integrands}
         dis = {H.name: diag[f"J_{H.name}"] for H in integrands}
         out.append(dict(name=name, B=B, sp=sp, traj=traj, m0=diag["m0"],
@@ -77,10 +77,10 @@ def test_criterion_1_exact_solution(dirac_benchmark):
 def test_criterion_2_exponential_decay(dirac_benchmark):
     traj, _ = dirac_benchmark
     ts = [t for t in SAMPLE_TIMES if 1.0 - 1e-12 <= t <= 8.0 + 1e-12]
-    ds = [rs.distance_to_equilibrium(traj, t, eta=ones) for t in ts]
+    ds = [rs.distance_to_equilibrium(traj, t, eta="one") for t in ts]
     rel = max(abs(d - 2.0 * math.exp(-t)) / (2.0 * math.exp(-t))
               for t, d in zip(ts, ds))
-    fit = rs.fit_decay_rate(list(zip(ts, ds)), eta_name="one")
+    fit = rs.fit_decay_rate(list(zip(ts, ds)))
     ok = rel <= 1e-4 and abs(fit.sigma_hat - 1.0) <= 0.01 and fit.r_squared >= 0.9999
     report(2, "distance decays like 2 exp(-t)", ok,
            f"max rel err={rel:.2e} sigma={fit.sigma_hat:.6f} r2={fit.r_squared:.7f}")
@@ -183,15 +183,15 @@ def test_criterion_7_mollification_ladder(const_spectral):
     _, sp = const_spectral
     n0 = HybridMeasure.point_mass(1.0, 6.0, 0.005)
     eps = (0.4, 0.2, 0.1, 0.05)
-    rep = rs.reshetnyak_harness(n0, sp, rs.builtin_integrand("abs"), eps,
-                                functional_tol=1e-2)
-    angle_ok = (rep.angle_gaps[-1] < rep.angle_gaps[0]
-                and rep.angle_gaps[-1] < 0.02 * rep.angle_reference)
+    rep = rs.reshetnyak_harness(n0, sp, rs.builtin_integrand("abs"), eps)
+    angle_ref = rs.angle_bracket(n0)
+    angle_gaps = [abs(rs.angle_bracket(rs.mollify(n0, e)) - angle_ref) for e in eps]
+    angle_ok = angle_gaps[-1] < angle_gaps[0] and angle_gaps[-1] < 0.02 * angle_ref
     gre_ok = rep.gre_gaps[-1] < 1e-2
     ok = angle_ok and gre_ok and rep.passed
     report(7, "mollification ladder", ok,
-           f"angle gaps {rep.angle_gaps[0]:.3f}->{rep.angle_gaps[-1]:.3f} "
-           f"(ref {rep.angle_reference:.1f}), entropy gap {rep.gre_gaps[-1]:.1e}")
+           f"angle gaps {angle_gaps[0]:.3f}->{angle_gaps[-1]:.3f} "
+           f"(ref {angle_ref:.1f}), entropy gap {rep.gre_gaps[-1]:.1e}")
 
 
 def test_criterion_8_jensen_defect():

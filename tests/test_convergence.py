@@ -1,14 +1,12 @@
 import dataclasses
 import math
-import os
 
 import numpy as np
 import pytest
 
 import renewalsim as rs
-from renewalsim import HybridMeasure, cli, convergence
+from renewalsim import HybridMeasure, convergence
 from renewalsim.errors import RenewalError
-from renewalsim.scenarios import parse_scenario
 
 from oracles import linear_combination, stationary_measure, weighted_variation
 
@@ -29,7 +27,7 @@ class TestDistanceToEquilibrium:
         # exact solution gives distance 2 exp(-t) under the unit weight
         traj, _ = dirac_benchmark
         for t in (1.0, 3.0, 6.0):
-            d = rs.distance_to_equilibrium(traj, t, eta=ones)
+            d = rs.distance_to_equilibrium(traj, t, eta="one")
             assert abs(d - 2.0 * math.exp(-t)) <= 1e-4 * 2.0 * math.exp(-t)
 
     def test_time_zero_matches_direct_evaluation(self, dirac_benchmark,
@@ -40,7 +38,7 @@ class TestDistanceToEquilibrium:
         eq = stationary_measure(sp, 40.0, 0.005, mass=m0)
         diff = linear_combination(1.0, traj.initial, -1.0, eq)
         direct = weighted_variation(diff, ones)
-        assert rs.distance_to_equilibrium(traj, 0.0, eta=ones) == pytest.approx(
+        assert rs.distance_to_equilibrium(traj, 0.0, eta="one") == pytest.approx(
             direct, rel=1e-12)
 
     def test_dual_weighted_distance_sampled_monotone(self, ind_spectral):
@@ -53,6 +51,13 @@ class TestDistanceToEquilibrium:
         ds = [rs.distance_to_equilibrium(traj, t) for t in np.arange(0.0, 5.1, 0.1)]
         worst = max(b - a for a, b in zip(ds[:-1], ds[1:]))
         assert worst <= 1e-8, f"max sampled increase {worst:.3e}"
+
+    def test_unknown_weight_name_raises(self, dirac_benchmark):
+        traj, _ = dirac_benchmark
+        with pytest.raises(RenewalError, match="unknown variation weight 'ones'"):
+            rs.distance_to_equilibrium(traj, 1.0, eta="ones")
+        with pytest.raises(RenewalError, match="unknown variation weight 'psi'"):
+            rs.sample_diagnostics(traj, (0.0, 1.0), etas=("phi", "psi"))
 
 
 class TestFitDecayRate:
@@ -108,11 +113,11 @@ class TestMollificationHarness:
     def test_atom_free_all_gaps_vanish(self, const_spectral):
         _, sp = const_spectral
         n0 = HybridMeasure.from_function(lambda x: np.exp(-x), 6.0, 0.005)
-        rep = rs.reshetnyak_harness(n0, sp, rs.builtin_integrand("abs"),
-                                    (0.4, 0.2, 0.1, 0.05))
+        eps = (0.4, 0.2, 0.1, 0.05)
+        rep = rs.reshetnyak_harness(n0, sp, rs.builtin_integrand("abs"), eps)
         assert rep.passed
         assert max(rep.gre_gaps) <= 1e-12
-        assert max(rep.flat_distances) == 0.0
+        assert max(rs.flat_distance(rs.mollify(n0, e), n0) for e in eps) == 0.0
 
     def test_atom_ladder(self, const_spectral):
         _, sp = const_spectral
@@ -120,9 +125,11 @@ class TestMollificationHarness:
         eps = (0.4, 0.2, 0.1, 0.05)
         rep = rs.reshetnyak_harness(n0, sp, rs.builtin_integrand("abs"), eps)
         assert rep.passed
-        assert rep.angle_gaps[-1] < rep.angle_gaps[0]
-        for e, fd in zip(eps, rep.flat_distances):
-            assert fd <= e / 2.0 + 1e-9
+        rungs = [rs.mollify(n0, e) for e in eps]
+        angle_gaps = [abs(rs.angle_bracket(m) - rs.angle_bracket(n0)) for m in rungs]
+        assert angle_gaps[-1] < angle_gaps[0]
+        for e, m in zip(eps, rungs):
+            assert rs.flat_distance(m, n0) <= e / 2.0 + 1e-9
 
     def test_one_grid_context_per_ladder(self, ind_spectral):
         _, sp = ind_spectral
@@ -170,72 +177,11 @@ class TestMollificationHarness:
             rs.reshetnyak_harness(n0, sp, rs.builtin_integrand("abs"), (0.1, 0.2))
 
 
-INDICATOR_MIXED = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios",
-                               "indicator_mixed.ini")
-# edits of indicator_mixed.ini's datum into the trace-atoms benchmark
-# workload's seed-1 datum: the same law and grid, three atoms
-TRACE_ATOMS_SEED1 = {"lo = 0.0": "lo = 0.07125", "hi = 2.0": "hi = 1.2575",
-                     "mass = 1.0": "mass = 1.248702",
-                     "atoms = 0.25:0.5": "atoms = 0.606:0.116844 0.78075:0.263415 0.816:0.358413"}
-
-
-class TestLazyMollificationReport:
-    @pytest.fixture
-    def calls(self, monkeypatch):
-        seen = {"flat_distance": 0, "angle_bracket": 0}
-
-        def counting(name):
-            fn = getattr(convergence, name)
-
-            def counted(*args):
-                seen[name] += 1
-                return fn(*args)
-            monkeypatch.setattr(convergence, name, counted)
-
-        counting("flat_distance")
-        counting("angle_bracket")
-        return seen
-
-    def test_verify_computes_no_flat_distance_or_area_functional(self, calls, capsys):
-        assert cli.main(["verify", "--scenario", INDICATOR_MIXED]) == 0
-        assert "PASS mollification" in capsys.readouterr().out
-        assert calls == {"flat_distance": 0, "angle_bracket": 0}
-
-    @pytest.mark.parametrize("edits", [{}, TRACE_ATOMS_SEED1],
-                             ids=["indicator_mixed", "trace_atoms_seed1"])
-    def test_lazy_fields_equal_the_direct_loop(self, calls, edits):
-        with open(INDICATOR_MIXED, encoding="utf-8") as fh:
-            text = fh.read()
-        for old, new in edits.items():
-            assert text.count(old) == 1
-            text = text.replace(old, new)
-        sc = parse_scenario(text)
-        n0, sp = sc.initial, rs.solve_spectral(sc.birth_law)
-        rep = rs.reshetnyak_harness(n0, sp, sc.integrands[0], sc.eps_list)
-        assert calls == {"flat_distance": 0, "angle_bracket": 0}
-
-        rungs = [rs.mollify(n0, e) for e in sc.eps_list]
-        ref = rs.angle_bracket(n0)
-        values = tuple(rs.angle_bracket(m) for m in rungs)
-        lazy = (rep.flat_distances, rep.angle_reference, rep.angle_values, rep.angle_gaps)
-        assert lazy == (tuple(rs.flat_distance(m, n0) for m in rungs), ref, values,
-                        tuple(abs(v - ref) for v in values))
-        first = dict(calls)
-        assert first == {"flat_distance": len(rungs), "angle_bracket": len(rungs) + 1}
-
-        # a second read is served from the cache, and the report keeps no rung
-        assert (rep.flat_distances, rep.angle_reference, rep.angle_values,
-                rep.angle_gaps) == lazy
-        assert calls == first
-        kept = [v for v in vars(rep).values() if isinstance(v, HybridMeasure)]
-        assert len(kept) == 1 and kept[0] is n0
-
-
 def birth_integral(traj, times):
     """``birth_integral_report`` on the sweep over t = 0 and ``times``."""
     times = (0.0, *times)
     diag = rs.sample_diagnostics(traj, times)
-    return convergence.birth_integral_report(times, diag["m0"], diag["m_k"], diag["D_phi"])
+    return convergence.birth_integral_report(diag["m0"], diag["m_k"], diag["D_phi"])
 
 
 class TestBirthIntegralSequence:

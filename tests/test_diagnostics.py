@@ -118,16 +118,15 @@ def assert_close(value, oracle, what):
     assert abs(value - oracle) <= TOL * max(1.0, abs(oracle)), (what, value, oracle)
 
 
-def assert_sweep_matches_oracles(traj, times, etas=None):
+def assert_sweep_matches_oracles(traj, times):
     sp, B = traj.spectral, traj.birth_law
-    etas = etas or {"phi": sp.phi, "one": None, "ones": ones}
-    diag = rs.sample_diagnostics(traj, times, INTEGRANDS, etas)
+    diag = rs.sample_diagnostics(traj, times, INTEGRANDS, ("phi", "one"))
     traj = on_sweep_grid(traj, times)
     assert diag["m0"] == rs.integrate(traj.initial, sp.phi)
     for i, t in enumerate(times):
         snap = reference_evolve(traj, t)
-        for name, eta in etas.items():
-            assert_close(diag[f"D_{name}"][i], reference_distance(traj, t, eta), (name, t))
+        for eta, w in (("phi", sp.phi), ("one", None)):
+            assert_close(diag[f"D_{eta}"][i], reference_distance(traj, t, w), (eta, t))
         m_k = rs.integrate(snap, B.quad_values) / sp.N(0.0)
         assert_close(diag["m_k"][i], m_k, ("m_k", t))
         conserved = rs.integrate(snap, sp.phi) + rs.tail_phi_mass(traj, t)
@@ -214,7 +213,7 @@ def test_datum_jumps_at_both_ends(const_spectral):
     n0 = HybridMeasure(0.01, np.exp(-x), jumps=((0.0, 0.5, 1.5), (2.0, 0.3, 0.1)),
                        nonnegative=True)
     traj = rs.birth_series(n0, B, sp, 0.01, 1.0)
-    diag = rs.sample_diagnostics(traj, (0.0, 0.5), etas={})
+    diag = rs.sample_diagnostics(traj, (0.0, 0.5), etas=())
     want = rs.gre_functional(n0, sp, rs.builtin_integrand("id"))
     for got in (diag["m0"], diag["conserved_phi_mass"][0]):
         assert abs(got - want) <= 1e-14 * abs(want)
@@ -240,19 +239,22 @@ def test_table_law_tail_with_nonzero_constant():
     times = (0.0, 0.37, 0.5, 1.02, 1.3, 2.0, 2.45, 3.0)
     assert {rs.evolve(traj, t).h for t in times} == {0.01, 0.02, 0.04}
     for spacing, n in ((0.02, 401), (0.04, 201)):
-        W, _, head = _node_weights(sp, B, {"one": None}, n, spacing, True)
+        W, _, head = _node_weights(sp, B, ("one",), n, spacing, True)
         assert head == math.floor(1.5 / spacing + 1e-9) + 1
         assert W[2, head] > 0.0
     assert_sweep_matches_oracles(traj, times)
 
 
-def test_callable_eta_has_no_tail(sweep_cases):
-    # 1 + sin(x) / 2 never settles: its head is the whole window
-    traj, times = sweep_cases["datum_jumps"]
-    wavy = lambda x: 1.0 + 0.5 * np.sin(x)
-    *_, head = _node_weights(traj.spectral, traj.birth_law, {"wavy": wavy}, 601, 0.02, True)
-    assert head == 601
-    assert_sweep_matches_oracles(traj, times, {"wavy": wavy, "one": None})
+def test_short_grid_has_no_tail(ind_spectral):
+    # phi and B settle at age 1, one node before the last of a 1.01 grid:
+    # the head is the whole window and no geometric tail is summed
+    B, sp = ind_spectral
+    n0 = HybridMeasure.from_function(lambda x: np.exp(-x), 1.01, 0.01,
+                                     atoms=((0.5, 0.3),), nonnegative=True)
+    traj = rs.birth_series(n0, B, sp, 0.01, 0.01)
+    *_, head = _node_weights(sp, B, ("phi", "one"), 102, 0.01, True)
+    assert head == 102
+    assert_sweep_matches_oracles(traj, (0.0, 0.01))
 
 
 @pytest.fixture(scope="module")
@@ -282,8 +284,7 @@ def test_label_blocks_leave_every_column_unchanged(sweep_cases, long_tail, monke
     cases = [*sweep_cases.values(), long_tail]
 
     def columns():
-        return [rs.sample_diagnostics(traj, times, INTEGRANDS,
-                                      {"phi": traj.spectral.phi, "one": None, "ones": ones})
+        return [rs.sample_diagnostics(traj, times, INTEGRANDS, ("phi", "one"))
                 for traj, times in cases]
 
     default = columns()
@@ -309,7 +310,7 @@ def test_sweep_memory_is_labels_plus_blocks(ind_spectral):
     n0 = HybridMeasure(h, dens, ((0.2, 0.3), (0.45, 0.5), (0.8, 0.2)), nonnegative=True)
     traj = rs.birth_series(n0, B, sp, h, 10.0)
     times = np.arange(21) * 0.5
-    etas = {"phi": sp.phi, "one": None}
+    etas = ("phi", "one")
     L = characteristic_labels(traj, [1]).left.size
     W, _, P = _node_weights(sp, B, etas, n, h, True)
     F = 1 + len(INTEGRANDS)
@@ -384,7 +385,7 @@ def test_distance_to_equilibrium_matches_oracle(dirac_benchmark):
     for t in (0.0, 0.5, 3.0):
         assert_close(rs.distance_to_equilibrium(traj, t),
                      reference_distance(traj, t, traj.spectral.phi), t)
-        assert_close(rs.distance_to_equilibrium(traj, t, eta=ones),
+        assert_close(rs.distance_to_equilibrium(traj, t, eta="one"),
                      reference_distance(traj, t, ones), t)
 
 

@@ -12,6 +12,8 @@ only re-exports, so it is no use.  Helpers that only tests need belong in
 The same scan catches the dead code a linter would flag: every
 name a module imports is used in that module, and every module-level
 private name is referenced somewhere in ``src/`` beyond its definition.
+A dataclass in ``src/`` carries no field that nothing reads: each field
+name is read as an attribute somewhere in ``src/`` or the tests.
 """
 import ast
 import importlib
@@ -114,3 +116,23 @@ def test_every_private_name_is_used():
                if name.startswith("_") and not name.startswith("__")
                and not any(name in ids for other, ids in uses if other is not stmt)]
     assert orphans == []
+
+
+def _reads(path) -> set:
+    """Every attribute name the file reads (``obj.name`` in a load)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_dataclass_field_is_read():
+    tests = pathlib.Path(__file__).parent
+    read = set().union(*(_reads(p) for p in [*SRC.glob("*.py"), *tests.glob("*.py")]))
+    fields = [(stem, cls.name, stmt.target.id) for stem, tree in _sources().items()
+              for cls in tree.body if isinstance(cls, ast.ClassDef)
+              and any("dataclass" in ast.unparse(d) for d in cls.decorator_list)
+              for stmt in cls.body
+              if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+    assert fields
+    assert sorted(f"{stem}.{cls}.{name}" for stem, cls, name in fields
+                  if name not in read) == []

@@ -273,6 +273,9 @@ PARSER_MESSAGES = [
      "eps_list: the kernel of width 0.4 around the atom at 7.7 leaves [0, x_max]"),
     ({ATOMS: ATOMS + "\ndensity = exponential\nmass = -1"},
      "initial measure: nonnegative measure has a negative density node"),
+    ({INTEGRANDS: "integrands = abs_shift(1) abs abs_shift(1.0)"},
+     "[diagnostics] integrand 'abs_shift(1)' is listed twice"),
+    ({"eta = phi one": "eta = phi one phi"}, "[diagnostics] eta choice 'phi' is listed twice"),
 ]
 
 

@@ -617,7 +617,7 @@ class TestConservation:
         m0 = rs.integrate(n0, sp.phi)
         # the leak is genuinely nonzero here
         assert rs.tail_phi_mass(traj, traj.horizon) > 1e-3
-        diag = rs.sample_diagnostics(traj, (0.5, 1.0, 2.0), etas={})
+        diag = rs.sample_diagnostics(traj, (0.5, 1.0, 2.0), etas=())
         for c in diag["conserved_phi_mass"]:
             assert abs(c - m0) <= 1e-6 * m0
 
@@ -631,7 +631,7 @@ class TestConservation:
     def test_seam_on_the_last_node_conserves(self, seam_at_x_max):
         traj = seam_at_x_max
         m0 = rs.integrate(traj.initial, traj.spectral.phi)
-        diag = rs.sample_diagnostics(traj, (traj.horizon,), etas={})
+        diag = rs.sample_diagnostics(traj, (traj.horizon,), etas=())
         assert abs(diag["conserved_phi_mass"][0] - m0) <= 1e-5 * m0
 
     def test_indicator_law(self, ind_spectral):
@@ -641,7 +641,7 @@ class TestConservation:
             nonnegative=True)
         traj = rs.birth_series(n0, B, sp, 0.0005, 4.0)
         m0 = rs.integrate(n0, sp.phi)
-        diag = rs.sample_diagnostics(traj, (0.5, 2.0, 4.0), etas={})
+        diag = rs.sample_diagnostics(traj, (0.5, 2.0, 4.0), etas=())
         for c in diag["conserved_phi_mass"]:
             assert abs(c - m0) <= 1e-6 * m0
 
