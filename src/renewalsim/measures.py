@@ -341,6 +341,9 @@ def _support_points(mu: HybridMeasure):
     return locs, wts
 
 
+_RUN = 48  # points from which a same-sign run is advanced in one numpy batch
+
+
 def _chain_max(locs: np.ndarray, w: np.ndarray) -> float:
     """Maximize sum(w_i f_i) over |f_i| <= 1, |f_{i+1} - f_i| <= gap_i.
 
@@ -349,68 +352,218 @@ def _chain_max(locs: np.ndarray, w: np.ndarray) -> float:
     apart by the gap (max-filter), clamp the domain back to [-1, 1], then
     tilt by the next weight.  The answer is the final peak value.
 
-    V_k is kept by the slope trick: its peak value ``top`` and two deques of
-    ``(x, slope)`` segments, ``left`` (increasing part, outer -> inner) and
-    ``right`` (decreasing part, inner -> outer).  Each segment stores its
-    inner end; the outer end is the next segment's inner end or the domain
-    end -1 / +1, and the peak is the interval between the innermost ends.
-    Shifts and tilts are lazy: with G = x_k - x_0 the total gap so far and S
-    the total weight, left ends are stored as x + G, right ends as x - G and
-    slopes as slope - S, so the max-filter is the growth of G and the clamp
-    pops the segments whose inner end has left [-1, 1].  A tilt by w > 0 turns the
+    V_k is kept by the slope trick: its peak value ``top`` and, for each
+    side of the peak, the ends ``x`` and slopes ``s`` of its segments,
+    outer -> inner.  Each segment stores its inner end; the outer end is
+    the next segment's inner end or the domain end -1 / +1, and the peak is
+    the interval between the innermost ends.  Shifts and tilts are lazy:
+    with G = x_k - x_0 the total gap so far and S the total weight, left
+    ends are stored as x + G, right ends as x - G and slopes as slope - S,
+    so the max-filter is the growth of G and the clamp drops the outer
+    segments whose inner end has left [-1, 1].  A tilt by w > 0 turns the
     old flat top into a left segment, then moves right segments whose slope
-    has become positive to the left side, adding slope * length to ``top``;
-    a slope of exactly zero becomes the new flat top.  w < 0 is the mirror
-    image, written operation for operation, so the result is bit-identical
-    under w -> -w.  The first point tilts the zero function on [-1, 1].
+    has become positive to the left side, adding slope * length to
+    ``top``; a slope of exactly zero becomes the new flat top.  w < 0 is
+    the mirror image, so the result is bit-identical under w -> -w.  A
+    point clamps only the side it consumes: the other side is not read
+    until a point of the other sign, whose clamp at its larger G drops the
+    same segments.  The first point tilts the zero function on [-1, 1], and
+    zero weights change nothing.
 
-    Each point costs one push plus one move per breakpoint the peak
-    crosses, which depends on the data (under one per point on snapshot
-    differences, about 27 on white-noise weights), so this is not
-    amortized O(1).
+    A same-sign run of at least ``_RUN`` points is advanced in numpy
+    (``_batch``) with the sides held as arrays; shorter runs are stepped
+    point by point (``_steps``) with the sides held as deques.  Both give
+    the same bits.  The cost is array work per long run, linear in its
+    length and in the sizes of the sides, plus Python work per point and
+    per move inside short runs, plus one copy of the sides whenever the
+    two kinds of run alternate.
     """
-    x0 = float(locs[0])
-    left, right = deque(), deque()
+    keep = (w > 0.0) | (w < 0.0)
+    G = locs[keep] - locs[0]
+    w = w[keep]
+    pos = w > 0.0
+    starts = np.flatnonzero(np.concatenate(([True], pos[1:] != pos[:-1])))
+    ends = np.append(starts[1:], w.size)
+    long_run = ends - starts >= _RUN
+    left, right = [np.empty(0), np.empty(0)], [np.empty(0), np.empty(0)]
     top = S = 0.0
-    for x, wk in zip(locs.tolist(), w.tolist()):
-        G = x - x0
-        while left and left[0][0] - G <= -1.0:
-            left.popleft()
-        while right and right[-1][0] + G >= 1.0:
-            right.pop()
+    i = 0  # the long runs, then an empty one at the end for the short runs after them
+    for a, b in zip(np.append(starts[long_run], w.size).tolist(),
+                    np.append(ends[long_run], w.size).tolist()):
+        if i < a:
+            for side in (left, right):
+                if isinstance(side[0], np.ndarray):
+                    side[:] = [deque(v.tolist()) for v in side]
+            top, S = _steps(G[i:a], w[i:a], left, right, top, S)
+        if a < b:
+            for side in (left, right):
+                if isinstance(side[0], deque):
+                    side[:] = [np.fromiter(v, float, len(v)) for v in side]
+            if pos[a]:
+                top, S = _batch(G[a:b], w[a:b], right, left, 1.0, top, S)
+            else:
+                top, S = _batch(G[a:b], -w[a:b], left, right, -1.0, top, S)
+        i = b
+    return top
+
+
+def _steps(G, w, left, right, top, S):
+    """``_chain_max`` point by point over nonzero weights; returns (top, S).
+
+    ``left`` and ``right`` are each a deque of ends and a deque of slopes.
+    """
+    lx, ls = left
+    rx, rs = right
+    for g, wk in zip(G.tolist(), w.tolist()):
         if wk > 0.0:
-            p = right[0][0] + G if right else 1.0
+            while rx and rx[0] + g >= 1.0:
+                rx.popleft()
+                rs.popleft()
+            p = rx[-1] + g if rx else 1.0
             top += wk * p
-            left.append((p + G, -S))
+            lx.append(p + g)
+            ls.append(-S)
             S += wk
-            while right:
-                m = right[0][1] + S
+            while rs:
+                m = rs[-1] + S
                 if m < 0.0:
                     break
-                slope = right.popleft()[1]
+                slope = rs.pop()
+                rx.pop()
                 if m == 0.0:
                     break
-                q = right[0][0] + G if right else 1.0
+                q = rx[-1] + g if rx else 1.0
                 top += m * (q - p)
-                left.append((q + G, slope))
+                lx.append(q + g)
+                ls.append(slope)
                 p = q
-        elif wk < 0.0:
-            p = left[-1][0] - G if left else -1.0
+        else:
+            while lx and lx[0] - g <= -1.0:
+                lx.popleft()
+                ls.popleft()
+            p = lx[-1] - g if lx else -1.0
             top += wk * p
-            right.appendleft((p - G, -S))
+            rx.append(p - g)
+            rs.append(-S)
             S += wk
-            while left:
-                m = left[-1][1] + S
+            while ls:
+                m = ls[-1] + S
                 if m > 0.0:
                     break
-                slope = left.pop()[1]
+                slope = ls.pop()
+                lx.pop()
                 if m == 0.0:
                     break
-                q = left[-1][0] - G if left else -1.0
+                q = lx[-1] - g if lx else -1.0
                 top += m * (q - p)
-                right.appendleft((q - G, slope))
+                rx.append(q - g)
+                rs.append(slope)
                 p = q
-    return top
+    return top, S
+
+
+def _batch(G, a, take, grow, s, top, S):
+    """``_chain_max`` over one run of weights ``s * a`` (a > 0); returns (top, S).
+
+    The run consumes the side ``take`` (the right side for s > 0) at its
+    inner end and pushes onto ``grow``.  In mirror form the consumed side
+    holds u = s * x, its outward position minus G, and t = s * slope, so
+    its outward slope is t + sS with sS = s * S: one routine serves both
+    signs with the same float operations.  Taking items j inner -> outer:
+    - j moves at the first step whose cumulative sS makes t_j + sS >= 0,
+      that is sS >= -t_j exactly (one searchsorted), and not before the
+      item in front of it; a move whose slope is exactly zero pops that
+      item and ends its step, so the items behind it wait one step;
+    - j is clamped at the first step where it and every item outside it
+      have u + G >= 1 (``_first_clamp``), unless it moved first;
+    - the grown side is not read during the run, so its clamp waits.
+    The pushes, moves and increments of ``top`` are then array
+    expressions; ``top`` sums them with one cumsum in the sweep's order.
+    """
+    x, slope = take
+    n, L = x.size, G.size
+    u, t = (x[::-1], slope[::-1]) if s > 0 else (-x[::-1], -slope[::-1])
+    sS = np.cumsum(np.concatenate(([s * S], a)))  # before each step, then after the run
+    after = sS[1:]
+    k = int(np.searchsorted(-t, after[-1], "right"))  # the items that can move; t falls outward
+    out = u + G[-1] >= 1.0
+    stays = np.flatnonzero(~out)
+    cut = int(stays[-1]) + 1 if stays.size else 0  # items from here outward go by the run's end
+    if cut > k:  # the clamp stays outside the items the run reads: apply it now
+        u, t = u[:k + 1], t[:k + 1]
+        c = np.full(k + 2, L)
+    else:  # step of each item's clamp
+        c = np.full(n + 1, L)
+        hit = np.flatnonzero(out)
+        c[hit] = _first_clamp(u[hit], G)
+        c[:n] = np.maximum.accumulate(c[:n][::-1])[::-1]
+    c[-1] = -1  # past the last item nothing is left
+    e = np.full(u.size, L)  # step of each item's move, L past the run
+    e[:k] = np.searchsorted(after, -t[:k])
+    for j in np.flatnonzero(after[e[:k]] == -t[:k]).tolist():
+        if e[j] < L and after[e[j]] == -t[j]:
+            e[j + 1:np.searchsorted(e, e[j], "right")] = e[j] + 1
+    m = int(np.count_nonzero((e < L) & (e < c[:-1])))  # they leave from the inner end
+    if cut <= k:
+        cut = max(m, int(np.count_nonzero(c[:-1] >= L)))
+    em = e[:m]
+    M = t[:m] + after[em]
+    ks = np.arange(L)
+    front = _before(em, L)
+    up = np.append(u, 0.0)
+    P = np.where(c[front] > ks, up[front] + G, 1.0)  # the inner end at each push
+    if M.all():
+        em1, nxt, done = em, np.arange(1, m + 1), front
+    else:  # zero slopes: popped, not moved
+        em1, nxt = em[M != 0.0], np.flatnonzero(M) + 1
+        done = _before(em1, L)
+    Ge = G[em1]
+    Q = np.where(c[nxt] > em1, up[nxt] + Ge, 1.0)  # the next inner end at each move
+    at_push = ks + done  # each step's push, then its moves inner to outer
+    at_move = em1 + np.arange(1, em1.size + 1)
+    terms = np.empty(L + em1.size + 1)
+    terms[0] = top
+    terms[at_push + 1] = a * P
+    terms[at_move + 1] = M[nxt - 1] * (Q - (up[nxt - 1] + Ge))
+    new_x = np.empty(L + em1.size)
+    new_x[at_push] = P + G
+    new_x[at_move] = Q + Ge
+    new_s = np.empty(L + em1.size)
+    new_s[at_push] = -sS[:-1]
+    new_s[at_move] = t[nxt - 1]
+    take[:] = x[n - cut:n - m], slope[n - cut:n - m]
+    if s < 0:
+        new_x, new_s = -new_x, -new_s
+    grow[:] = np.concatenate((grow[0], new_x)), np.concatenate((grow[1], new_s))
+    return float(np.cumsum(terms)[-1]), s * float(sS[-1])
+
+
+def _before(e, L):
+    """How many entries of ``e``, sorted steps below L, come before each step 0..L-1."""
+    return np.concatenate(([0], np.cumsum(np.bincount(e, minlength=L)[:L - 1])))
+
+
+def _first_clamp(u, G):
+    """First index k with u + G[k] >= 1.0 in floats, G.size if none.
+
+    ``searchsorted`` on 1 - u starts it; the float test ``u + G >= 1`` is
+    not the same as ``G >= 1 - u``, so it steps to where the test flips.
+    """
+    L = G.size
+    k = np.searchsorted(G, 1.0 - u)
+    while True:
+        up = k < L
+        up[up] = u[up] + G[k[up]] < 1.0
+        if not up.any():
+            break
+        k[up] += 1
+    while True:
+        down = k > 0
+        down[down] = u[down] + G[k[down] - 1] >= 1.0
+        if not down.any():
+            break
+        k[down] -= 1
+    return k
 
 
 def _same_grid_difference(mu: HybridMeasure, nu: HybridMeasure):
@@ -456,7 +609,9 @@ def flat_distance(mu: HybridMeasure, nu: HybridMeasure) -> float:
     subtracted node by node in O(n), and the nodes where they agree drop
     out of the support; measures on different grids are merged by sorting
     all their support points.  Both give the same floats.  The support has
-    no size limit: the dynamic program is linear in it.
+    no size limit.  The dynamic program does numpy work per long same-sign
+    run of the difference and Python work per point and per move of the
+    peak in the short runs between them (``_chain_max``).
     """
     if mu.h == nu.h and mu.node_count == nu.node_count:
         locs, wts = _same_grid_difference(mu, nu)

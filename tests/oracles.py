@@ -14,18 +14,26 @@ which reads each snapshot off the characteristic labels, and the snapshot
 the sweep's oracles sum over, so that the sweep is not checked against the
 labels it is built from.  ``lp_oracle`` solves the flat metric's
 bounded-Lipschitz maximization as a linear program (scipy, imported on
-call), the oracle of ``flat_distance``.
+call), the oracle of ``flat_distance``.  ``reference_slope_trick`` is the
+former point-by-point slope-trick sweep, kept unchanged: the bit-for-bit
+oracle of ``measures._chain_max``, which advances long same-sign runs in
+numpy.  ``reference_chain_max`` rebuilds the value function at every
+point, the oracle of both to 1e-12.  ``reference_flat_distance`` merges the
+support by sorting all support points, the bit-for-bit oracle of the
+same-grid merge in ``flat_distance``.
 ``reference_write_rows`` is the one-template CSV writer that formats every
 value with ``%.17g``, the byte-for-byte oracle of ``measures._write_rows``.
 """
 import dataclasses
 import math
+from collections import deque
 from fractions import Fraction
 
 import numpy as np
 
 from renewalsim.errors import MeasureError, TransportError
-from renewalsim.measures import _BLOCK, _SNAP, HybridMeasure, _evaluate, _panel_sides
+from renewalsim.measures import (_BLOCK, _SNAP, HybridMeasure, _chain_max, _evaluate,
+                                 _panel_sides, _support_points)
 from renewalsim.spectral import SpectralData
 from renewalsim.transport import _atoms_at, snapshot_index
 
@@ -266,6 +274,123 @@ def lp_oracle(locs, w):
     )
     assert res.success
     return -res.fun
+
+
+def reference_slope_trick(locs: np.ndarray, w: np.ndarray) -> float:
+    """Maximize sum(w_i f_i) over |f_i| <= 1, |f_{i+1} - f_i| <= gap_i.
+
+    Forward sweep of the exact dynamic program on the concave piecewise
+    linear value function V_k(y) = best total with f_k = y: slide the top
+    apart by the gap (max-filter), clamp the domain back to [-1, 1], then
+    tilt by the next weight.  The answer is the final peak value.
+
+    V_k is kept by the slope trick: its peak value ``top`` and two deques of
+    ``(x, slope)`` segments, ``left`` (increasing part, outer -> inner) and
+    ``right`` (decreasing part, inner -> outer).  Each segment stores its
+    inner end; the outer end is the next segment's inner end or the domain
+    end -1 / +1, and the peak is the interval between the innermost ends.
+    Shifts and tilts are lazy: with G = x_k - x_0 the total gap so far and S
+    the total weight, left ends are stored as x + G, right ends as x - G and
+    slopes as slope - S, so the max-filter is the growth of G and the clamp
+    pops the segments whose inner end has left [-1, 1].  A tilt by w > 0 turns the
+    old flat top into a left segment, then moves right segments whose slope
+    has become positive to the left side, adding slope * length to ``top``;
+    a slope of exactly zero becomes the new flat top.  w < 0 is the mirror
+    image, written operation for operation, so the result is bit-identical
+    under w -> -w.  The first point tilts the zero function on [-1, 1].
+
+    Each point costs one push plus one move per breakpoint the peak
+    crosses, which depends on the data (under one per point on snapshot
+    differences, about 27 on white-noise weights), so this is not
+    amortized O(1).
+    """
+    x0 = float(locs[0])
+    left, right = deque(), deque()
+    top = S = 0.0
+    for x, wk in zip(locs.tolist(), w.tolist()):
+        G = x - x0
+        while left and left[0][0] - G <= -1.0:
+            left.popleft()
+        while right and right[-1][0] + G >= 1.0:
+            right.pop()
+        if wk > 0.0:
+            p = right[0][0] + G if right else 1.0
+            top += wk * p
+            left.append((p + G, -S))
+            S += wk
+            while right:
+                m = right[0][1] + S
+                if m < 0.0:
+                    break
+                slope = right.popleft()[1]
+                if m == 0.0:
+                    break
+                q = right[0][0] + G if right else 1.0
+                top += m * (q - p)
+                left.append((q + G, slope))
+                p = q
+        elif wk < 0.0:
+            p = left[-1][0] - G if left else -1.0
+            top += wk * p
+            right.appendleft((p - G, -S))
+            S += wk
+            while left:
+                m = left[-1][1] + S
+                if m > 0.0:
+                    break
+                slope = left.pop()[1]
+                if m == 0.0:
+                    break
+                q = left[-1][0] - G if left else -1.0
+                top += m * (q - p)
+                right.appendleft((q - G, slope))
+                p = q
+    return top
+
+
+def reference_chain_max(locs: np.ndarray, w: np.ndarray) -> float:
+    """Maximize sum(w_i f_i) over |f_i| <= 1, |f_{i+1} - f_i| <= gap_i.
+
+    Forward sweep of the exact dynamic program on the concave piecewise
+    linear value function V_k(y) = best total with f_k = y: slide the top
+    apart by the gap (max-filter), clamp the domain back to [-1, 1], then
+    tilt by the next weight.  The answer is the final peak value.
+
+    The value function is rebuilt as breakpoint and value arrays at every
+    point; kept as the oracle for the slope-trick sweep in ``_chain_max``.
+    """
+    xs = np.array([-1.0, 1.0])
+    vs = w[0] * xs
+    for k in range(1, locs.size):
+        g = locs[k] - locs[k - 1]
+        top = vs.max()
+        flat = np.flatnonzero(vs == top)
+        pl, pr = flat[0], flat[-1]
+        xs = np.concatenate([xs[:pl + 1] - g, xs[pr:] + g])
+        vs = np.concatenate([vs[:pl + 1], vs[pr:]])
+        vl = np.interp(-1.0, xs, vs)
+        vr = np.interp(1.0, xs, vs)
+        keep = (xs > -1.0) & (xs < 1.0)
+        xs = np.concatenate([[-1.0], xs[keep], [1.0]])
+        vs = np.concatenate([[vl], vs[keep], [vr]])
+        vs = vs + w[k] * xs
+    return float(vs.max())
+
+
+def reference_flat_distance(mu, nu):
+    """Flat distance with the support merged by sorting all support points.
+
+    Kept as the oracle for the node-by-node subtraction that
+    ``flat_distance`` uses on measures sharing one grid.
+    """
+    l1, w1 = _support_points(mu)
+    l2, w2 = _support_points(nu)
+    uniq, inv = np.unique(np.concatenate([l1, l2]), return_inverse=True)
+    merged = np.bincount(inv, weights=np.concatenate([w1, -w2]))
+    keep = merged != 0.0
+    if not keep.any():
+        return 0.0
+    return _chain_max(uniq[keep], merged[keep])
 
 
 def reference_write_rows(fh, row: str, *columns) -> None:
