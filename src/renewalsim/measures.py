@@ -569,29 +569,30 @@ def _first_clamp(u, G):
 def _same_grid_difference(mu: HybridMeasure, nu: HybridMeasure):
     """Sorted support and weights of ``mu - nu`` on their one shared grid.
 
-    A node's weight is summed as mu's node weight, plus mu's atom there,
-    minus nu's node weight, minus nu's atom there: the order in which the
-    sort-merge of ``flat_distance`` adds them up, so the sums are the same
-    floats.  Atoms off the nodes are merged by location and inserted in
-    order.
+    At every support point each measure's weight is summed first (its node
+    weight, then its atoms there), and the two sums are subtracted once:
+    the order of the sort-merge of ``flat_distance``, so the weights are
+    the same floats, and those of ``nu - mu`` are their exact negations.
+    Atoms off the nodes are merged by location and inserted in order.
     """
     nodes = mu.nodes
-    vals = _node_masses(mu)
-    off = {}
 
-    def add_atoms(atoms, sign):
-        for loc, wt in atoms:
+    def with_atoms(m, off):
+        vals = _node_masses(m)
+        for loc, wt in m.atoms:
             k = round(loc / mu.h)
             if k < nodes.size and nodes[k] == loc:
-                vals[k] += sign * wt
+                vals[k] += wt
             else:
-                off[loc] = off.get(loc, 0.0) + sign * wt
+                off[loc] = off.get(loc, 0.0) + wt
+        return vals
 
-    add_atoms(mu.atoms, 1.0)
-    vals -= _node_masses(nu)
-    add_atoms(nu.atoms, -1.0)
-    if off:
-        locs, wts = np.array(sorted(off.items())).T
+    off_mu, off_nu = {}, {}
+    vals = with_atoms(mu, off_mu)
+    vals -= with_atoms(nu, off_nu)
+    if off_mu or off_nu:
+        locs = np.array(sorted(off_mu.keys() | off_nu.keys()))
+        wts = np.array([off_mu.get(x, 0.0) - off_nu.get(x, 0.0) for x in locs.tolist()])
         pos = nodes.searchsorted(locs)
         nodes, vals = np.insert(nodes, pos, locs), np.insert(vals, pos, wts)
     return nodes, vals
@@ -619,7 +620,8 @@ def flat_distance(mu: HybridMeasure, nu: HybridMeasure) -> float:
         l1, w1 = _support_points(mu)
         l2, w2 = _support_points(nu)
         locs, inv = np.unique(np.concatenate([l1, l2]), return_inverse=True)
-        wts = np.bincount(inv, weights=np.concatenate([w1, -w2]))
+        wts = (np.bincount(inv[:l1.size], weights=w1, minlength=locs.size)
+               - np.bincount(inv[l1.size:], weights=w2, minlength=locs.size))
     keep = wts != 0.0
     if not keep.any():
         return 0.0

@@ -21,9 +21,10 @@ corrections: the plain trapezoid rule's O(dt^2) defect feeds through the
 renewal resolvent and grows linearly in t, which is too coarse for the
 long-horizon diagnostics this package exists to produce.
 
-Every step k >= 3 is the same Toeplitz sum ``sum_i kv[k-i] b[i]`` plus the
+Every step k >= 1 is the same Toeplitz sum ``sum_i kv[k-i] b[i]`` plus the
 Gregory end terms, plus a sparse correction for each jump of b in the
-history: the rule is applied segment by segment between jumps, and the
+history: the rule is applied segment by segment between the breakpoints
+t = 0 and the jumps, with ends set by each segment's length, and the
 segment-split weights differ from the plain ones only within two nodes of
 each jump, so the correction is O(#jumps) terms.  The history sum is
 convolved in doubling blocks (Hairer, Lubich and Schlichte, SIAM J. Sci.
@@ -34,17 +35,18 @@ fertile age (``BirthLaw.live_end``) the kernel and the forcing are exact
 zeros, so both are evaluated on the first ``live`` grid times only, and no
 block is longer than C, the smallest power of two >= live: a longer block
 would add only pairs at lags past the support.  Inside a window, the steps at
-least three past the last trace jump couple only through a lower-triangular
+least three past the last breakpoint couple only through a lower-triangular
 Toeplitz system (the Gregory ends at nodes k and k-1 go into its diagonal
 and its lag-1 coupling); every other term of their rows is known when the
 rows open and is built as a vector, and the rows are solved by one product
 with the system's inverse, itself lower-triangular Toeplitz and built once
-per trajectory.  The two steps after a jump have their own Gregory ends and
-are solved as 1-row systems.  A clamped value changes the later rows of
-its system by a rank-one term, O(_LOCAL).  A trace of K steps costs
-O(min(K, live) P) work for the forcing of a P-panel law, O(K log^2 min(K, C))
-for the history and O(K / _LOCAL) Python iterations (plus one per clamped
-value), each with O(#jumps) vector terms.
+per trajectory.  The two steps after t = 0 and after each jump have their
+own Gregory ends (trapezoid, then Simpson) and are solved as 1-row systems.
+A clamped value changes the later rows of its system by a rank-one term,
+O(_LOCAL).  A trace of K steps costs O(min(K, live) P) work for the forcing
+of a P-panel law, O(K log^2 min(K, C)) for the history and O(K / _LOCAL)
+Python iterations (plus one per clamped value), each with O(#jumps) vector
+terms.
 """
 from __future__ import annotations
 
@@ -199,25 +201,18 @@ def birth_series(n0: HybridMeasure, B: BirthLaw, spectral: SpectralData,
                 x[n + 1:] -= x[n] * inv[1:x.size - n] / inv[0]
             start = n + 1
 
-    if K >= 1:
-        accept(1, np.atleast_1d(
-            (g[1] + 0.5 * dt * kv[1] * b[0]) / (1.0 - 0.5 * dt * kv[0])))
-    if K >= 2:
-        accept(2, np.atleast_1d(
-            (g[2] + dt / 3.0 * (4.0 * kv[1] * b[1] + kv[2] * b[0]))
-            / (1.0 - dt / 3.0 * kv[0])))
-
     # Step k integrates over the time nodes 0..k, cut into segments at the
-    # jumps before k.  hist[k] is the unit-weight Toeplitz sum over the
-    # nodes below k's window; the window's own earlier nodes add
-    # ``inner @ b``.  The trapezoid halves the weight of node 0 (node k is
+    # breakpoints before k: t = 0 and the jumps.  hist[k] is the unit-weight
+    # Toeplitz sum over the nodes below k's window; the window's own earlier
+    # nodes add ``inner @ b``.  The trapezoid halves the weight of node 0 (node k is
     # the implicit unknown), and both ends of every segment add the Gregory
     # offsets for its length, at a jump node applied to the one-sided value
     # that segment sees.  Without jumps this is the plain third-order
     # Gregory rule; where both segments next to a jump have >= 3 steps, the
-    # one-sided parts cancel.  The steps k >= p + 3 (p the last jump before
-    # k) of one window couple only through the Toeplitz system with first
-    # column ``col``, solved by one product with its inverse ``solve``.
+    # one-sided parts cancel.  The steps k >= p + 3 (p the last breakpoint
+    # before k) of one window couple only through the Toeplitz system with
+    # first column ``col``, solved by one product with its inverse ``solve``;
+    # the steps p + 1 and p + 2 are 1-row solves.
     jt = sorted(b_jump)
     half = [0.5 * b_jump[j] for j in jt]
     below = [_GREGORY_ENDS[min(q - p, 3)] for p, q in zip([0] + jt, jt)]
@@ -249,10 +244,10 @@ def birth_series(n0: HybridMeasure, B: BirthLaw, spectral: SpectralData,
             n = min(m, K + 1 - lo)
             conv = np.fft.irfft(np.fft.rfft(b[lo - m:lo], 2 * m) * spectra[m], 2 * m)
             hist[lo:lo + n] += conv[m:m + n]
-        k = max(lo, 3)
+        k = max(lo, 1)
         while k < hi:
-            # rows k..e-1 share the last jump p and their Gregory ends; every
-            # term but their mutual coupling is known, so it is one vector
+            # rows k..e-1 share the last breakpoint p and their Gregory ends;
+            # every term but their mutual coupling is known, so it is one vector
             while active < len(jt) and jt[active] < k:
                 active += 1
             p = jt[active - 1] if active else 0

@@ -23,6 +23,13 @@ support by sorting all support points, the bit-for-bit oracle of the
 same-grid merge in ``flat_distance``.
 ``reference_write_rows`` is the one-template CSV writer that formats every
 value with ``%.17g``, the byte-for-byte oracle of ``measures._write_rows``.
+The birth trace has two oracles, each starting its step loop at k = 1 with
+t = 0 as the first breakpoint, as ``birth_series`` does:
+``direct_births`` builds every step's segment-split Gregory weights
+(``_segment_weights``) and sums the whole history, the O(K^2) oracle to
+1e-12; ``reference_birth_series`` is the former per-step loop of
+``birth_series``, with its FFT history blocks and its negativity guard in
+scalars, the oracle to 1e-13 and of where the guard raises.
 """
 import dataclasses
 import math
@@ -35,7 +42,7 @@ from renewalsim.errors import MeasureError, TransportError
 from renewalsim.measures import (_BLOCK, _SNAP, HybridMeasure, _chain_max, _evaluate,
                                  _panel_sides, _support_points)
 from renewalsim.spectral import SpectralData
-from renewalsim.transport import _atoms_at, snapshot_index
+from renewalsim.transport import _GREGORY_ENDS, _LOCAL, _atoms_at, snapshot_index
 
 
 def weighted_variation(mu: HybridMeasure, w=None, breakpoints=()) -> float:
@@ -249,6 +256,143 @@ def reference_evolve(traj, t: float) -> HybridMeasure:
                          nonnegative=n0.nonnegative)
 
 
+def _segment_weights(k, inner, kv, b_jump):
+    """Quadrature weights for one convolution step, split at b's jumps.
+
+    ``inner`` holds the x-indices of the jumps strictly inside (0, k).
+    Returns the per-node weight array over 0..k (sided means at jump nodes
+    fold into the weights) plus the scalar correction carrying the
+    difference between the one-sided values and the stored means.
+    """
+    edges = [0] + inner + [k]
+    w = np.zeros(k + 1)
+    extra = 0.0
+    for p, q in zip(edges[:-1], edges[1:]):
+        seg = q - p
+        if seg >= 3:
+            w[p] += 5.0 / 12.0
+            w[p + 1] += 13.0 / 12.0
+            w[p + 2:q - 1] += 1.0
+            w[q - 1] += 13.0 / 12.0
+            w[q] += 5.0 / 12.0
+            wp, wq = 5.0 / 12.0, 5.0 / 12.0
+        elif seg == 2:
+            w[p] += 1.0 / 3.0
+            w[p + 1] += 4.0 / 3.0
+            w[q] += 1.0 / 3.0
+            wp, wq = 1.0 / 3.0, 1.0 / 3.0
+        else:
+            w[p] += 0.5
+            w[q] += 0.5
+            wp, wq = 0.5, 0.5
+        # right edge of the segment sees b from above its jump time (+d/2),
+        # left edge from below (-d/2); the mean flows through w itself
+        if q < k and (k - q) in b_jump:
+            extra += wq * kv[q] * 0.5 * b_jump[k - q]
+        if p > 0 and (k - p) in b_jump:
+            extra -= wp * kv[p] * 0.5 * b_jump[k - p]
+    return w, extra
+
+
+def direct_births(traj):
+    """O(K^2) reference: every step re-weights the whole history.
+
+    Builds each step's segment-split Gregory weights explicitly and sums
+    the full history directly, with the same breakpoints (t = 0 and the
+    trace's jumps), one-sided jump values and negativity clamp as
+    ``birth_series``.
+    """
+    n0, B, lam, dt = traj.initial, traj.birth_law, traj.spectral.lambda0, traj.dt
+    K = traj.births.size - 1
+    times = np.arange(K + 1) * dt
+    kv = B.quad_values(times) * np.exp(-lam * times)
+    g = B.birth_forcing(n0, times) * np.exp(-lam * times)
+    b_jump = dict(traj.birth_jumps)
+
+    def settle(val):
+        return max(val, 0.0) if n0.nonnegative else val
+
+    b = np.zeros(K + 1)
+    b[0] = g[0]
+    for k in range(1, K + 1):
+        inner = sorted(k - j for j in b_jump if 0 < k - j < k)
+        w, extra = _segment_weights(k, inner, kv, b_jump)
+        s = float(np.dot(w[1:] * kv[1:k + 1], b[k - 1::-1][:k])) + extra
+        b[k] = settle((g[k] + dt * s) / (1.0 - dt * w[0] * kv[0]))
+    return b
+
+
+def reference_birth_series(n0, B, spectral, dt, T):
+    """The former per-step loop of ``birth_series``: one Python step per node.
+
+    Same scheme, same FFT history blocks and the same negativity guard, with
+    each step's local window sum, jump corrections and clamp done in
+    scalars.  Returns the births array; raises ``TransportError`` where the
+    guard fires.
+    """
+    K = int(round(T / dt))
+    lam = spectral.lambda0
+    times = np.arange(K + 1) * dt
+    kv = B.quad_values(times) * np.exp(-lam * times)
+    g = B.birth_forcing(n0, times) * np.exp(-lam * times)
+    b_jump = {}
+    for p, vl, vr in B.jump_points():
+        for loc, wt in n0.atoms:
+            tj = p - loc
+            if tj <= _SNAP or tj > K * dt + _SNAP:
+                continue
+            j = int(round(tj / dt))
+            if 0 < j <= K and abs(tj - j * dt) <= _SNAP * max(1.0, tj):
+                delta = wt * (vr - vl) * math.exp(-lam * j * dt)
+                b_jump[j] = b_jump.get(j, 0.0) + delta
+    b_jump = {j: d for j, d in b_jump.items() if d != 0.0}
+
+    b = np.zeros(K + 1)
+    b[0] = g[0]
+    nonneg = n0.nonnegative
+    scale = max(abs(b[0]), 1.0)
+
+    def settle(val):
+        nonlocal scale
+        if nonneg and val < 0.0:
+            if val < -1e-10 * scale:
+                raise TransportError("birth trace went negative beyond tolerance")
+            val = 0.0
+        scale = max(scale, abs(val))
+        return val
+
+    jt = sorted(b_jump)
+    half = [0.5 * b_jump[j] for j in jt]
+    below = [_GREGORY_ENDS[min(q - p, 3)] for p, q in zip([0] + jt, jt)]
+    hist = np.zeros(K + 1)
+    kvl, gl, bl = memoryview(kv), memoryview(g), memoryview(b)
+    spectra = {}
+    active = 0
+    for k in range(1, K + 1):
+        if k % _LOCAL == 0:
+            m = k & -k
+            if m not in spectra:
+                spectra[m] = np.fft.rfft(kv[:2 * m], 2 * m)
+            n = min(m, K + 1 - k)
+            conv = np.fft.irfft(np.fft.rfft(b[k - m:k], 2 * m) * spectra[m], 2 * m)
+            hist[k:k + n] += conv[m:m + n]
+        lo = k - k % _LOCAL
+        s = float(hist[k] + np.dot(b[lo:k], kv[k - lo:0:-1])) - 0.5 * kvl[k] * bl[0]
+        while active < len(jt) and jt[active] < k:
+            active += 1
+        p, vp = 0, bl[0]
+        for i in range(active):
+            q = jt[i]
+            a0, a1 = below[i]
+            s += (a0 * (kvl[k - p] * vp + kvl[k - q] * (bl[q] - half[i]))
+                  + a1 * (kvl[k - p - 1] * bl[p + 1] + kvl[k - q + 1] * bl[q - 1]))
+            p, vp = q, bl[q] + half[i]
+        a0, a1 = _GREGORY_ENDS[min(k - p, 3)]
+        s += a0 * kvl[k - p] * vp + a1 * (kvl[k - p - 1] * bl[p + 1] + kvl[1] * bl[k - 1])
+        bl[k] = settle((gl[k] + dt * s) / (1.0 - dt * (0.5 + a0) * kvl[0]))
+    return b
+
+
 def lp_oracle(locs, w):
     """Brute-force LP for the bounded-Lipschitz maximization (scipy, imported here)."""
     from scipy.optimize import linprog
@@ -380,13 +524,15 @@ def reference_chain_max(locs: np.ndarray, w: np.ndarray) -> float:
 def reference_flat_distance(mu, nu):
     """Flat distance with the support merged by sorting all support points.
 
-    Kept as the oracle for the node-by-node subtraction that
+    Each measure's weights at a point are summed before the two sums are
+    subtracted.  Kept as the oracle for the node-by-node subtraction that
     ``flat_distance`` uses on measures sharing one grid.
     """
     l1, w1 = _support_points(mu)
     l2, w2 = _support_points(nu)
     uniq, inv = np.unique(np.concatenate([l1, l2]), return_inverse=True)
-    merged = np.bincount(inv, weights=np.concatenate([w1, -w2]))
+    merged = (np.bincount(inv[:l1.size], weights=w1, minlength=uniq.size)
+              - np.bincount(inv[l1.size:], weights=w2, minlength=uniq.size))
     keep = merged != 0.0
     if not keep.any():
         return 0.0

@@ -485,16 +485,16 @@ def test_generated_pairs_agree_with_the_lp(pair):
     keep = uw != 0.0
     want = lp_oracle(uloc[keep], uw[keep]) if keep.any() else 0.0
     assert rs.flat_distance(mu, nu) == pytest.approx(want, abs=1e-6)
+    assert bits(rs.flat_distance(nu, mu)) == bits(rs.flat_distance(mu, nu))
     if keep.any():
         assert bits(_chain_max(uloc[keep], -uw[keep])) == bits(_chain_max(uloc[keep], uw[keep]))
 
 
-@pytest.mark.xfail(strict=True, reason="the merged weights of mu - nu and nu - mu are not "
-                   "negations of each other where one support point sums three terms")
 @pytest.mark.parametrize("h", [0.25, 0.125], ids=["one grid", "two grids"])
 def test_distance_is_bitwise_symmetric_with_an_atom_on_a_shared_point(h):
-    # found by measure_pairs: summed left to right, the weight at x = 0 is
-    # 0.125 - h/6 - 1 one way and h/6 + 1 - 0.125 the other; they round apart
+    # found by measure_pairs: summed left to right, the weight at x = 0 was
+    # 0.125 - h/6 - 1 one way and h/6 + 1 - 0.125 the other, which round
+    # apart; each measure's weights there are now summed before subtracting
     mu = HybridMeasure(0.25, np.array([1.0, 0.0]))
     nu = HybridMeasure(h, np.array([1.0 / 3.0, 0.0]), ((0.0, 1.0),))
     assert bits(rs.flat_distance(nu, mu)) == bits(rs.flat_distance(mu, nu))

@@ -11,9 +11,10 @@ from renewalsim import HybridMeasure
 from renewalsim.errors import TransportError
 from renewalsim.measures import ac_cumulative
 from renewalsim.scenarios import load_scenario
-from renewalsim.transport import _GREGORY_ENDS, _LOCAL, _SNAP
+from renewalsim.transport import _LOCAL
 
-from oracles import linear_combination, reference_evolve, stationary_measure, weighted_variation
+from oracles import (direct_births, linear_combination, reference_birth_series, reference_evolve,
+                     stationary_measure, weighted_variation)
 
 SCENARIOS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..",
                                           "scenarios", "*.ini")))
@@ -21,152 +22,6 @@ SCENARIOS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..",
 
 def ones(x):
     return np.ones_like(np.asarray(x, dtype=float))
-
-
-def _segment_weights(k, inner, kv, b_jump):
-    """Quadrature weights for one convolution step, split at b's jumps.
-
-    ``inner`` holds the x-indices of the jumps strictly inside (0, k).
-    Returns the per-node weight array over 0..k (sided means at jump nodes
-    fold into the weights) plus the scalar correction carrying the
-    difference between the one-sided values and the stored means.
-    """
-    edges = [0] + inner + [k]
-    w = np.zeros(k + 1)
-    extra = 0.0
-    for p, q in zip(edges[:-1], edges[1:]):
-        seg = q - p
-        if seg >= 3:
-            w[p] += 5.0 / 12.0
-            w[p + 1] += 13.0 / 12.0
-            w[p + 2:q - 1] += 1.0
-            w[q - 1] += 13.0 / 12.0
-            w[q] += 5.0 / 12.0
-            wp, wq = 5.0 / 12.0, 5.0 / 12.0
-        elif seg == 2:
-            w[p] += 1.0 / 3.0
-            w[p + 1] += 4.0 / 3.0
-            w[q] += 1.0 / 3.0
-            wp, wq = 1.0 / 3.0, 1.0 / 3.0
-        else:
-            w[p] += 0.5
-            w[q] += 0.5
-            wp, wq = 0.5, 0.5
-        # right edge of the segment sees b from above its jump time (+d/2),
-        # left edge from below (-d/2); the mean flows through w itself
-        if q < k and (k - q) in b_jump:
-            extra += wq * kv[q] * 0.5 * b_jump[k - q]
-        if p > 0 and (k - p) in b_jump:
-            extra -= wp * kv[p] * 0.5 * b_jump[k - p]
-    return w, extra
-
-
-def direct_births(traj):
-    """O(K^2) reference: every step re-weights the whole history.
-
-    Builds each step's segment-split Gregory weights explicitly and sums
-    the full history directly, with the same start steps, one-sided jump
-    values and negativity clamp as ``birth_series``.
-    """
-    n0, B, lam, dt = traj.initial, traj.birth_law, traj.spectral.lambda0, traj.dt
-    K = traj.births.size - 1
-    times = np.arange(K + 1) * dt
-    kv = B.quad_values(times) * np.exp(-lam * times)
-    g = B.birth_forcing(n0, times) * np.exp(-lam * times)
-    b_jump = dict(traj.birth_jumps)
-
-    def settle(val):
-        return max(val, 0.0) if n0.nonnegative else val
-
-    b = np.zeros(K + 1)
-    b[0] = g[0]
-    b[1] = settle((g[1] + 0.5 * dt * kv[1] * b[0]) / (1.0 - 0.5 * dt * kv[0]))
-    b[2] = settle((g[2] + dt / 3.0 * (4.0 * kv[1] * b[1] + kv[2] * b[0]))
-                  / (1.0 - dt / 3.0 * kv[0]))
-    for k in range(3, K + 1):
-        inner = sorted(k - j for j in b_jump if 0 < k - j < k)
-        w, extra = _segment_weights(k, inner, kv, b_jump)
-        s = float(np.dot(w[1:] * kv[1:k + 1], b[k - 1::-1][:k])) + extra
-        b[k] = settle((g[k] + dt * s) / (1.0 - dt * w[0] * kv[0]))
-    return b
-
-
-def reference_birth_series(n0, B, spectral, dt, T):
-    """The former per-step loop of ``birth_series``: one Python step per node.
-
-    Same scheme, same FFT history blocks and the same negativity guard, with
-    each step's local window sum, jump corrections and clamp done in
-    scalars.  Returns the births array; raises ``TransportError`` where the
-    guard fires.
-    """
-    K = int(round(T / dt))
-    lam = spectral.lambda0
-    times = np.arange(K + 1) * dt
-    kv = B.quad_values(times) * np.exp(-lam * times)
-    g = B.birth_forcing(n0, times) * np.exp(-lam * times)
-    b_jump = {}
-    for p, vl, vr in B.jump_points():
-        for loc, wt in n0.atoms:
-            tj = p - loc
-            if tj <= _SNAP or tj > K * dt + _SNAP:
-                continue
-            j = int(round(tj / dt))
-            if 0 < j <= K and abs(tj - j * dt) <= _SNAP * max(1.0, tj):
-                delta = wt * (vr - vl) * math.exp(-lam * j * dt)
-                b_jump[j] = b_jump.get(j, 0.0) + delta
-    b_jump = {j: d for j, d in b_jump.items() if d != 0.0}
-
-    b = np.zeros(K + 1)
-    b[0] = g[0]
-    nonneg = n0.nonnegative
-    scale = max(abs(b[0]), 1.0)
-
-    def settle(val):
-        nonlocal scale
-        if nonneg and val < 0.0:
-            if val < -1e-10 * scale:
-                raise TransportError("birth trace went negative beyond tolerance")
-            val = 0.0
-        scale = max(scale, abs(val))
-        return val
-
-    if K >= 1:
-        b[1] = settle((g[1] + 0.5 * dt * kv[1] * b[0]) / (1.0 - 0.5 * dt * kv[0]))
-    if K >= 2:
-        b[2] = settle(
-            (g[2] + dt / 3.0 * (4.0 * kv[1] * b[1] + kv[2] * b[0]))
-            / (1.0 - dt / 3.0 * kv[0])
-        )
-    jt = sorted(b_jump)
-    half = [0.5 * b_jump[j] for j in jt]
-    below = [_GREGORY_ENDS[min(q - p, 3)] for p, q in zip([0] + jt, jt)]
-    hist = np.zeros(K + 1)
-    kvl, gl, bl = memoryview(kv), memoryview(g), memoryview(b)
-    spectra = {}
-    active = 0
-    for k in range(3, K + 1):
-        if k % _LOCAL == 0:
-            m = k & -k
-            if m not in spectra:
-                spectra[m] = np.fft.rfft(kv[:2 * m], 2 * m)
-            n = min(m, K + 1 - k)
-            conv = np.fft.irfft(np.fft.rfft(b[k - m:k], 2 * m) * spectra[m], 2 * m)
-            hist[k:k + n] += conv[m:m + n]
-        lo = k - k % _LOCAL
-        s = float(hist[k] + np.dot(b[lo:k], kv[k - lo:0:-1])) - 0.5 * kvl[k] * bl[0]
-        while active < len(jt) and jt[active] < k:
-            active += 1
-        p, vp = 0, bl[0]
-        for i in range(active):
-            q = jt[i]
-            a0, a1 = below[i]
-            s += (a0 * (kvl[k - p] * vp + kvl[k - q] * (bl[q] - half[i]))
-                  + a1 * (kvl[k - p - 1] * bl[p + 1] + kvl[k - q + 1] * bl[q - 1]))
-            p, vp = q, bl[q] + half[i]
-        a0, a1 = _GREGORY_ENDS[min(k - p, 3)]
-        s += a0 * kvl[k - p] * vp + a1 * (kvl[k - p - 1] * bl[p + 1] + kvl[1] * bl[k - 1])
-        bl[k] = settle((gl[k] + dt * s) / (1.0 - dt * (0.5 + a0) * kvl[0]))
-    return b
 
 
 def assert_matches_reference(traj):
@@ -278,6 +133,30 @@ class TestDirectOracle:
         traj = self.indicator_run(ind_spectral, atoms, T, dt)
         assert [j for j, _ in traj.birth_jumps] == [1, 2, 800]
         assert_matches_direct(traj)
+
+    @pytest.mark.parametrize("B", [rs.BirthLaw.constant(1.0),
+                                   rs.BirthLaw.indicator(2.0, 0.0, 1.0),
+                                   rs.BirthLaw.table([0.0, 0.4, 1.0, 1.3],
+                                                     [1.0, 3.0, 2.0, 1.5])],
+                             ids=["constant", "indicator", "table"])
+    def test_first_steps_are_trapezoid_and_simpson(self, B):
+        # from the breakpoint t = 0 the window loop applies the trapezoid
+        # rule at step 1 and Simpson's rule at step 2
+        dt = 0.001
+        n0 = HybridMeasure.from_function(self.density, 12.0, dt,
+                                         atoms=((0.3, 0.4), (0.55, 0.3)), nonnegative=True)
+        sp = rs.solve_spectral(B)
+        traj = rs.birth_series(n0, B, sp, dt, 0.8)
+        assert all(j > 2 for j, _ in traj.birth_jumps)
+        times = traj.times[:3]
+        kv = B.quad_values(times) * np.exp(-sp.lambda0 * times)
+        g = B.birth_forcing(n0, times) * np.exp(-sp.lambda0 * times)
+        b0, b1, b2 = traj.births[:3]
+        b1_ref = (g[1] + 0.5 * dt * kv[1] * b0) / (1.0 - 0.5 * dt * kv[0])
+        b2_ref = ((g[2] + dt / 3.0 * (4.0 * kv[1] * b1 + kv[2] * b0))
+                  / (1.0 - dt / 3.0 * kv[0]))
+        assert abs(b1 - b1_ref) <= 1e-14 * abs(b1_ref)
+        assert abs(b2 - b2_ref) <= 1e-14 * abs(b2_ref)
 
     def test_coincident_jumps_merge(self):
         # one atom enters [0.25, 1] as the other leaves it
