@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EntropyError, RenewalError
-from .measures import HybridMeasure, _panel_sides, integrate, mollify
-from .entropy import EntropyIntegrand, _entropy_grid, _gre, _ratio
+from .measures import HybridMeasure, _bumps, _panel_sides, integrate
+from .entropy import EntropyIntegrand, _gre, _ratio, _sides
 from .spectral import SpectralData
 from .transport import (
     Trajectory,
@@ -448,10 +448,15 @@ def reshetnyak_harness(n0: HybridMeasure, spectral: SpectralData,
     gap to the unmollified value.  Passing means the final entropy gap is no
     larger than the first and at most ``_GRE_TOL``.
 
-    Every rung lies on the datum's grid, so phi and N are evaluated once
-    per node for the whole ladder.  A rung changes the datum only within
-    eps of its atoms: mollifying costs O(eps / h) per atom, and
-    H(density/N) is evaluated anew only on the changed panel sides.
+    Every rung lies on the datum's grid, and phi, so the gre weight, is 0
+    past ``spectral.live_end``: phi, the weight and H(density/N) are taken
+    once on the panels before it, and a rung, which changes the datum only
+    within eps of its atoms (``measures._bumps``), re-evaluates H only on
+    the panel sides it changes there.  The overflow check of density/N
+    keeps its full reach: N on every node and one pass over every panel
+    side of the datum, then every changed side of every rung.  So the
+    ladder costs O(live_end / h + atoms eps / h) per rung plus that one
+    O(n) pass.
     """
     eps = [float(e) for e in eps_list]
     if any(b >= a for a, b in zip(eps[:-1], eps[1:])):
@@ -459,16 +464,33 @@ def reshetnyak_harness(n0: HybridMeasure, spectral: SpectralData,
     if eps and eps[-1] < n0.h:
         raise RenewalError("epsilon ladder goes below the grid spacing")
 
-    Nx, gre_w = _entropy_grid(n0, spectral)
-    sides = np.concatenate(_panel_sides(n0))
-    Hr = np.asarray(H.H(_ratio(sides, Nx)), dtype=float)
+    n, x = n0.node_count, n0.nodes
+    Nx = spectral.N(x)
+    L, R = _panel_sides(n0)
+    c = min(n - 1, int(np.searchsorted(x, spectral.live_end, side="right")))  # live panels
+    _ratio(L[c:], Nx[c:-1])  # raises where density/N overflows past them
+    _ratio(R[c:], Nx[c + 1:])
+    gre_w = _sides(n0.h / 2.0 * spectral.phi(x[:c + 1]) * Nx[:c + 1])
+    Hr = np.asarray(H.H(_ratio(np.concatenate([L[:c], R[:c]]), _sides(Nx[:c + 1]))),
+                    dtype=float)
     gre_ref = _gre(gre_w, Hr, n0.atoms, spectral, H)
     gre_vals, gre_gaps = [], []
     for e in eps:
-        rung = np.concatenate(_panel_sides(mollify(n0, e)))  # a rung has no atoms
-        cells = np.flatnonzero(rung != sides)
+        # what the rung adds on the nodes j its bumps reach, summed as mollify sums
+        bumps = list(_bumps(n0, e))
+        lo = min((b[0] for b in bumps), default=0)
+        added = np.zeros(max((b[1] for b in bumps), default=0) - lo)
+        reached = np.zeros(added.size, dtype=bool)
+        for b0, b1, bump in bumps:
+            added[b0 - lo:b1 - lo] += bump
+            reached[b0 - lo:b1 - lo] = True
+        j = lo + np.flatnonzero(reached)
+        jl, jr = j[j < n - 1], j[j > 0] - 1  # the panels right and left of node j
+        ratio_l = _ratio(L[jl] + added[jl - lo], Nx[jl])
+        ratio_r = _ratio(R[jr] + added[jr + 1 - lo], Nx[jr + 1])
+        cells = np.concatenate([jl[jl < c], c + jr[jr < c]])
         kept = Hr[cells]
-        Hr[cells] = H.H(_ratio(rung[cells], Nx[cells]))
+        Hr[cells] = H.H(np.concatenate([ratio_l[jl < c], ratio_r[jr < c]]))
         gv = float(np.sum(gre_w * Hr))
         Hr[cells] = kept
         gre_vals.append(gv)

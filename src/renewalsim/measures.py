@@ -259,8 +259,21 @@ def mollify(mu: HybridMeasure, eps: float) -> "HybridMeasure":
         raise MeasureError("mollifier width below grid spacing: kernel unresolvable")
     if not mu.atoms:
         return mu
+    added = np.zeros(mu.node_count)
+    for lo, hi, bump in _bumps(mu, eps):
+        added[lo:hi] += bump
+    dens = mu.density + added
+    jumps = tuple((x, lo + added[int(round(x / mu.h))], hi + added[int(round(x / mu.h))])
+                  for x, lo, hi in mu.jumps)
+    return HybridMeasure(mu.h, dens, (), jumps, nonnegative=mu.nonnegative)
+
+
+def _bumps(mu: HybridMeasure, eps: float):
+    """Per atom, in order: the node range [lo, hi) ``mollify`` adds to, and the density it adds.
+
+    Raises ``MeasureError`` at the first atom whose kernel leaves the domain.
+    """
     h, n, x_max = mu.h, mu.node_count, mu.x_max
-    added = np.zeros(n)
     for c, wt in mu.atoms:
         if c + eps > x_max * (1 + _SNAP):
             raise MeasureError(f"kernel around atom at {c} leaves the domain")
@@ -273,11 +286,7 @@ def mollify(mu: HybridMeasure, eps: float) -> "HybridMeasure":
         if hi == n:
             edges[-1] = x_max
         mass_to = _hat_cdf(edges, c, eps) - _hat_cdf(-edges, c, eps)
-        added[lo:hi] += wt * np.diff(mass_to) / np.diff(edges)
-    dens = mu.density + added
-    jumps = tuple((x, lo + added[int(round(x / mu.h))], hi + added[int(round(x / mu.h))])
-                  for x, lo, hi in mu.jumps)
-    return HybridMeasure(mu.h, dens, (), jumps, nonnegative=mu.nonnegative)
+        yield lo, hi, wt * np.diff(mass_to) / np.diff(edges)
 
 
 def _cell_offsets(mu: HybridMeasure, ys):
@@ -300,6 +309,20 @@ def ac_cumulative(mu: HybridMeasure, ys) -> np.ndarray:
     vline = L[idx] + (R[idx] - L[idx]) * s / mu.h
     out = cum[idx] + s * (L[idx] + vline) / 2.0
     return float(out[0]) if scalar else out
+
+
+def _head(mu: HybridMeasure, y: float) -> HybridMeasure:
+    """The density and jump records of ``mu`` on its first nodes, up to one cell past y.
+
+    ``ac_cumulative`` and ``ac_first_moment`` of the result equal those of
+    ``mu`` bit for bit at every point up to y: their running sums are the
+    same prefix sums, and every such point keeps its cell and offset.
+    """
+    n = min(mu.node_count, math.floor(max(y, 0.0) / mu.h) + 3)
+    if n == mu.node_count:
+        return mu
+    return HybridMeasure(mu.h, mu.density[:n], (),
+                         tuple(j for j in mu.jumps if round(j[0] / mu.h) < n))
 
 
 def ac_first_moment(mu: HybridMeasure, ys) -> np.ndarray:

@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import SpectralError
-from .measures import _SNAP, HybridMeasure, ac_cumulative, ac_first_moment
+from .measures import _SNAP, HybridMeasure, _head, ac_cumulative, ac_first_moment
 
 __all__ = [
     "BirthLaw",
@@ -263,7 +263,10 @@ class BirthLaw:
         atom on a rate discontinuity counts with the mean one-sided value,
         matching the trapezoid jump convention.  Past ``live_end`` every
         shifted breakpoint and atom lies beyond the support: those shifts
-        are exactly 0 and not evaluated, so the cost is O(P) per live shift.
+        are exactly 0 and not evaluated.  The cumulative sums read the
+        density only up to the largest shifted breakpoint (the support end
+        for nonnegative shifts), so the cost is O(P) per live shift plus
+        O(live_end / h) for the sums.
         """
         shifts = np.asarray(shifts, dtype=float)
         locs = np.array([a[0] for a in mu.atoms])
@@ -276,8 +279,9 @@ class BirthLaw:
         s = shifts[live]
         _, _, c0, c1 = self._panels
         ys = np.array(self.breakpoints())[:, None] - s
-        m0 = np.diff(ac_cumulative(mu, ys), axis=0)
-        m1 = np.diff(ac_first_moment(mu, ys), axis=0)
+        head = _head(mu, float(ys.max(initial=0.0)))
+        m0 = np.diff(ac_cumulative(head, ys), axis=0)
+        m1 = np.diff(ac_first_moment(head, ys), axis=0)
         c0, c1 = c0[:, None], c1[:, None]
         out[live] = ((c0 + c1 * s) * m0 + c1 * m1).sum(axis=0)
         if locs.size:
@@ -287,7 +291,11 @@ class BirthLaw:
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Growth rate, stable profile, dual weight and their residuals."""
+    """Growth rate, stable profile, dual weight and their residuals.
+
+    ``live_end`` is the birth law's ``live_end``: phi vanishes past it
+    (inf for a constant law).
+    """
 
     lambda0: float
     N: Callable
@@ -295,6 +303,7 @@ class SpectralData:
     phi0: float
     residual_euler_lotka: float
     residual_normalization: float
+    live_end: float
 
 
 def solve_lambda0(B: BirthLaw) -> float:
@@ -391,5 +400,5 @@ def solve_spectral(B: BirthLaw) -> SpectralData:
     res_norm = abs(lam * phi0 * B.tail_moment(lam) - 1.0)
     if res_norm > 1e-8:
         raise SpectralError("dual normalization residual above tolerance")
-    return SpectralData(lam, eigen_N(lam), phi, phi0, res_el, res_norm)
+    return SpectralData(lam, eigen_N(lam), phi, phi0, res_el, res_norm, B.live_end)
 

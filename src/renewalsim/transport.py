@@ -26,7 +26,7 @@ Gregory end terms, plus a sparse correction for each jump of b in the
 history: the rule is applied segment by segment between the breakpoints
 t = 0 and the jumps, with ends set by each segment's length, and the
 segment-split weights differ from the plain ones only within two nodes of
-each jump, so the correction is O(#jumps) terms.  The history sum is
+each jump, so the correction is a few terms per jump.  The history sum is
 convolved in doubling blocks (Hairer, Lubich and Schlichte, SIAM J. Sci.
 Stat. Comput. 6, 1985): once b[e-m:e] is known, with m the lowest set bit
 of e, one FFT adds its contribution to the next m steps, so only the
@@ -34,7 +34,12 @@ current window of ``_LOCAL`` steps is left.  Past the birth law's last
 fertile age (``BirthLaw.live_end``) the kernel and the forcing are exact
 zeros, so both are evaluated on the first ``live`` grid times only, and no
 block is longer than C, the smallest power of two >= live: a longer block
-would add only pairs at lags past the support.  Inside a window, the steps at
+would add only pairs at lags past the support.  For the same reason a jump
+at least ``live`` steps back adds nothing: its correction terms read only
+kernel lags of ``live`` or more, so it retires from the window loop, and the
+segment chain starts at the last retired jump.  Likewise the half-weight
+term of node 0 and the end terms of the last breakpoint are skipped once
+they are out of reach.  Inside a window, the steps at
 least three past the last breakpoint couple only through a lower-triangular
 Toeplitz system (the Gregory ends at nodes k and k-1 go into its diagonal
 and its lag-1 coupling); every other term of their rows is known when the
@@ -43,10 +48,11 @@ with the system's inverse, itself lower-triangular Toeplitz and built once
 per trajectory.  The two steps after t = 0 and after each jump have their
 own Gregory ends (trapezoid, then Simpson) and are solved as 1-row systems.
 A clamped value changes the later rows of its system by a rank-one term,
-O(_LOCAL).  A trace of K steps costs O(min(K, live) P) work for the forcing
-of a P-panel law, O(K log^2 min(K, C)) for the history and O(K / _LOCAL)
-Python iterations (plus one per clamped value), each with O(#jumps) vector
-terms.
+O(_LOCAL).  A trace of K steps costs O(min(K, live) P + live_end / h) work
+for the forcing of a P-panel law on a grid of spacing h, O(K log^2 min(K,
+C)) for the history and O(K / _LOCAL) Python iterations (plus one per
+clamped value), each with vector terms for the jumps within the kernel's
+reach only, not for every jump in the history.
 """
 from __future__ import annotations
 
@@ -56,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EntropyError, TransportError
-from .measures import _SNAP, HybridMeasure, _is_multiple, _panel_sides, ac_cumulative
+from .measures import _SNAP, HybridMeasure, _is_multiple, ac_cumulative
 from .spectral import BirthLaw, SpectralData
 
 __all__ = [
@@ -231,7 +237,7 @@ def birth_series(n0: HybridMeasure, B: BirthLaw, spectral: SpectralData,
     hist = np.zeros(K + 1)
     spectra = {}  # rfft of kv[:2m] per block length m <= cap, the kernel's reach
     cap = 1 << (live - 1).bit_length()
-    active = 0
+    active = retired = 0  # jumps before k; of them, those at least live steps back
     for lo in range(0, K + 1, _LOCAL):
         hi = min(lo + _LOCAL, K + 1)
         if lo:
@@ -250,14 +256,24 @@ def birth_series(n0: HybridMeasure, B: BirthLaw, spectral: SpectralData,
             # every term but their mutual coupling is known, so it is one vector
             while active < len(jt) and jt[active] < k:
                 active += 1
+            # every kv a jump's terms read sits at least k - jt lags back, so
+            # once that is live or more they are exact zeros: the jump retires,
+            # and the segment chain starts at the last retired breakpoint
+            while retired < active and k - jt[retired] >= live:
+                retired += 1
             p = jt[active - 1] if active else 0
             if k - p < 3:
                 e = k + 1
             else:
                 e = min(hi, jt[active] + 1) if active < len(jt) else hi
-            r = hist[k:e] + inner[k - lo:e - lo, :k - lo] @ b[lo:k] - 0.5 * b[0] * kv[k:e]
-            p, vp = 0, b[0]
-            for i in range(active):
+            r = hist[k:e]  # read once, so the rows' known terms gather in place
+            if k > lo:
+                r += inner[k - lo:e - lo, :k - lo] @ b[lo:k]
+            if k < live:
+                r -= 0.5 * b[0] * kv[k:e]
+            p = jt[retired - 1] if retired else 0
+            vp = b[p] + half[retired - 1] if retired else b[0]
+            for i in range(retired, active):
                 q = jt[i]
                 c0, c1 = below[i]
                 r += (c0 * (kv[k - p:e - p] * vp + kv[k - q:e - q] * (b[q] - half[i]))
@@ -265,7 +281,8 @@ def birth_series(n0: HybridMeasure, B: BirthLaw, spectral: SpectralData,
                               + kv[k - q + 1:e - q + 1] * b[q - 1]))
                 p, vp = q, b[q] + half[i]
             c0, c1 = _GREGORY_ENDS[min(k - p, 3)]
-            r += c0 * kv[k - p:e - p] * vp + c1 * kv[k - p - 1:e - p - 1] * b[p + 1]
+            if k - p - 1 < live:
+                r += c0 * kv[k - p:e - p] * vp + c1 * kv[k - p - 1:e - p - 1] * b[p + 1]
             r[0] += c1 * kv[1] * b[k - 1]
             r = g[k:e] + dt * r
             if k - p < 3:
@@ -383,7 +400,8 @@ def characteristic_labels(traj: Trajectory, ks) -> CharacteristicLabels:
     with np.errstate(all="ignore"):
         right = np.concatenate([traj.births[origin * stride::-stride] / lam, dens[1:] / N(u[1:])])
     left = right.copy()
-    left[origin] = _panel_sides(n0)[0][0] / lam
+    # the datum's right limit at age 0: a jump record there carries it
+    left[origin] = next((hi for x, _, hi in n0.jumps if x == 0.0), n0.density[0]) / lam
     for j, delta in traj.birth_jumps:
         if j % stride == 0:
             p = origin - j // stride

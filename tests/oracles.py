@@ -30,6 +30,10 @@ t = 0 as the first breakpoint, as ``birth_series`` does:
 1e-12; ``reference_birth_series`` is the former per-step loop of
 ``birth_series``, with its FFT history blocks and its negativity guard in
 scalars, the oracle to 1e-13 and of where the guard raises.
+``reference_harness`` is the former mollification ladder, which evaluates
+phi, N and H on every panel side of the datum and of each rung: the oracle
+of ``convergence.reshetnyak_harness``, which stops at the birth law's
+``live_end``, to the summation order.
 """
 import dataclasses
 import math
@@ -38,9 +42,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from renewalsim.errors import MeasureError, TransportError
+from renewalsim.convergence import _GRE_TOL, MollificationReport
+from renewalsim.entropy import _entropy_grid, _gre, _ratio
+from renewalsim.errors import MeasureError, RenewalError, TransportError
 from renewalsim.measures import (_BLOCK, _SNAP, HybridMeasure, _chain_max, _evaluate,
-                                 _panel_sides, _support_points)
+                                 _panel_sides, _support_points, mollify)
 from renewalsim.spectral import SpectralData
 from renewalsim.transport import _GREGORY_ENDS, _LOCAL, _atoms_at, snapshot_index
 
@@ -391,6 +397,39 @@ def reference_birth_series(n0, B, spectral, dt, T):
         s += a0 * kvl[k - p] * vp + a1 * (kvl[k - p - 1] * bl[p + 1] + kvl[1] * bl[k - 1])
         bl[k] = settle((gl[k] + dt * s) / (1.0 - dt * (0.5 + a0) * kvl[0]))
     return b
+
+
+def reference_harness(n0: HybridMeasure, spectral: SpectralData, H, eps_list):
+    """The former full-grid ladder of ``convergence.reshetnyak_harness``, kept unchanged.
+
+    phi, N and H(density/N) on every panel side of the datum, each rung
+    mollified on the whole grid and compared side by side with the datum,
+    and every rung's gre summed over all panel sides.
+    """
+    eps = [float(e) for e in eps_list]
+    if any(b >= a for a, b in zip(eps[:-1], eps[1:])):
+        raise RenewalError("epsilon ladder must be strictly decreasing")
+    if eps and eps[-1] < n0.h:
+        raise RenewalError("epsilon ladder goes below the grid spacing")
+
+    Nx, gre_w = _entropy_grid(n0, spectral)
+    sides = np.concatenate(_panel_sides(n0))
+    Hr = np.asarray(H.H(_ratio(sides, Nx)), dtype=float)
+    gre_ref = _gre(gre_w, Hr, n0.atoms, spectral, H)
+    gre_vals, gre_gaps = [], []
+    for e in eps:
+        rung = np.concatenate(_panel_sides(mollify(n0, e)))  # a rung has no atoms
+        cells = np.flatnonzero(rung != sides)
+        kept = Hr[cells]
+        Hr[cells] = H.H(_ratio(rung[cells], Nx[cells]))
+        gv = float(np.sum(gre_w * Hr))
+        Hr[cells] = kept
+        gre_vals.append(gv)
+        gre_gaps.append(abs(gv - gre_ref))
+
+    decreased = bool(gre_gaps and gre_gaps[-1] <= gre_gaps[0] + 1e-12)
+    below = bool(gre_gaps and gre_gaps[-1] <= _GRE_TOL)
+    return MollificationReport(tuple(gre_vals), tuple(gre_gaps), gre_ref, decreased, below)
 
 
 def lp_oracle(locs, w):

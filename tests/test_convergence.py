@@ -6,9 +6,9 @@ import pytest
 
 import renewalsim as rs
 from renewalsim import HybridMeasure, convergence
-from renewalsim.errors import RenewalError
+from renewalsim.errors import EntropyError, MeasureError, RenewalError
 
-from oracles import linear_combination, stationary_measure, weighted_variation
+from oracles import linear_combination, reference_harness, stationary_measure, weighted_variation
 
 
 def ones(x):
@@ -147,8 +147,11 @@ class TestMollificationHarness:
         rep = rs.reshetnyak_harness(n0, sp, rs.builtin_integrand("abs"),
                                     (0.4, 0.2, 0.1, 0.05))
         assert len(rep.gre_values) == 4
-        # once per node, plus phi at the three atoms
-        assert seen == {"phi": n0.node_count + 3, "N": n0.node_count}
+        # N once per node (the overflow pass), phi once per node up to the
+        # first past live_end (phi vanishes there), plus phi at the three atoms
+        fertile = int(np.count_nonzero(n0.nodes <= sp.live_end)) + 1
+        assert fertile < n0.node_count // 5
+        assert seen == {"phi": fertile + 3, "N": n0.node_count}
 
     def test_rungs_evaluate_H_where_mollify_changed_the_datum(self, ind_spectral):
         _, sp = ind_spectral
@@ -161,11 +164,13 @@ class TestMollificationHarness:
         H = dataclasses.replace(base, H=lambda u: evaluated.append(np.size(u)) or base.H(u))
         eps = (0.4, 0.2, 0.1, 0.05)
         rep = rs.reshetnyak_harness(n0, sp, H, eps)
-        # bit for bit the full evaluation of every rung
-        assert rep.gre_reference == rs.gre_functional(n0, sp, base)
-        assert rep.gre_values == tuple(rs.gre_functional(rs.mollify(n0, e), sp, base)
-                                       for e in eps)
-        assert evaluated[0] == 2 * (n0.node_count - 1)
+        # the full evaluation of every rung, summed over the live panels only
+        tol = 1e-15 * abs(rep.gre_reference)
+        assert abs(rep.gre_reference - rs.gre_functional(n0, sp, base)) <= tol
+        for e, v in zip(eps, rep.gre_values):
+            assert abs(v - rs.gre_functional(rs.mollify(n0, e), sp, base)) <= tol
+        # the datum's sides on the panels left of live_end
+        assert evaluated[0] == 2 * np.count_nonzero(n0.nodes <= sp.live_end)
         # a rung's new panel sides: two per node within eps + 2h of an atom
         for e, count in zip(eps, evaluated[1:]):
             assert 0 < count <= 3 * 2 * (2 * e / n0.h + 5)
@@ -175,6 +180,99 @@ class TestMollificationHarness:
         n0 = HybridMeasure.point_mass(1.0, 6.0, 0.005)
         with pytest.raises(RenewalError, match="decreasing"):
             rs.reshetnyak_harness(n0, sp, rs.builtin_integrand("abs"), (0.1, 0.2))
+
+
+class TestLadderStopsAtLiveEnd:
+    """``reshetnyak_harness`` against the full-grid ladder ``reference_harness``.
+
+    The datum has density, atoms and a jump record on both sides of the
+    law's ``live_end``, and the widest rungs reach past it.  Only the
+    summation order moves: every value within 1e-15 |gre_reference|, and
+    the pass/fail flags and the order of the gaps are the same.
+    """
+
+    EPS = (0.4, 0.2, 0.1, 0.05)
+
+    @staticmethod
+    def datum(h=0.005):
+        smooth = HybridMeasure.from_function(
+            lambda x: np.exp(-x) * (1.0 + 0.5 * np.sin(5.0 * x)), 6.0, h)
+        return HybridMeasure(h, smooth.density, ((0.3, 0.4), (0.95, 0.3), (2.5, 0.2)),
+                             jumps=((0.6, 0.5, 0.2), (3.0, 0.1, 0.3)))
+
+    @pytest.mark.parametrize("law", [rs.BirthLaw.indicator(2.0, 0.0, 1.0),
+                                     rs.BirthLaw.table((0.0, 0.4, 0.4, 1.2),
+                                                       (1.0, 1.0, 3.0, 2.0))],
+                             ids=["indicator", "table"])
+    @pytest.mark.parametrize("name", ["abs", "sqrt1p", "pospart"])
+    def test_matches_the_full_grid(self, law, name):
+        sp, n0, H = rs.solve_spectral(law), self.datum(), rs.builtin_integrand(name)
+        assert sp.live_end < 2.5 and max(self.EPS) + 0.95 > sp.live_end
+        rep, ref = (f(n0, sp, H, self.EPS) for f in (rs.reshetnyak_harness, reference_harness))
+        tol = 1e-15 * abs(ref.gre_reference)
+        assert abs(rep.gre_reference - ref.gre_reference) <= tol
+        assert np.abs(np.subtract(rep.gre_values, ref.gre_values)).max() <= tol
+        assert (rep.gap_decreased, rep.final_below_tol) == (ref.gap_decreased,
+                                                            ref.final_below_tol)
+        assert np.argsort(rep.gre_gaps).tolist() == np.argsort(ref.gre_gaps).tolist()
+
+    def test_constant_law_is_the_full_grid(self, const_spectral):
+        # live_end = inf: every panel is live, and the sums are today's bits
+        _, sp = const_spectral
+        H = rs.builtin_integrand("sqrt1p")
+        assert sp.live_end == math.inf
+        assert (rs.reshetnyak_harness(self.datum(), sp, H, self.EPS)
+                == reference_harness(self.datum(), sp, H, self.EPS))
+
+    def test_overflow_past_live_end_still_raises(self, ind_spectral):
+        _, sp = ind_spectral
+        H, h = rs.builtin_integrand("abs"), 0.005
+        # density/N is 1.8e303 at x = 5 only, far past live_end = 1
+        dens = np.zeros(1201)
+        dens[1000] = 1e300
+        n0 = HybridMeasure(h, dens, ((0.5, 0.3),))
+        with pytest.raises(EntropyError, match="overflows"):
+            rs.reshetnyak_harness(n0, sp, H, self.EPS)
+        # on one side of a jump record only: the panel right of it, then left
+        for limits in ((0.0, 1e300), (1e300, 0.0)):
+            n0 = HybridMeasure(h, np.zeros(1201), ((0.5, 0.3),), jumps=((5.0, *limits),))
+            with pytest.raises(EntropyError, match="overflows"):
+                rs.reshetnyak_harness(n0, sp, H, self.EPS)
+
+    def test_rung_overflow_past_live_end_still_raises(self, ind_spectral):
+        _, sp = ind_spectral
+        H, h = rs.builtin_integrand("abs"), 0.005
+        x = np.arange(1201) * h
+        # density/N is 0.9e300 around x = 3: the datum passes, and the atom's
+        # bump there takes the rung past 1e300
+        dens = np.where(np.abs(x - 3.0) <= 0.5, 0.9e300 * sp.N(x), 0.0)
+        n0 = HybridMeasure(h, dens, ((0.5, 0.3), (3.0, 1e300 * float(sp.N(3.0)))))
+        rs.gre_functional(n0, sp, H)  # the datum itself does not overflow
+        with pytest.raises(EntropyError, match="overflows"):
+            reference_harness(n0, sp, H, self.EPS)
+        with pytest.raises(EntropyError, match="overflows"):
+            rs.reshetnyak_harness(n0, sp, H, self.EPS)
+
+    @pytest.mark.parametrize("limits", [(0.0, 0.9e300), (0.9e300, 0.0)], ids=["right", "left"])
+    def test_rung_overflow_on_one_side_of_a_jump_record(self, ind_spectral, limits):
+        # density/N is 0.9e300 on one side of x = 3 only, and one rung's bump
+        # adds 0.5e300 there: only the panel on that side overflows
+        _, sp = ind_spectral
+        H, h, N3 = rs.builtin_integrand("abs"), 0.005, float(sp.N(3.0))
+        n0 = HybridMeasure(h, np.zeros(1201), ((0.5, 0.3), (3.0, 0.2e300 * N3)),
+                           jumps=((3.0, limits[0] * N3, limits[1] * N3),))
+        rs.gre_functional(n0, sp, H)
+        for harness in (reference_harness, rs.reshetnyak_harness):
+            with pytest.raises(EntropyError, match="overflows"):
+                harness(n0, sp, H, (0.4,))
+
+    def test_kernel_past_the_domain_still_raises(self, ind_spectral):
+        _, sp = ind_spectral
+        n0 = HybridMeasure.from_function(lambda x: np.exp(-x), 6.0, 0.005,
+                                         atoms=((0.5, 0.3), (5.8, 0.2)))
+        for harness in (rs.reshetnyak_harness, reference_harness):
+            with pytest.raises(MeasureError, match="leaves the domain"):
+                harness(n0, sp, rs.builtin_integrand("abs"), self.EPS)
 
 
 def birth_integral(traj, times):

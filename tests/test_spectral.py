@@ -449,6 +449,16 @@ class TestForcingSupportBound:
     def test_table_laws(self, law):
         self.assert_bounded(BirthLaw.table(*law), jump_measure(), np.arange(301) * 0.01)
 
+    def test_moments_read_the_datum_up_to_the_support_end(self):
+        # off-grid shifts and jump records on both sides of the support end
+        # 1.3: the cumulative sums stop a few cells past it, with the same bits
+        mu = jump_measure()
+        mu = rs.HybridMeasure(mu.h, mu.density, mu.atoms, nonnegative=True,
+                              jumps=((0.5, 0.2, 1.4), (1.3, 0.9, 0.1), (1.31, 0.1, 0.6),
+                                     (1.32, 0.6, 0.2), (1.33, 0.2, 0.5), (2.0, 0.0, 0.7)))
+        B = BirthLaw.table(*TABLE_JUMP)
+        self.assert_bounded(B, mu, np.concatenate([[-0.0123], forcing_shifts(B, mu, 1.6)]))
+
     def test_live_end_snaps_like_quad_values(self):
         # 700 * 0.001 is 0.7000000000000001, a rounding error past the support
         # end: the atom at age 0 still sits on the jump and takes the mean rate

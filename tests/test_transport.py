@@ -201,6 +201,100 @@ class TestDirectOracle:
         assert np.abs(traj.births - 1.0).max() <= 1e-6
 
 
+class TestRetiredJumps:
+    """A trace jump leaves the window loop once the kernel no longer reaches it.
+
+    Every case runs to at least three times the law's support, and its
+    atoms cross a rate discontinuity, so trace jumps retire (``k - j >=
+    live``) while the trace goes on; the trace matches ``direct_births``,
+    which sums every jump's terms at every step, to 1e-12 max(1, |b|).
+    """
+
+    dt = 0.001
+
+    @staticmethod
+    def live(traj):
+        return int(np.count_nonzero(traj.times <= traj.birth_law.live_end))
+
+    def run(self, B, atoms, T, x_max=8.0):
+        n0 = HybridMeasure.from_function(TestDirectOracle.density, x_max, self.dt,
+                                         atoms=atoms, nonnegative=True)
+        traj = rs.birth_series(n0, B, rs.solve_spectral(B), self.dt, T)
+        if B.support_end is not None:
+            assert traj.horizon >= 3.0 * B.support_end
+        return traj
+
+    @staticmethod
+    def assert_matches_direct(traj):
+        ref = direct_births(traj)
+        err = np.abs(traj.births - ref) / np.maximum(1.0, np.abs(ref))
+        assert err.max() <= 1e-12, f"max deviation {err.max():.3e}"
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_jump_live_steps_before_a_window(self, ind_spectral, offset):
+        # live = 1001, so the jump at j = 279 is exactly live steps before
+        # the window at 5 _LOCAL = 1280 and retires when it opens
+        j = 5 * _LOCAL - 1001 + offset
+        traj = self.run(ind_spectral[0], ((1.0 - j * self.dt, 0.3),), 3.0)
+        assert self.live(traj) == 1001
+        assert [jj for jj, _ in traj.birth_jumps] == [j]
+        assert (j + self.live(traj) - offset) % _LOCAL == 0
+        self.assert_matches_direct(traj)
+
+    @pytest.mark.parametrize("end", [1.023, 1.024, 1.025])
+    def test_window_opens_near_the_last_live_lag(self, end):
+        # live = 1024, 1025 or 1026: the window at 4 _LOCAL = 1024 opens on
+        # the last lag where kv is nonzero, or one before or after it
+        B = rs.BirthLaw.indicator(2.0, 0.0, end)
+        traj = self.run(B, ((0.5, 0.3),), 3.2)
+        assert self.live(traj) - 1 == round(end / self.dt)
+        self.assert_matches_direct(traj)
+
+    def test_several_jumps_retire_in_one_window(self):
+        # rate 1 on [0, 0.4), 3 then 2 on [0.4, 1]: each atom below 0.4 crosses
+        # both jumps; 50, 100 and 150 all retire when the window at 1280 opens
+        B = rs.BirthLaw.table((0.0, 0.4, 0.4, 1.0), (1.0, 1.0, 3.0, 2.0))
+        traj = self.run(B, ((0.35, 0.3), (0.3, 0.2), (0.25, 0.4)), 3.0)
+        jumps = [j for j, _ in traj.birth_jumps]
+        assert jumps == [50, 100, 150, 650, 700, 750]
+        live = self.live(traj)
+        assert sum(4 * _LOCAL < j + live <= 5 * _LOCAL for j in jumps) == 3
+        self.assert_matches_direct(traj)
+
+    def test_clamped_trace(self):
+        # the trace vanishes over more than one window after its jump at
+        # step 100 retires, and rounding leaves values the guard clamps
+        B = rs.BirthLaw.indicator(4.0, 0.5, 1.0)
+        n0 = HybridMeasure.point_mass(0.9, 4.0, self.dt)
+        traj = rs.birth_series(n0, B, rs.solve_spectral(B), self.dt, 3.0)
+        assert [j for j, _ in traj.birth_jumps] == [100]
+        assert traj.clamp_count > 0 and 100 + self.live(traj) < traj.births.size
+        self.assert_matches_direct(traj)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_generated_table_laws_with_an_interior_jump(self, seed):
+        rng = np.random.default_rng(seed)
+        end = float(rng.choice([0.5, 0.75, 1.0]))
+        mid = round(rng.uniform(0.2, 0.8) * end / self.dt) * self.dt
+        low = float(rng.uniform(0.2, 1.5))
+        high = (2.0 - low * mid) / (end - mid) * float(rng.uniform(1.0, 2.0))
+        B = rs.BirthLaw.table((0.0, mid, mid, end), (low, low, high, high))
+        nodes = rng.choice(np.arange(1, round(mid / self.dt)), size=3, replace=False)
+        atoms = tuple((float(i * self.dt), float(rng.uniform(0.1, 0.5))) for i in nodes)
+        T = round(3.0 * end / self.dt + rng.integers(0, _LOCAL)) * self.dt
+        traj = self.run(B, atoms, T, x_max=5.0)
+        # every atom crosses both rate jumps, and every trace jump retires
+        assert len(traj.birth_jumps) == 6
+        assert max(j for j, _ in traj.birth_jumps) + self.live(traj) < traj.births.size
+        self.assert_matches_direct(traj)
+
+    def test_constant_law_retires_nothing(self, const_spectral):
+        # no support end: live is the whole trace, and the law has no jump
+        traj = self.run(const_spectral[0], ((0.3, 0.3), (0.7, 0.2)), 3.0)
+        assert self.live(traj) == traj.births.size and traj.birth_jumps == ()
+        self.assert_matches_direct(traj)
+
+
 class TestWindowSolve:
     """The blocked triangular solves against the per-step reference loop."""
 
