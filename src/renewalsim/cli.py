@@ -9,8 +9,8 @@ spectral  print the growth rate, residuals and an x,N,phi table
 distance  print the flat distance between two snapshot files
 verify    run the invariant suite for a scenario, exit nonzero on failure
 
-Exit codes: 0 ok, 1 config error, 2 numerical failure, 3 verification
-failure.
+Exit codes: 0 ok, 1 config error (a bad command line too), 2 numerical
+failure, 3 verification failure.
 """
 from __future__ import annotations
 
@@ -68,11 +68,12 @@ def cmd_run(sc: Scenario, out_dir: str, quiet: bool) -> int:
     m0 = diag["m0"]
 
     # files are written after the sweep: started on a heap the writers' block
-    # buffers have fragmented, the sweep peaks 19 MB higher.  On long traces
-    # the two peak alike (long_horizon.ini: the birth trace 94 MB, the sweep
-    # 120 MB, the writers 122 MB with the shared 1.02M-node formatted grid at
-    # 24 bytes per node and the snapshot twins).  On short traces the snapshot
-    # writes set the peak (trace-atoms: 36.2 MB, the sweep 35.9 MB).
+    # buffers have fragmented, the sweep sets a higher peak (peak RSS,
+    # long_horizon.ini: 149.5 MiB against 141.7; trace-atoms: 38.1 against
+    # 37.4).  In this order the snapshot writes set the peak (long_horizon.ini:
+    # the birth trace 72 MiB, the sweep 121 MiB, births.csv 121 MiB, the two
+    # snapshots with the shared 1.02M-node formatted grid and their twins 134
+    # and 142 MiB; trace-atoms: the sweep 36.3 MiB, the snapshots 37.4 MiB).
     # diagnostics.csv's sample grid replaces the shared grid, so the fit runs
     # after it is freed.
     with open(os.path.join(out_dir, "births.csv"), "w", encoding="ascii") as fh:
@@ -207,8 +208,16 @@ def cmd_verify(sc: Scenario) -> int:
     return 3 if failed else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with its usage errors as config errors: exit 1, not argparse's 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="renewalsim",
         description="Age-renewal simulator for measure-valued initial data",
     )

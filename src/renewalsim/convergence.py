@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EntropyError, RenewalError
-from .measures import HybridMeasure, _bumps, _panel_sides, integrate
-from .entropy import EntropyIntegrand, _gre, _ratio, _sides
+from .measures import HybridMeasure, _bump_sum, integrate
+from .entropy import EntropyIntegrand, _gre, _gre_grid, _ratio
 from .spectral import SpectralData
 from .transport import (
     Trajectory,
@@ -448,15 +448,15 @@ def reshetnyak_harness(n0: HybridMeasure, spectral: SpectralData,
     gap to the unmollified value.  Passing means the final entropy gap is no
     larger than the first and at most ``_GRE_TOL``.
 
-    Every rung lies on the datum's grid, and phi, so the gre weight, is 0
-    past ``spectral.live_end``: phi, the weight and H(density/N) are taken
-    once on the panels before it, and a rung, which changes the datum only
-    within eps of its atoms (``measures._bumps``), re-evaluates H only on
-    the panel sides it changes there.  The overflow check of density/N
-    keeps its full reach: N on every node and one pass over every panel
-    side of the datum, then every changed side of every rung.  So the
-    ladder costs O(live_end / h + atoms eps / h) per rung plus that one
-    O(n) pass.
+    The reference is ``gre_functional(n0)`` and each rung is
+    ``gre_functional(mollify(n0, eps))``, bit for bit, from one evaluation
+    of the datum (``entropy._gre_grid``): phi, the gre weight and
+    H(density/N) on the panels before ``spectral.live_end``, past which phi
+    is 0, and density/N checked for overflow on every panel side.  A rung
+    changes the datum only at the nodes where ``mollify``'s summed bumps
+    (``measures._bump_sum``) are nonzero, so it checks density/N and
+    re-evaluates H only on the panel sides of those nodes.  So the ladder
+    costs O(live_end / h + atoms eps / h) per rung plus one O(n) pass.
     """
     eps = [float(e) for e in eps_list]
     if any(b >= a for a, b in zip(eps[:-1], eps[1:])):
@@ -464,37 +464,21 @@ def reshetnyak_harness(n0: HybridMeasure, spectral: SpectralData,
     if eps and eps[-1] < n0.h:
         raise RenewalError("epsilon ladder goes below the grid spacing")
 
-    n, x = n0.node_count, n0.nodes
-    Nx = spectral.N(x)
-    L, R = _panel_sides(n0)
-    c = min(n - 1, int(np.searchsorted(x, spectral.live_end, side="right")))  # live panels
-    _ratio(L[c:], Nx[c:-1])  # raises where density/N overflows past them
-    _ratio(R[c:], Nx[c + 1:])
-    gre_w = _sides(n0.h / 2.0 * spectral.phi(x[:c + 1]) * Nx[:c + 1])
-    Hr = np.asarray(H.H(_ratio(np.concatenate([L[:c], R[:c]]), _sides(Nx[:c + 1]))),
-                    dtype=float)
+    Nx, L, R, c, gre_w, Hr = _gre_grid(n0, spectral, H)
     gre_ref = _gre(gre_w, Hr, n0.atoms, spectral, H)
-    gre_vals, gre_gaps = [], []
+    gre_vals = []
     for e in eps:
-        # what the rung adds on the nodes j its bumps reach, summed as mollify sums
-        bumps = list(_bumps(n0, e))
-        lo = min((b[0] for b in bumps), default=0)
-        added = np.zeros(max((b[1] for b in bumps), default=0) - lo)
-        reached = np.zeros(added.size, dtype=bool)
-        for b0, b1, bump in bumps:
-            added[b0 - lo:b1 - lo] += bump
-            reached[b0 - lo:b1 - lo] = True
-        j = lo + np.flatnonzero(reached)
-        jl, jr = j[j < n - 1], j[j > 0] - 1  # the panels right and left of node j
+        # the nodes j whose density the rung changes, as mollify changes them
+        lo, added = _bump_sum(n0, e)
+        j = lo + np.flatnonzero(added)
+        jl, jr = j[j < n0.node_count - 1], j[j > 0] - 1  # the panels right and left of j
         ratio_l = _ratio(L[jl] + added[jl - lo], Nx[jl])
         ratio_r = _ratio(R[jr] + added[jr + 1 - lo], Nx[jr + 1])
         cells = np.concatenate([jl[jl < c], c + jr[jr < c]])
-        kept = Hr[cells]
-        Hr[cells] = H.H(np.concatenate([ratio_l[jl < c], ratio_r[jr < c]]))
-        gv = float(np.sum(gre_w * Hr))
-        Hr[cells] = kept
-        gre_vals.append(gv)
-        gre_gaps.append(abs(gv - gre_ref))
+        rung = Hr.copy()
+        rung[cells] = H.H(np.concatenate([ratio_l[jl < c], ratio_r[jr < c]]))
+        gre_vals.append(_gre(gre_w, rung, (), spectral, H))  # a rung has no atoms
+    gre_gaps = [abs(v - gre_ref) for v in gre_vals]
 
     decreased = bool(gre_gaps and gre_gaps[-1] <= gre_gaps[0] + 1e-12)
     below = bool(gre_gaps and gre_gaps[-1] <= _GRE_TOL)

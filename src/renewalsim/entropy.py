@@ -8,8 +8,12 @@ profile and the measure-level Jensen defect for a caller-supplied weight.
 The dissipation (the Jensen gap driven by the birth rate) exists only as
 the per-sample column of ``convergence.sample_diagnostics``.
 
-Each is a trapezoid sum over both ends of every panel; phi and N are
-evaluated once per grid node and copied to the panel ends.
+Each is a trapezoid sum over both ends of every panel.  gre reads a
+measure's grid through one evaluation, ``_gre_grid``, which the
+mollification ladder (``convergence.reshetnyak_harness``) shares: N at
+every node, and phi, the gre weight and H only on the panels before the
+birth law's ``live_end``, past which phi is 0; density/N is checked for
+overflow on every panel side.
 
 The Jensen defect renormalizes its quadrature weight vector to unit mass,
 so nonnegativity holds exactly (up to rounding) instead of up to
@@ -128,13 +132,6 @@ def _sides(v: np.ndarray) -> np.ndarray:
     return np.concatenate([v[:-1], v[1:]])
 
 
-def _entropy_grid(mu: HybridMeasure, spectral: SpectralData):
-    """N and the gre weight ``(h/2 phi) N`` at the panel sides of ``mu``'s grid."""
-    x = mu.nodes
-    Nx = spectral.N(x)
-    return _sides(Nx), _sides(mu.h / 2.0 * spectral.phi(x) * Nx)
-
-
 def _ratio(dens: np.ndarray, Nx: np.ndarray) -> np.ndarray:
     """density/N side by side; raises where it overflows."""
     with np.errstate(all="ignore"):
@@ -145,11 +142,31 @@ def _ratio(dens: np.ndarray, Nx: np.ndarray) -> np.ndarray:
 
 
 def _gre(gre_w, Hr, atoms, spectral: SpectralData, H: EntropyIntegrand) -> float:
-    """gre from H(density/N) at every panel side and the recession cost of the atoms."""
+    """gre from H(density/N) on the sides ``gre_w`` weighs, plus the atoms' recession cost."""
     total = float(np.sum(gre_w * Hr))
     for loc, wt in atoms:
         total += spectral.phi(loc) * H.H_inf(math.copysign(1.0, wt)) * abs(wt)
     return total
+
+
+def _gre_grid(mu: HybridMeasure, spectral: SpectralData, H: EntropyIntegrand):
+    """What gre reads on ``mu``'s grid: ``(Nx, L, R, c, gre_w, Hr)``.
+
+    N at every node and the panel sides (``_panel_sides``); c, the number of
+    panels before ``spectral.live_end``, past which phi and so the gre
+    weight are 0; and on the sides of those c panels the weight ``(h/2) phi
+    N`` and H(density/N).  density/N is checked for overflow on every side.
+    """
+    x = mu.nodes
+    Nx = spectral.N(x)
+    L, R = _panel_sides(mu)
+    c = min(mu.node_count - 1, int(np.searchsorted(x, spectral.live_end, side="right")))
+    _ratio(L[c:], Nx[c:-1])  # raises where density/N overflows past the live panels
+    _ratio(R[c:], Nx[c + 1:])
+    gre_w = _sides(mu.h / 2.0 * spectral.phi(x[:c + 1]) * Nx[:c + 1])
+    Hr = np.asarray(H.H(_ratio(np.concatenate([L[:c], R[:c]]), _sides(Nx[:c + 1]))),
+                    dtype=float)
+    return Nx, L, R, c, gre_w, Hr
 
 
 def gre_functional(mu: HybridMeasure, spectral: SpectralData,
@@ -159,9 +176,8 @@ def gre_functional(mu: HybridMeasure, spectral: SpectralData,
     AC part: integral of phi N H(density / N); singular part: each atom
     contributes phi(loc) |weight| times the recession value of its sign.
     """
-    Nx, gre_w = _entropy_grid(mu, spectral)
-    ratio = _ratio(np.concatenate(_panel_sides(mu)), Nx)
-    return _gre(gre_w, np.asarray(H.H(ratio), dtype=float), mu.atoms, spectral, H)
+    *_, gre_w, Hr = _gre_grid(mu, spectral, H)
+    return _gre(gre_w, Hr, mu.atoms, spectral, H)
 
 
 def jensen_defect(mu: HybridMeasure, psi, f: EntropyIntegrand) -> float:

@@ -259,21 +259,23 @@ def mollify(mu: HybridMeasure, eps: float) -> "HybridMeasure":
         raise MeasureError("mollifier width below grid spacing: kernel unresolvable")
     if not mu.atoms:
         return mu
-    added = np.zeros(mu.node_count)
-    for lo, hi, bump in _bumps(mu, eps):
-        added[lo:hi] += bump
+    start, span = _bump_sum(mu, eps)
+    added = np.pad(span, (start, mu.node_count - start - span.size))
     dens = mu.density + added
     jumps = tuple((x, lo + added[int(round(x / mu.h))], hi + added[int(round(x / mu.h))])
                   for x, lo, hi in mu.jumps)
     return HybridMeasure(mu.h, dens, (), jumps, nonnegative=mu.nonnegative)
 
 
-def _bumps(mu: HybridMeasure, eps: float):
-    """Per atom, in order: the node range [lo, hi) ``mollify`` adds to, and the density it adds.
+def _bump_sum(mu: HybridMeasure, eps: float):
+    """The density ``mollify`` adds, on the node span its bumps reach: ``(lo, added)``.
 
-    Raises ``MeasureError`` at the first atom whose kernel leaves the domain.
+    Node ``lo + j`` gains ``added[j]``: the atoms' bumps summed in atom
+    order.  Raises ``MeasureError`` at the first atom whose kernel leaves
+    the domain.
     """
     h, n, x_max = mu.h, mu.node_count, mu.x_max
+    bumps = []
     for c, wt in mu.atoms:
         if c + eps > x_max * (1 + _SNAP):
             raise MeasureError(f"kernel around atom at {c} leaves the domain")
@@ -286,7 +288,12 @@ def _bumps(mu: HybridMeasure, eps: float):
         if hi == n:
             edges[-1] = x_max
         mass_to = _hat_cdf(edges, c, eps) - _hat_cdf(-edges, c, eps)
-        yield lo, hi, wt * np.diff(mass_to) / np.diff(edges)
+        bumps.append((lo, wt * np.diff(mass_to) / np.diff(edges)))
+    lo = min((b0 for b0, _ in bumps), default=0)
+    added = np.zeros(max((b0 + b.size for b0, b in bumps), default=lo) - lo)
+    for b0, bump in bumps:
+        added[b0 - lo:b0 - lo + bump.size] += bump
+    return lo, added
 
 
 def _cell_offsets(mu: HybridMeasure, ys):

@@ -33,7 +33,13 @@ scalars, the oracle to 1e-13 and of where the guard raises.
 ``reference_harness`` is the former mollification ladder, which evaluates
 phi, N and H on every panel side of the datum and of each rung: the oracle
 of ``convergence.reshetnyak_harness``, which stops at the birth law's
-``live_end``, to the summation order.
+``live_end``, to the summation order.  It builds its full-grid N and gre
+weight itself, on the samples of ``_sided_samples``.
+``reference_gre_functional``, ``reference_dissipation_J``,
+``reference_jensen_defect`` and ``reference_distance`` are the former
+one-measure implementations of the diagnostics, the oracles of the sweep
+``convergence.sample_diagnostics`` and of the one-measure functionals
+(``tests/test_diagnostics.py``).
 """
 import dataclasses
 import math
@@ -43,10 +49,10 @@ from fractions import Fraction
 import numpy as np
 
 from renewalsim.convergence import _GRE_TOL, MollificationReport
-from renewalsim.entropy import _entropy_grid, _gre, _ratio
-from renewalsim.errors import MeasureError, RenewalError, TransportError
+from renewalsim.entropy import _gre, _ratio
+from renewalsim.errors import EntropyError, MeasureError, RenewalError, TransportError
 from renewalsim.measures import (_BLOCK, _SNAP, HybridMeasure, _chain_max, _evaluate,
-                                 _panel_sides, _support_points, mollify)
+                                 _panel_sides, _support_points, integrate, mollify)
 from renewalsim.spectral import SpectralData
 from renewalsim.transport import _GREGORY_ENDS, _LOCAL, _atoms_at, snapshot_index
 
@@ -399,6 +405,76 @@ def reference_birth_series(n0, B, spectral, dt, T):
     return b
 
 
+def _sided_samples(mu):
+    nodes = mu.nodes
+    L, R = _panel_sides(mu)
+    xs = np.concatenate([nodes[:-1], nodes[1:]])
+    vals = np.concatenate([L, R])
+    w = np.full(xs.size, mu.h / 2.0)
+    return xs, vals, w
+
+
+def reference_gre_functional(mu, spectral, H):
+    xs, vals, w = _sided_samples(mu)
+    Nx = spectral.N(xs)
+    with np.errstate(all="ignore"):
+        ratio = vals / Nx
+    if not np.all(np.isfinite(ratio)) or np.any(np.abs(ratio) > 1e300):
+        raise EntropyError("density/N overflows: domain too long for this rate")
+    phix = spectral.phi(xs)
+    total = float(np.sum(w * phix * Nx * np.asarray(H.H(ratio), dtype=float)))
+    for loc, wt in mu.atoms:
+        total += spectral.phi(loc) * H.H_inf(math.copysign(1.0, wt)) * abs(wt)
+    return total
+
+
+def reference_dissipation_J(mu, B, spectral, H):
+    if spectral.residual_euler_lotka > 1e-8:
+        raise EntropyError("reference measure is not normalized: eigen residual too big")
+    lam = spectral.lambda0
+    n_zero = lam  # N(0)
+    xs, vals, w = _sided_samples(mu)
+    Nx = spectral.N(xs)
+    ratio = vals / Nx
+    weights = w * B.quad_values(xs) * Nx / n_zero
+    wsum = float(weights.sum())
+    if not wsum > 0.0:
+        raise EntropyError("reference measure has no mass on this grid")
+    weights = weights / wsum
+
+    term1 = float(np.sum(weights * np.asarray(H.H(ratio), dtype=float)))
+    arg = float(np.sum(weights * ratio))
+    term2 = 0.0
+    for loc, wt in mu.atoms:
+        psi = float(B.quad_values(np.array([loc]))[0]) / n_zero
+        term2 += psi * H.H_inf(math.copysign(1.0, wt)) * abs(wt)
+        arg += psi * wt
+    return term1 + term2 - float(H.H(np.asarray(arg, dtype=float)))
+
+
+def reference_jensen_defect(mu, psi, f):
+    xs, vals, w = _sided_samples(mu)
+    psix = np.asarray(psi(xs), dtype=float)
+    weights = w * psix / float(np.sum(w * psix))
+    term1 = float(np.sum(weights * np.asarray(f.H(vals), dtype=float)))
+    arg = float(np.sum(weights * vals))
+    term2 = 0.0
+    for loc, wt in mu.atoms:
+        pl = float(np.asarray(psi(np.asarray([loc])), dtype=float)[0])
+        term2 += pl * f.H_inf(math.copysign(1.0, wt)) * abs(wt)
+        arg += pl * wt
+    return term1 + term2 - float(f.H(np.asarray(arg, dtype=float)))
+
+
+def reference_distance(traj, t, eta):
+    spectral = traj.spectral
+    m0 = integrate(traj.initial, spectral.phi)
+    snap = reference_evolve(traj, t)
+    eq = stationary_measure(spectral, snap.x_max, snap.h, mass=m0)
+    diff = linear_combination(1.0, snap, -1.0, eq)
+    return weighted_variation(diff, eta, breakpoints=(t,))
+
+
 def reference_harness(n0: HybridMeasure, spectral: SpectralData, H, eps_list):
     """The former full-grid ladder of ``convergence.reshetnyak_harness``, kept unchanged.
 
@@ -412,8 +488,9 @@ def reference_harness(n0: HybridMeasure, spectral: SpectralData, H, eps_list):
     if eps and eps[-1] < n0.h:
         raise RenewalError("epsilon ladder goes below the grid spacing")
 
-    Nx, gre_w = _entropy_grid(n0, spectral)
-    sides = np.concatenate(_panel_sides(n0))
+    xs, sides, w = _sided_samples(n0)
+    Nx = spectral.N(xs)
+    gre_w = w * spectral.phi(xs) * Nx
     Hr = np.asarray(H.H(_ratio(sides, Nx)), dtype=float)
     gre_ref = _gre(gre_w, Hr, n0.atoms, spectral, H)
     gre_vals, gre_gaps = [], []

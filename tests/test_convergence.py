@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import renewalsim as rs
 from renewalsim import HybridMeasure, convergence
@@ -164,11 +166,10 @@ class TestMollificationHarness:
         H = dataclasses.replace(base, H=lambda u: evaluated.append(np.size(u)) or base.H(u))
         eps = (0.4, 0.2, 0.1, 0.05)
         rep = rs.reshetnyak_harness(n0, sp, H, eps)
-        # the full evaluation of every rung, summed over the live panels only
-        tol = 1e-15 * abs(rep.gre_reference)
-        assert abs(rep.gre_reference - rs.gre_functional(n0, sp, base)) <= tol
+        # the full evaluation of the datum and of every rung, bit for bit
+        assert rep.gre_reference == rs.gre_functional(n0, sp, base)
         for e, v in zip(eps, rep.gre_values):
-            assert abs(v - rs.gre_functional(rs.mollify(n0, e), sp, base)) <= tol
+            assert v == rs.gre_functional(rs.mollify(n0, e), sp, base)
         # the datum's sides on the panels left of live_end
         assert evaluated[0] == 2 * np.count_nonzero(n0.nodes <= sp.live_end)
         # a rung's new panel sides: two per node within eps + 2h of an atom
@@ -273,6 +274,73 @@ class TestLadderStopsAtLiveEnd:
         for harness in (rs.reshetnyak_harness, reference_harness):
             with pytest.raises(MeasureError, match="leaves the domain"):
                 harness(n0, sp, rs.builtin_integrand("abs"), self.EPS)
+
+
+# the eigendata of the ladder property's three law shapes
+LADDER_SPECTRA = [rs.solve_spectral(law) for law in (
+    rs.BirthLaw.constant(1.0),  # live_end = inf: every panel is live
+    rs.BirthLaw.indicator(3.0, 0.4, 1.1),  # lo > 0
+    rs.BirthLaw.table((0.0, 0.5, 0.5, 1.3), (1.0, 1.5, 0.5, 2.0)),  # interior jump
+)]
+
+
+@st.composite
+def ladder_cases(draw):
+    """A datum, a law and an epsilon ladder for ``reshetnyak_harness``.
+
+    Density with a jump record under an atom, atoms on and off the grid
+    on both sides of ``live_end``, an optional signed pair, and widths
+    that reach past ``live_end``; some kernels leave the domain, and some
+    data overflow density/N.
+    """
+    sp = draw(st.sampled_from(LADDER_SPECTRA))
+    h = draw(st.sampled_from((0.01, 0.02)))
+    n = int(round(draw(st.sampled_from((3.0, 4.0))) / h)) + 1
+    signed = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    density = rng.normal(size=n) if signed else rng.uniform(0.0, 2.0, n)
+    if draw(st.integers(0, 7)) == 7:  # density/N overflows at one node
+        density[draw(st.integers(0, n - 1))] = 1e305
+    weights = st.floats(0.05, 1.0)
+    node = st.integers(1, n - 2)
+    atoms = [(draw(node) * h, draw(weights))
+             for _ in range(draw(st.integers(1, 3)))]           # on grid nodes
+    atoms += [(draw(st.floats(0.0, (n - 1) * h)), draw(weights))
+              for _ in range(draw(st.integers(0, 2)))]          # anywhere
+    if signed:  # a pair of opposite weights
+        c, w = draw(st.floats(0.1, 2.0)), draw(weights)
+        atoms += [(c, w), (c + draw(st.floats(0.0, 0.3)), -w)]
+    limits = st.floats(-1.0, 1.0) if signed else st.floats(0.0, 2.0)
+    jumps = [(atoms[0][0], draw(limits), draw(limits))]          # under an atom
+    second = draw(node) * h
+    if draw(st.booleans()) and second != jumps[0][0]:
+        jumps.append((second, draw(limits), draw(limits)))
+    n0 = HybridMeasure(h, density, tuple(atoms), tuple(jumps), nonnegative=not signed)
+    widths = draw(st.lists(st.floats(h, 0.8), min_size=1, max_size=4, unique=True))
+    H = rs.builtin_integrand(draw(st.sampled_from(("abs", "sqrt1p", "pospart"))))
+    return n0, sp, H, tuple(sorted(widths, reverse=True))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(ladder_cases())
+def test_generated_ladders_are_gre_of_mollify(case):
+    # the reference is gre_functional(n0) and each rung
+    # gre_functional(mollify(n0, eps)), bit for bit; the full-grid ladder
+    # agrees to its summation order and raises the same errors
+    n0, sp, H, eps = case
+    try:
+        rep = rs.reshetnyak_harness(n0, sp, H, eps)
+    except RenewalError as exc:
+        with pytest.raises(RenewalError) as oracle:
+            reference_harness(n0, sp, H, eps)
+        assert (type(oracle.value), str(oracle.value)) == (type(exc), str(exc))
+        return
+    assert rep.gre_reference == rs.gre_functional(n0, sp, H)
+    assert rep.gre_values == tuple(rs.gre_functional(rs.mollify(n0, e), sp, H) for e in eps)
+    ref = reference_harness(n0, sp, H, eps)
+    tol = 1e-15 * abs(ref.gre_reference)
+    assert abs(rep.gre_reference - ref.gre_reference) <= tol
+    assert np.abs(np.subtract(rep.gre_values, ref.gre_values)).max() <= tol
 
 
 def birth_integral(traj, times):

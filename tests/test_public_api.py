@@ -7,7 +7,9 @@ appears in the acceptance suite, whose calls define the library's outside
 surface, or in a top-level statement of ``src/`` other than its own
 definition and the definitions of unused names.  The package ``__init__``
 only re-exports, so it is no use.  Helpers that only tests need belong in
-``tests/oracles.py``.
+``tests/oracles.py``.  Every private helper that an exempt name calls
+must be reachable from a ``cli.cmd_*`` function in the call graph by
+name: an exemption cannot outlive the code it shares with a command.
 
 The same scan catches the dead code a linter would flag: every
 name a module imports is used in that module, and every module-level
@@ -24,9 +26,9 @@ ACCEPTANCE = pathlib.Path(__file__).with_name("test_acceptance.py")
 
 # public names that nothing in src/ calls, each with its reason
 EXEMPT = {
-    # three lines over _entropy_grid, _ratio and _gre, which verify's
-    # mollification check runs: the one-measure entry point to the same
-    # formula, not a second implementation of it
+    # two lines over _gre_grid and _gre, which verify's mollification
+    # check runs (reshetnyak_harness): the one-measure entry point to the
+    # same formula, not a second implementation of it
     ("entropy", "gre_functional"),
     # the tests' Simpson oracle; benchmark/spans.py imports its module
     ("quadrature", "composite_simpson"),
@@ -84,6 +86,39 @@ def test_every_public_name_is_used():
     assert sorted(f"{public[name]}.{name}" for name in unused) == []
     for stem, name in EXEMPT:
         assert hasattr(importlib.import_module(f"renewalsim.{stem}"), name), (stem, name)
+
+
+def _call_graph(trees) -> dict:
+    """Each top-level function or class name -> the top-level ones its body names.
+
+    Edges go by name, so a helper passed as a value counts as called, and
+    the body includes nested closures and methods.
+    """
+    graph = {}
+    for tree in trees.values():
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                graph.setdefault(stmt.name, set()).update(_identifiers(stmt))
+    return {name: (ids & graph.keys()) - {name} for name, ids in graph.items()}
+
+
+def test_exempt_names_call_only_what_a_command_runs():
+    # an exemption's reason is that a command runs the same code: every
+    # private helper an exempt name calls must be reachable from a cli.cmd_*
+    trees = _sources()
+    graph = _call_graph(trees)
+    todo = [stmt.name for stmt in trees["cli"].body
+            if isinstance(stmt, ast.FunctionDef) and stmt.name.startswith("cmd_")]
+    reached = set(todo)
+    while todo:
+        new = graph[todo.pop()] - reached
+        reached |= new
+        todo += new
+    assert {"cmd_run", "cmd_verify", "reshetnyak_harness"} <= reached
+    stale = sorted(f"{stem}.{name} -> {helper}" for stem, name in EXEMPT
+                   for helper in graph[name]
+                   if helper.startswith("_") and helper not in reached)
+    assert stale == []
 
 
 def _imported(tree) -> list:

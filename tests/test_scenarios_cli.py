@@ -725,6 +725,26 @@ class TestCli:
     def test_missing_file_exit_code(self, capsys):
         assert main(["run", "--scenario", "/nonexistent.ini"]) == 1
 
+    @pytest.mark.parametrize("argv, usage, message", [
+        (["distance", "a.csv"], "usage: renewalsim distance", "required: file_b"),
+        (["run"], "usage: renewalsim run", "required: --scenario"),
+        (["bogus"], "usage: renewalsim [-h]", "invalid choice: 'bogus'"),
+    ], ids=["distance-one-file", "run-no-scenario", "unknown-command"])
+    def test_usage_error_is_a_config_error(self, capsys, argv, usage, message):
+        # exit 2 is kept for numerical failures: a bad command line exits 1
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(usage) and message in err, err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: renewalsim")
+
     def test_numerical_error_exit_code(self, tmp_path, capsys):
         # growth rate 20 on a 40-long window: density/N overflows in the
         # entropy diagnostics
